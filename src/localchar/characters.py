@@ -262,10 +262,6 @@ def truncate_to(x: TowerElement, hi: int) -> TowerElement:
     return F.make(x.v, tuple(core), F.kint, F.kint)
 
 
-def make_mulchar(field: TowerField, w=None, t: int = 0, gamma=None) -> MulChar:
-    return MulChar(field, w, t, gamma)
-
-
 def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
     """chi o N_{K/S} through the embedding emb: S -> K.
 
@@ -536,13 +532,9 @@ def _solve_base_char(work: MulChar, base: Subfield):
             wv = work.eval(E.uniformizer()) * cand.eval(npi).conj()
             chi0 = MulChar(F, wv, t, None)
             full = pullback(chi0, E, base.emb)
-            if chars_equal(full, work):
+            if full.equals(work):
                 return chi0
     return None
-
-
-def chars_equal(a: MulChar, b: MulChar) -> bool:
-    return a.equals(b)
 
 
 # ----------------------------------------------------------------- randoms

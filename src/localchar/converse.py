@@ -33,6 +33,7 @@ from .characters import (
     pullback,
     subfield_lattice,
     truncate_to,
+    _prime_handle,
     _root_exponent,
 )
 from .embeddings import Subfield, automorphisms, find_embeddings
@@ -269,7 +270,10 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
                      dedupe: bool = True, skipped=None):
     """Admissible pairs (L/F, lambda) of degree r with conductor <= bound,
     deduplicated by conjugacy (which leaves every verification invariant),
-    streamed in order of increasing conductor."""
+    streamed in order of increasing conductor.  A wild pair is keyed by the
+    least gamma key over the orbit {sigma(gamma) : sigma in Aut(L/F)}, which is
+    the parameter set of lambda's conjugates lambda o sigma (parameter
+    sigma^-1(gamma)), as sigma -> sigma^-1 permutes Aut(L/F)."""
     exts = []
     for L, shape in sorted(tame_extensions(p, r, k), key=lambda t: t[1]):
         if L is None:
@@ -303,7 +307,8 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
                 if not is_admissible(lam):
                     continue
                 if dedupe:
-                    key = min(_gamma_key(transport_char(lam, s, auts))
+                    # = transport_char's keys: sigma -> sigma^-1 permutes auts
+                    key = min(_gamma_key(MulChar(L, None, 0, s.apply(lam.gamma)))
                               for s in auts)
                     if key in seen:
                         continue
@@ -423,16 +428,9 @@ def _twist_context(E: TowerField, L: TowerField, kk: int, sw: int):
     K, iE, iL = compositum_abstract(E, L, kk, sw)
     handleE = Subfield(E, K, iE)
     handleL = Subfield(L, K, iL)
-    handleF_L = _prime_of(L)
+    handleF_L = _prime_handle(L)
     return {"K": K, "iE": iE, "iL": iL, "handleE": handleE,
             "handleL": handleL, "handleF_L": handleF_L}
-
-
-def _prime_of(L: TowerField) -> Subfield:
-    for sub in subfield_lattice(L):
-        if sub.S.degree == 1:
-            return sub
-    raise ConfigError("missing prime subfield")
 
 
 def _context_for(pair_E: TowerField, N: int, tw: TwistPair):
@@ -505,7 +503,7 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
         dom2 = phi2.eval(nrmL)
         arg = _symmetric_argument(E, tw, beta, invert_beta=False)
         # the coset product of the dominant part must be N_{L/F}(alpha)
-        handleF = _prime_of(tw.L)
+        handleF = _prime_handle(tw.L)
         vec = handleF.charpoly(tw.alpha)
         nlf = vec[-1] if len(vec) % 2 else -vec[-1]
         embF = find_embeddings(handleF.S, E)[0]
@@ -545,7 +543,7 @@ def _symmetric_argument(E: TowerField, tw: TwistPair, beta, invert_beta: bool):
     polynomial over the prime field."""
     if tw.alpha is None:
         return E.one()
-    handleF = _prime_of(tw.L)
+    handleF = _prime_handle(tw.L)
     target = tw.alpha if invert_beta else tw.alpha.inv()
     vec = handleF.charpoly(target)
     r = len(vec) - 1
@@ -628,7 +626,7 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
     E = pair.E
     cfg = pair.cfg
     psiE = make_psi(E)
-    primeE = _prime_of(E)
+    primeE = _prime_handle(E)
     chars = base_characters(primeE.S, bound)
     checked = 0
     failures = []

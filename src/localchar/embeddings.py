@@ -21,6 +21,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DivisionByZero,
+    InternalContradiction,
     PrecisionLoss,
 )
 from .localfield import (
@@ -49,7 +50,8 @@ def w_nth_root_oneunit(field: TowerField, w, n: int):
         fz = field.wsub(field.wmul(zn1, z), w)
         dz = field.wscal(zn1, n)
         z = field.wsub(z, field.wmul(fz, field.winv(dz)))
-    assert field.wpow(z, n) == w
+    if field.wpow(z, n) != w:
+        raise InternalContradiction("n-th root lift did not converge")
     return z
 
 

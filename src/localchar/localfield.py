@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DivisionByZero,
     ExpLogRadius,
+    InternalContradiction,
     PrecisionLoss,
     WildRamification,
 )
@@ -309,10 +310,12 @@ class TowerField:
         return y
 
     def teichmuller_w(self, x):
-        t = x
-        for _ in range(self.a + 1):
-            t = self.wpow(t, self.q)
-        return t
+        """Root of unity (or 0) congruent to x; memoized, as it depends on x mod p."""
+        memo = self._caches.setdefault("teich", {})
+        key = tuple(c % self.p for c in x)
+        if key not in memo:
+            memo[key] = self.wpow(x, self.q ** (self.a + 1))
+        return memo[key]
 
     def _weval_poly(self, coeffs, x):
         res = self.wzero()
@@ -332,7 +335,8 @@ class TowerField:
                     hr = self._weval_poly(self.h, r)
                     hpr = self._weval_poly(dh, r)
                     r = self.wsub(r, self.wmul(hr, self.winv(hpr)))
-                assert self._weval_poly(self.h, r) == self.wzero()
+                if self._weval_poly(self.h, r) != self.wzero():
+                    raise InternalContradiction("Frobenius root lift did not converge")
                 self._caches["frobgen"] = r
         return self._caches["frobgen"]
 
@@ -378,7 +382,8 @@ class TowerField:
         s = x
         for b in range(1, self.f):
             s = self.wadd(s, self.frob_w(x, b))
-        assert all(c == 0 for c in s[1:]), "absolute trace must be a scalar"
+        if any(s[1:]):
+            raise InternalContradiction("absolute trace must be a scalar")
         return s[0]
 
     # ------------------------------------------------------------- residue ops
@@ -952,7 +957,8 @@ def _subres_generator(self: TowerField, fp: int):
             fr = self._weval_poly(hsub, r)
             dfr = self._weval_poly(dh, r)
             r = self.wsub(r, self.wmul(fr, self.winv(dfr)))
-        assert self._weval_poly(hsub, r) == self.wzero()
+        if self._weval_poly(hsub, r) != self.wzero():
+            raise InternalContradiction("sub-residue root lift did not converge")
         out = r
     self._caches[key] = out
     return out

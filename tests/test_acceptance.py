@@ -114,6 +114,7 @@ def test_criterion_04_coset_products_rank_two(pair7):
         cases.add(rep.case)
         shapes.add(tw.shape)
         count += 1
+    assert count == 7490
     assert shapes == {"ram(2,u=g^0)", "ram(2,u=g^1)", "unram(2)"}
     assert cases == {"beta", "alpha"}
     _report(4, f"coset products N=7 r=2, {count} pairs", t0, 600)

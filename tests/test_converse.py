@@ -9,6 +9,7 @@ from localchar.ambient import compositum_abstract, double_cosets
 from localchar.converse import (
     TwinConfig,
     TwinPair,
+    _gamma_key,
     a_exponent,
     build_twin_characters,
     case_one_scan,
@@ -88,6 +89,26 @@ def test_enumerated_pairs_admissible(pair7):
     assert all(tw.lam.conductor() <= 2 for tw in pairs)
     # ramified quadratics carry no admissible tame characters
     assert all(tw.m >= 1 for tw in pairs if tw.shape.startswith("ram"))
+
+
+def test_catalog_key_matches_transport_char_key():
+    pairs, _ = enumerate_twist_pairs(11, 2, 3, 16, dedupe=False)
+    auts = {tw.L: automorphisms(tw.L) for tw in pairs}
+    kept, seen = [], set()
+    for tw in pairs:
+        L, lam = tw.L, tw.lam
+        if tw.m == 0:
+            key = min((lam.t * pow(L.p, b, L.q - 1)) % (L.q - 1)
+                      for b in range(L.f))
+        else:
+            key = min(_gamma_key(transport_char(lam, s, auts[L]))
+                      for s in auts[L])
+        if (tw.shape, key) not in seen:
+            seen.add((tw.shape, key))
+            kept.append(tw.label())
+    deduped, _ = enumerate_twist_pairs(11, 2, 3, 16)
+    assert len(kept) < len(pairs)
+    assert [tw.label() for tw in deduped] == kept
 
 
 def test_classify_case_examples():

@@ -1,9 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import localchar
 from localchar.errors import DivisionByZero, ExpLogRadius, PrecisionLoss, WildRamification
-from localchar.localfield import TameRamified, Unramified, make_tower
+from localchar.localfield import TameRamified, TowerField, Unramified, make_tower
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,29 @@ def test_teichmuller(E):
     t = E.teichmuller(3)
     assert (t ** 6) == E.one()
     assert t.residue() == (3,)
+
+
+def test_teichmuller_memo_matches_direct_lift():
+    T = make_tower(11, (Unramified(2),), 16)
+    fresh = TowerField(11, (Unramified(2),), 16)  # not shared with make_tower
+    for n in range(1, T.q):
+        r = T.int_to_res(n)
+        x = T.wfromres(r)
+        # fill the memo from a representative other than x itself
+        lifted = T.teichmuller_w(T.wadd(x, T.wscal((n, 3 * n + 1), T.p)))
+        direct = x
+        for _ in range(fresh.a + 1):
+            direct = fresh.wpow(direct, fresh.q)
+        assert T.teichmuller_w(x) == lifted == direct
+        assert T.teichmuller(r) ** (T.q - 1) == T.one()
+
+
+def test_no_assert_statements_in_package():
+    # assert vanishes under python -O; internal checks must raise
+    for path in sorted(Path(localchar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"
 
 
 def test_exp_log_inverse_pair(E):
