@@ -47,23 +47,23 @@ def _parser():
     ap.add_argument("--ell", type=int)
     ap.add_argument("--precision", type=int)
     ap.add_argument("--conductor-bound", type=int, dest="conductor_bound")
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--jobs", type=int)
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--out", help="write the JSON report here")
-    ap.add_argument("--level", choices=["r1", "equ6", "all"], default="r1")
+    ap.add_argument("--level", choices=["r1", "equ6", "all"])
     ap.add_argument("--r", type=int, help="twisting degree for verify equ6")
     ap.add_argument("--selector", type=int)
-    ap.add_argument("--mutate", action="store_true",
+    ap.add_argument("--mutate", action="store_true", default=None,
                     help="perturb the second twin on 1 + P^2 (negative test)")
-    ap.add_argument("--char-field", choices=["F", "E"], default="F")
-    ap.add_argument("--char-w", type=int, default=0,
+    ap.add_argument("--char-field", choices=["F", "E"])
+    ap.add_argument("--char-w", type=int,
                     help="exponent of the tame root of unity at the uniformizer")
-    ap.add_argument("--char-t", type=int, default=0)
-    ap.add_argument("--char-gamma", default="",
+    ap.add_argument("--char-t", type=int)
+    ap.add_argument("--char-gamma",
                     help="comma list v:res of principal-unit digits, e.g. -2:3,-1:1")
-    ap.add_argument("--samples", type=int, default=0,
+    ap.add_argument("--samples", type=int,
                     help="random characters per conductor for the epsilon scan")
-    ap.add_argument("--oracle-budget", type=int, default=300_000_000)
+    ap.add_argument("--oracle-budget", type=int)
     return ap
 
 
@@ -81,6 +81,12 @@ def _read_config(path):
     return out
 
 
+# applied after the config file, so that an option left unset on the command
+# line takes the file's value
+_DEFAULTS = {"jobs": 1, "seed": 0, "level": "r1", "char_field": "F",
+             "char_w": 0, "char_t": 0, "char_gamma": "", "samples": 0,
+             "oracle_budget": 300_000_000, "mutate": False}
+
 _INT_KEYS = {"p", "N", "ell", "precision", "conductor_bound", "jobs", "seed",
              "r", "selector", "char_w", "char_t", "samples", "oracle_budget"}
 
@@ -94,9 +100,11 @@ def _merge(args) -> dict:
     for key in ("p", "N", "ell", "precision", "conductor_bound", "jobs",
                 "seed", "level", "r", "selector", "char_field", "char_w",
                 "char_t", "char_gamma", "samples", "oracle_budget", "mutate"):
-        val = getattr(args, key, None)
-        if val not in (None, "", 0) or key not in cfg:
+        val = getattr(args, key)
+        if val is not None:
             cfg[key] = val
+        elif key not in cfg:
+            cfg[key] = _DEFAULTS.get(key)
     return cfg
 
 

@@ -116,7 +116,7 @@ def epsilon_ratio(chi1: MulChar, chi2: MulChar, psi: AddChar) -> ScaledCyc:
     return ratio
 
 
-def epsilon_oracle_consistency(chars, psi: AddChar, oracle_fn, seeds=(0, 1)):
+def epsilon_oracle_consistency(chars, psi: AddChar, oracle_fn):
     """Ratio protocol between the closed form and the brute-force oracle.
 
     For every character, computes the closed form and the oracle sum at the

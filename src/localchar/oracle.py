@@ -5,14 +5,14 @@ theta^{-1}(u delta) psi(u delta), the complete sum with q^{c-1}(q-1) terms,
 computed exactly.
 
 On prime-residue fields with convergent exp/log the sum is evaluated by a
-vectorized kernel: units are enumerated as tau-part times products
-prod_i (1 + a_i pi^i) with integer digits; the theta side reduces to integer
-digit-table gathers (log is additive over the digit factors) and the psi
-side to integer trace-weight contractions.  All arithmetic is integer
-arithmetic modulo powers of p; partial histograms combine associatively, so
-the term range splits across chunks and processes.  The digit enumeration
-and psi-side exponents depend only on (field, conductor, delta) and are
-cached across characters.
+vectorized kernel: units are tau-part times prod_i (1 + a_i pi^i), in mixed
+radix with low levels fastest.  One table of low-level unit coordinates is
+shared by all blocks; a block fixes the high digits, whose factor folds into
+the psi-side trace weights.  The theta side is an outer sum of per-level
+digit tables (log is additive over the digit factors) plus one offset per
+block.  All arithmetic is integer arithmetic modulo powers of p; per-block
+histograms combine associatively, so blocks split across processes.  Only
+the psi-side exponents are cached per (field, conductor, delta).
 """
 
 from __future__ import annotations
@@ -109,8 +109,10 @@ def _p_exponent(mod: int, p: int) -> int:
 class _Grid:
     """Cached unit enumeration for one (field, conductor, delta) triple.
 
-    Holds, per chunk: the digit matrix (for theta-side gathers) and the
-    psi-side exponent rows (one per Teichmuller coset) modulo p^sw."""
+    Index sum d_lev p^(lev-1) is prod (1 + d_lev pi^lev); levels 1..k
+    (p^k <= _CHUNK) form the low table, block idx // p^k fixes the rest.
+    Per block it keeps the int32 psi-side rows, one per Teichmuller coset
+    modulo p^sw, and no digit matrix."""
 
     def __init__(self, F: TowerField, psi, c: int, delta, jobs: int):
         p, e, q = F.p, F.e, F.q
@@ -130,70 +132,63 @@ class _Grid:
         wexp = np.zeros((q - 1, e), dtype=np.int64)
         for (j, i), (z, m2) in raw_w.items():
             wexp[j, i] = z * p ** (sw - _p_exponent(m2, p)) % psw
-        self.p, self.e, self.q, self.c = p, e, q, c
-        self.sw = sw
-        self.psw = psw
-        tasks = []
-        btotal = p ** (c - 1)
-        for lo in range(0, btotal, _CHUNK):
-            tasks.append({"lo": lo, "hi": min(lo + _CHUNK, btotal), "p": p,
-                          "e": e, "c": c, "mod": mod, "wrap": wrap,
-                          "psw": psw, "wexp": wexp})
-        if jobs > 1 and len(tasks) > 1:
+        k = 0
+        while k < c - 1 and p ** (k + 1) <= _CHUNK:
+            k += 1
+        self.k, self.sw = k, sw
+        ring = (p, e, wrap, mod)
+        low = _unit_table(1, k + 1, ring)
+        high = _unit_table(k + 1, c, ring)
+        # psi-exponent(u h) = sum_i u_i psi-exponent(pi^i h), h a high factor
+        weights = np.stack([_pi_pow_mult(high, i, ring) @ wexp.T % psw
+                            for i in range(e)], axis=2)
+        args = ([low] * len(high), weights, [psw] * len(high))
+        if jobs > 1 and len(high) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as ex:
-                self.chunks = list(ex.map(_grid_chunk, tasks))
+                self.blocks = list(ex.map(_grid_block, *args))
         else:
-            self.chunks = [_grid_chunk(t) for t in tasks]
+            self.blocks = list(map(_grid_block, *args))
 
 
-def _grid_chunk(task):
-    p = task["p"]
-    e = task["e"]
-    c = task["c"]
-    mod = task["mod"]
-    wrap = task["wrap"]
-    psw = task["psw"]
-    wexp = task["wexp"]
-    idx = np.arange(task["lo"], task["hi"], dtype=np.int64)
-    n = idx.shape[0]
-    units = np.zeros((n, e), dtype=np.int64)
-    units[:, 0] = 1
-    digits = np.zeros((n, max(c - 1, 1)), dtype=np.int8)
-    for lev in range(1, c):
-        dig = (idx // p ** (lev - 1)) % p
-        digits[:, lev - 1] = dig
-        add = _pi_pow_mult((units * dig[:, None]) % mod, lev, e, wrap, mod)
-        units = (units + add) % mod
-    pexp = np.empty((wexp.shape[0], n), dtype=np.int32)
-    for j in range(wexp.shape[0]):
-        pexp[j] = (units @ wexp[j]) % psw
-    return {"digits": digits, "pexp": pexp}
+def _grid_block(low, weights, psw):
+    pexp = np.empty((len(weights), len(low)), dtype=np.int32)
+    for j, w in enumerate(weights):
+        pexp[j] = (low @ w) % psw
+    return pexp
 
 
-def _pi_pow_mult(x, i, e, wrap, mod):
-    """Multiply coordinate vectors by pi^i: roll with the wrap factor pU."""
+def _unit_table(lo, hi, ring):
+    """Coordinates of prod (1 + d_lev pi^lev) over levels lo..hi-1, in
+    mixed radix with the lowest level fastest."""
+    p, e, _, mod = ring
+    units = np.eye(1, e, dtype=np.int64)
+    for lev in range(lo, hi):
+        shifted = _pi_pow_mult(units, lev, ring)
+        units = np.concatenate([(units + d * shifted) % mod for d in range(p)])
+    return units
+
+
+def _digit_sums(t1, lo, hi):
+    """sum_lev t1[lev, d_lev] over levels lo..hi-1, indexed as _unit_table."""
+    out = np.zeros(1, dtype=np.int64)
+    for lev in range(lo, hi):
+        out = (t1[lev][:, None] + out).ravel()
+    return out
+
+
+def _pi_pow_mult(x, i, ring):
+    """Multiply reduced coordinate rows by pi^i: roll, wrapping by pU."""
+    _, e, wrap, mod = ring
     q2, r2 = divmod(i, e)
     if q2:
         x = (x * pow(wrap, q2, mod)) % mod
-    if r2 == 0:
-        return x % mod
-    out = np.empty_like(x)
-    out[:, r2:] = x[:, : e - r2]
-    out[:, :r2] = (x[:, e - r2:] * wrap) % mod
-    return out % mod
-
-
-def _delta_key(delta):
-    if delta.is_zero():
-        raise ConfigError("zero delta")
-    F = delta.field
-    return (delta.v, tuple(tuple(w) for w in delta.core))
+    return np.concatenate([x[:, e - r2:] * wrap % mod, x[:, : e - r2]], axis=1)
 
 
 def _fast_sum(chi, psi, delta, c, jobs):
     F = chi.field
     p, q = F.p, F.q
-    key = (id(F), c, _delta_key(delta))
+    key = (id(F), c, delta.v, tuple(tuple(w) for w in delta.core))
     grid = _GRIDS.get(key)
     if grid is None:
         grid = _Grid(F, psi, c, delta, jobs)
@@ -217,17 +212,15 @@ def _fast_sum(chi, psi, delta, c, jobs):
     for (i, a), (z, m2) in raw_t1.items():
         t1[i, a] = z * p ** (s - _p_exponent(m2, p)) % ps
 
-    hists = np.zeros((q - 1, ps), dtype=np.int64)
-    for chunk in grid.chunks:
-        digits = chunk["digits"]
-        n = digits.shape[0]
-        texp = np.zeros(n, dtype=np.int64)
-        for lev in range(1, c):
-            texp += t1[lev, digits[:, lev - 1]]
-        texp %= ps
+    tlow = _digit_sums(t1, 1, grid.k + 1)
+    # psi part < ps - scale_w and theta part < ps: 2 ps bins, then one fold
+    hists = np.zeros((q - 1, 2 * ps), dtype=np.int64)
+    for off, pexp in zip(_digit_sums(t1, grid.k + 1, c), grid.blocks):
+        texp = (tlow + off) % ps
         for j in range(q - 1):
-            tot = (chunk["pexp"][j].astype(np.int64) * scale_w + texp) % ps
-            hists[j] += np.bincount(tot, minlength=ps)
+            hists[j] += np.bincount(pexp[j] * scale_w + texp,
+                                    minlength=2 * ps)
+    hists = hists[:, :ps] + hists[:, ps:]
 
     tame_t = chi.t % (q - 1)
     total = CycNumber.zero()

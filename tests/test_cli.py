@@ -87,3 +87,18 @@ def test_search_bound_zero_returns_none(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["results"][0]["search"]["found"] is None
+
+
+def test_config_file_values_beat_parser_defaults(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 7\nchar_t = 2\nchar_gamma = -2:3,-1:1\n"
+                       "jobs = 2\noracle_budget = 5\n")
+    # the file's budget applies: the conductor-3 oracle sum has 294 terms
+    assert run(["epsilon", "--config", str(cfgfile)]) == 3
+    out = tmp_path / "e.json"
+    assert run(["epsilon", "--config", str(cfgfile), "--oracle-budget", "1000",
+                "--char-t", "0", "--out", str(out)]) == 0
+    cfg = json.loads(out.read_text())["config"]
+    assert cfg["jobs"] == 2
+    assert cfg["oracle_budget"] == 1000 and cfg["char_t"] == 0
+    assert cfg["seed"] == 0 and cfg["level"] == "r1" and cfg["mutate"] is False

@@ -85,14 +85,28 @@ def test_epsilon_transport_invariance():
     assert e1.value == e2.value
 
 
-def test_oracle_term_count_and_slow_agreement(F):
-    psi = make_psi(F)
-    rng = random.Random(5)
-    chi = random_char(F, 2, rng)
-    delta = F.uniformizer() ** (-1)
-    fast = oracle_sum(chi, psi, delta)
-    slow = ScaledCyc(_slow_sum(chi, psi, delta, 2), -2, 7)
-    assert fast == slow  # 42 terms, order-independent by exactness
+@pytest.mark.parametrize("name, c, chunk", [
+    pytest.param("F", 2, None, id="F-c2"),
+    # _CHUNK = p^2 on E: 7 blocks of 49 units, level 3 is a high digit
+    pytest.param("E", 4, 49, id="E-c4-blocks"),
+])
+def test_oracle_term_count_and_slow_agreement(name, c, chunk, request,
+                                              monkeypatch):
+    import localchar.oracle as om
+    field = request.getfixturevalue(name)
+    psi = make_psi(field)
+    chi = random_char(field, c, random.Random(5))
+    delta = field.uniformizer() ** (1 - c)
+    if chunk:
+        monkeypatch.setattr(om, "_CHUNK", chunk)
+    om.clear_oracle_cache()
+    try:
+        fast = oracle_sum(chi, psi, delta)
+    finally:
+        om.clear_oracle_cache()
+    slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, 7)
+    assert not fast.is_zero()
+    assert fast == slow  # q^(c-1)(q-1) terms, order-independent by exactness
 
 
 def test_oracle_wrong_valuation_vanishes(E):
