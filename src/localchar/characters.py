@@ -122,24 +122,44 @@ class MulChar:
                 val = val * chi.eval(handle.norm(x))
             return val
         F = self.field
-        c = self.conductor()
-        if x.prec < max(c, 1):
-            raise PrecisionLoss(
-                f"need the argument mod P^{c} relative; have {x.prec}")
         v = x.v
         unit = TowerElement(F, 0, x.core, x.prec, x.store)
         r, u1 = unit.principal_split()
-        out = CycNumber.one()
+        z, m = self.principal_exponent(u1)
+        if self.t:
+            z, m = _add_exponents(z, m, self.t * F.dlog_res(r), F.q - 1)
+        out = CycNumber.root(m, z)
         if v:
             out = out * (self.w ** (v % _order_cap(self.w)) if v >= 0
                          else self.w.conj() ** ((-v) % _order_cap(self.w)))
-        if self.t:
-            out = out * CycNumber.root(F.q - 1, self.t * F.dlog_res(r))
-        if self.gamma is not None:
-            psi = make_psi(F)
-            lg = F.log_principal(u1, window=max(c, 1))
-            out = out * psi.eval(self.gamma * lg)
         return out
+
+    def principal_exponent(self, u: TowerElement | None = None, lg=None):
+        """(z, m) with theta(u) = zeta_m^z for a principal unit u.
+
+        m is the modulus eval(u) carries: it includes q - 1 whenever t != 0
+        (the tame factor at residue 1 is zeta_{q-1}^0).  A parametric
+        character may be given lg = log(u) at window max(conductor, 1)
+        instead of u, which spares the series; a factored character needs u
+        and adds its parts' exponents at the norms of u."""
+        if self.parts is not None:
+            z, m = 0, 1
+            for handle, chi in self.parts:
+                z2, m2 = chi.principal_exponent(handle.norm(u))
+                z, m = _add_exponents(z, m, z2, m2)
+            return z, m
+        F = self.field
+        m = F.q - 1 if self.t else 1
+        c = max(self.conductor(), 1)
+        if lg is None and u.prec < c:
+            raise PrecisionLoss(
+                f"need the argument mod P^{c} relative; have {u.prec}")
+        if self.gamma is None:
+            return 0, m
+        if lg is None:
+            lg = F.log_principal(u, window=c)
+        z2, m2 = make_psi(F).exponent(self.gamma * lg)
+        return _add_exponents(0, m, z2, m2)
 
     def __call__(self, x):
         return self.eval(x)
@@ -236,6 +256,12 @@ class MulChar:
         return d.gamma is None
 
 
+def _add_exponents(z1: int, m1: int, z2: int, m2: int):
+    """zeta_m1^z1 * zeta_m2^z2 as (z, lcm(m1, m2))."""
+    m = math.lcm(m1, m2)
+    return (z1 * (m // m1) + z2 * (m // m2)) % m, m
+
+
 def _order_cap(w: CycNumber) -> int:
     return max(w.modulus, 1)
 
@@ -271,18 +297,14 @@ def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
     S = chi.field
     if emb.src is not S or emb.dst is not K:
         raise ConfigError("embedding does not match the inflation")
-    handle = Subfield(S, K, emb)
     if chi.parts is not None:
         return MulChar(K, parts=tuple(
             (Subfield(h.S, K, h.emb.compose(emb)), c) for h, c in chi.parts))
     if not K.explog_ok:
-        return MulChar(K, parts=((handle, chi),))
-    w_new = chi.eval(handle.norm(K.uniformizer()))
-    t_new = 0
-    if chi.t:
-        gen = K.teichmuller(K.res_of(K.xi()))
-        val = chi.eval(handle.norm(gen))
-        t_new = _root_exponent(val, K.q - 1)
+        return MulChar(K, parts=((Subfield(S, K, emb), chi),))
+    npi, ngen = emb.generator_norms()
+    w_new = chi.eval(npi)
+    t_new = _root_exponent(chi.eval(ngen), K.q - 1) if chi.t else 0
     g_new = None if chi.gamma is None else emb.apply(chi.gamma)
     return MulChar(K, w_new, t_new, g_new)
 
@@ -396,7 +418,7 @@ def _full_factors_through(chi: MulChar, sub: Subfield) -> bool:
             and _principal_factors_through(chi, sub))
 
 
-def is_admissible(chi: MulChar, base: Subfield | None = None) -> bool:
+def is_admissible(chi: MulChar) -> bool:
     """Admissibility over the prime field: the character does not factor
     through the norm from a proper subfield, and wherever its principal-unit
     restriction does factor, the corresponding extension is unramified."""
@@ -412,7 +434,7 @@ def is_admissible(chi: MulChar, base: Subfield | None = None) -> bool:
     return True
 
 
-def is_generic(chi: MulChar, base: Subfield | None = None) -> bool:
+def is_generic(chi: MulChar) -> bool:
     """Genericity over the prime field (Kutzko's two cases)."""
     E = chi.field
     f = chi.conductor()

@@ -90,13 +90,26 @@ _DEFAULTS = {"jobs": 1, "seed": 0, "level": "r1", "char_field": "F",
 _INT_KEYS = {"p", "N", "ell", "precision", "conductor_bound", "jobs", "seed",
              "r", "selector", "char_w", "char_t", "samples", "oracle_budget"}
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+
+def _config_value(key, val):
+    if key in _INT_KEYS:
+        return int(val)
+    if key == "mutate":
+        if val.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"mutate must be true/false/1/0/yes/no, got {val!r}")
+        return _BOOL_WORDS[val.lower()]
+    return val
+
 
 def _merge(args) -> dict:
     cfg = {}
     if args.config:
         for key, val in _read_config(args.config).items():
             key = key.replace("-", "_").replace(".", "_")
-            cfg[key] = int(val) if key in _INT_KEYS else val
+            cfg[key] = _config_value(key, val)
     for key in ("p", "N", "ell", "precision", "conductor_bound", "jobs",
                 "seed", "level", "r", "selector", "char_field", "char_w",
                 "char_t", "char_gamma", "samples", "oracle_budget", "mutate"):

@@ -624,7 +624,6 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
     conductor <= bound, each checked by the closed form and by the
     character-quotient route."""
     E = pair.E
-    cfg = pair.cfg
     psiE = make_psi(E)
     primeE = _prime_handle(E)
     chars = base_characters(primeE.S, bound)

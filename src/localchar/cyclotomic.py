@@ -341,10 +341,6 @@ class ScaledCyc:
     def one(cls, q: int = 1) -> "ScaledCyc":
         return cls(CycNumber.one(), 0, q)
 
-    @classmethod
-    def from_cyc(cls, num: CycNumber, q: int = 1) -> "ScaledCyc":
-        return cls(num, 0, q)
-
     def _check_q(self, other: "ScaledCyc"):
         if self.q != other.q and not (self.num.is_zero() or other.num.is_zero()):
             if self.q != 1 and other.q != 1:

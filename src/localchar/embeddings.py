@@ -104,7 +104,8 @@ def _generator_images(S: TowerField, T: TowerField):
 class EmbeddingMap:
     """Ring embedding src -> dst fixing the prime field."""
 
-    __slots__ = ("src", "dst", "x_img", "pi_img", "_table", "_pi_inv")
+    __slots__ = ("src", "dst", "x_img", "pi_img", "_table", "_pi_inv",
+                 "_gen_norms")
 
     def __init__(self, src: TowerField, dst: TowerField,
                  x_img: TowerElement, pi_img: TowerElement):
@@ -114,6 +115,7 @@ class EmbeddingMap:
         self.pi_img = pi_img
         self._table = None
         self._pi_inv = None
+        self._gen_norms = None
 
     def ratio(self) -> int:
         return self.dst.e // self.src.e
@@ -156,6 +158,16 @@ class EmbeddingMap:
 
     def __call__(self, x):
         return self.apply(x)
+
+    def generator_norms(self):
+        """(N(pi_dst), N(tau(xi_dst))) down to src, computed once: they fix a
+        pulled-back character on the uniformizer and on mu_{q-1}."""
+        if self._gen_norms is None:
+            T = self.dst
+            handle = Subfield(self.src, T, self)
+            gen = T.teichmuller(T.res_of(T.xi()))
+            self._gen_norms = (handle.norm(T.uniformizer()), handle.norm(gen))
+        return self._gen_norms
 
     def compose(self, outer: "EmbeddingMap") -> "EmbeddingMap":
         """outer after self: an embedding src -> outer.dst."""
@@ -311,15 +323,11 @@ class Subfield:
         self._basis = basis
         self._belems = belems
 
-    def basis_elements(self):
-        self._setup()
-        return list(self._belems)
-
     def decompose(self, x: TowerElement):
         """Coefficients of x over the T/S basis, as elements of S.
 
-        x must be integral (valuation >= 0); entry i matches
-        basis_elements()[i]."""
+        x must be integral (valuation >= 0); entry i belongs to the basis
+        element pi_T^ib x_T^jb, (ib, jb) the i-th pair in _setup's order."""
         self._setup()
         S, T = self.S, self.T
         if x.is_zero():

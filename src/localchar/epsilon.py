@@ -7,10 +7,19 @@ conductor f = 2n + 1 is odd.  The value theta^{-1}(c) psi(c) depends on the
 choice of representative modulo P^{1-r} when f is odd, but the assembled
 product does not; epsilon_factor recomputes with a perturbed representative
 and refuses to return a representative-dependent value.
+
+The Gauss sum is exact integer work up to one cyclotomic sum.  Its theta
+row, the exponents of theta(1 + tau(a) pi^n), comes from the field's
+memoized table of log(1 + tau(a) pi^n) and does not depend on c, so
+epsilon_factor computes it once per character and both representatives
+reuse it.  The q terms then land in one histogram of root exponents at the
+lcm of their moduli, summed by a single CycNumber.from_root_sum.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import CycNumber, ScaledCyc
@@ -41,24 +50,43 @@ class EpsilonValue:
         }
 
 
-def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None) -> ScaledCyc:
+def theta_row(chi: MulChar, n: int):
+    """theta(1 + tau(a) pi^n) for a = 1..q-1, as principal_exponent pairs.
+
+    A parametric character reads the logs from the field's table; a factored
+    one evaluates its parts at the norms."""
+    F = chi.field
+    if chi.is_factored():
+        one = F.one()
+        return [chi.principal_exponent(one + F.monomial(a, n))
+                for a in range(1, F.q)]
+    logs = F.principal_logs(n, max(chi.conductor(), 1))
+    return [chi.principal_exponent(lg=lg) for lg in logs]
+
+
+def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None, theta=None) -> ScaledCyc:
     """q^{-1/2} sum over U^n/U^{n+1} of theta^{-1}(x) psi(c (x-1)).
 
     The coset representatives are 1 + tau(a) pi^n over the q residues a
-    (a = 0 giving x = 1), so the sum has exactly q terms."""
+    (a = 0 giving x = 1), so the sum has exactly q terms.  theta is
+    theta_row(chi, n) when the caller already has it.  Each term is the root
+    of unity zeta_M^k, M the lcm of all term moduli, which is the modulus the
+    sum of the terms as CycNumbers carries; the terms are counted per k and
+    summed once."""
     F = chi.field
     f = chi.conductor()
     if f < 3 or f % 2 == 0:
         raise EvenConductor(f"Gauss sum needs odd conductor >= 3, got {f}")
     n = (f - 1) // 2
     c = c_rep if c_rep is not None else chi.c_rep()
-    total = CycNumber.one()  # the a = 0 term
-    one = F.one()
-    for a in range(1, F.q):
-        x = F.monomial(a, n)
-        term = chi.eval(one + x).conj() * psi.eval(c * x)
-        total = total + term
-    return ScaledCyc(total, -1, F.q)
+    if theta is None:
+        theta = theta_row(chi, n)
+    psi_row = [psi.exponent(c * F.monomial(a, n)) for a in range(1, F.q)]
+    mod = math.lcm(1, *(m for _, m in theta), *(m for _, m in psi_row))
+    hist = Counter({0: 1})  # the a = 0 term
+    for (zt, mt), (zp, mp) in zip(theta, psi_row):
+        hist[(zp * (mod // mp) - zt * (mod // mt)) % mod] += 1
+    return ScaledCyc(CycNumber.from_root_sum(mod, hist.items()), -1, F.q)
 
 
 def epsilon_factor(chi: MulChar, psi: AddChar, check_rep: bool = True) -> EpsilonValue:
@@ -69,11 +97,12 @@ def epsilon_factor(chi: MulChar, psi: AddChar, check_rep: bool = True) -> Epsilo
             "closed form needs conductor >= 2; use the oracle for f <= 1")
     F = chi.field
     c = chi.c_rep()
-    val, root, gpart = _assemble(chi, psi, c, f)
+    theta = theta_row(chi, (f - 1) // 2) if f % 2 else None
+    val, root, gpart = _assemble(chi, psi, c, f, theta)
     if check_rep:
         r = (f + 1) // 2
         c2 = c + F.monomial(1, 1 - r)
-        val2, _, _ = _assemble(chi, psi, c2, f)
+        val2, _, _ = _assemble(chi, psi, c2, f, theta)
         if not (val == val2):
             raise InternalContradiction(
                 f"epsilon depends on the c-representative at conductor {f}")
@@ -81,12 +110,12 @@ def epsilon_factor(chi: MulChar, psi: AddChar, check_rep: bool = True) -> Epsilo
                         root_part=root, gauss_part=gpart)
 
 
-def _assemble(chi, psi, c, f):
+def _assemble(chi, psi, c, f, theta):
     F = chi.field
     root = ScaledCyc(chi.eval(c).conj() * psi.eval(c), f - 1, F.q)
     if f % 2 == 0:
         return root, root, None
-    g = gauss_sum(chi, psi, c_rep=c)
+    g = gauss_sum(chi, psi, c_rep=c, theta=theta)
     return root * g, root, g
 
 

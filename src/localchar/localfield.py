@@ -135,14 +135,6 @@ def _legendre_vp_factorial(n: int, p: int) -> int:
     return v
 
 
-def _int_log_floor(n: int, p: int) -> int:
-    v = 0
-    while n >= p:
-        n //= p
-        v += 1
-    return v
-
-
 class TowerField:
     """Compiled tame tower; immutable after construction and safe to share."""
 
@@ -196,21 +188,6 @@ class TowerField:
 
     def __repr__(self):
         return f"Tower(p={self.p}, f={self.f}, e={self.e}, k={self.k})"
-
-    def describe(self) -> dict:
-        return {
-            "p": self.p,
-            "steps": [
-                {"type": "unramified", "degree": s.degree}
-                if isinstance(s, Unramified)
-                else {"type": "ramified", "degree": s.degree, "unit": list(s.unit) if isinstance(s.unit, tuple) else s.unit}
-                for s in self.steps
-            ],
-            "precision": self.k,
-            "e": self.e,
-            "f": self.f,
-            "q": self.q,
-        }
 
     # ------------------------------------------------------------------ W ops
 
@@ -460,9 +437,6 @@ class TowerField:
 
     # ------------------------------------------------------------------ R ops
 
-    def rzero(self):
-        return (self.wzero(),) * self.e
-
     def rone(self):
         return (self.wone(),) + (self.wzero(),) * (self.e - 1)
 
@@ -666,6 +640,25 @@ class TowerField:
             if t.is_zero() or t.v < window:
                 acc = acc + t
         return acc.cap_window(window)
+
+    def principal_logs(self, n: int, window, teich: bool = True):
+        """log(1 + a pi^n) at the given window for the q - 1 nonzero digits a,
+        memoized per (n, window, teich), so at most q - 1 entries a key.
+
+        a runs over the Teichmuller lifts tau(1), ..., tau(q - 1) (residues
+        coded as in int_to_res) or, with teich=False, over the integers
+        1, ..., p - 1, which for f = 1 is the same residue system."""
+        if not teich and self.f != 1:
+            raise ConfigError("integer digits need residue degree 1")
+        memo = self._caches.setdefault("plog", {})
+        key = (n, window, teich)
+        if key not in memo:
+            one = self.one()
+            digits = (self.monomial(a, n) if teich else self.from_int(a).shift(n)
+                      for a in range(1, self.q))
+            memo[key] = tuple(self.log_principal(one + x, window=window)
+                              for x in digits)
+        return memo[key]
 
     # ------------------------------------------------------------------ trace
 

@@ -9,10 +9,11 @@ vectorized kernel: units are tau-part times prod_i (1 + a_i pi^i), in mixed
 radix with low levels fastest.  One table of low-level unit coordinates is
 shared by all blocks; a block fixes the high digits, whose factor folds into
 the psi-side trace weights.  The theta side is an outer sum of per-level
-digit tables (log is additive over the digit factors) plus one offset per
-block.  All arithmetic is integer arithmetic modulo powers of p; per-block
-histograms combine associatively, so blocks split across processes.  Only
-the psi-side exponents are cached per (field, conductor, delta).
+digit tables (log is additive over the digit factors; the logs come from the
+field's memoized principal_logs) plus one offset per block.  All arithmetic
+is integer arithmetic modulo powers of p; per-block histograms combine
+associatively, so blocks split across processes.  Only the psi-side
+exponents are cached per (field, conductor, delta).
 """
 
 from __future__ import annotations
@@ -198,10 +199,8 @@ def _fast_sum(chi, psi, delta, c, jobs):
     st = 1
     raw_t1 = {}
     if chi.gamma is not None:
-        one = F.one()
         for i in range(1, c):
-            for a in range(1, p):
-                lg = F.log_principal(one + F.from_int(a).shift(i), window=c)
+            for a, lg in enumerate(F.principal_logs(i, c, teich=False), 1):
                 z, m2 = psi.exponent(-chi.gamma * lg)
                 raw_t1[(i, a)] = (z, m2)
                 st = max(st, _p_exponent(m2, p))

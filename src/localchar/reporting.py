@@ -55,7 +55,7 @@ def summary_table(rows, headers) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path, stable: bool = True):
+def write_report(report: dict, path):
     text = full_json(report)
     with open(path, "w") as fh:
         fh.write(text + "\n")

@@ -9,39 +9,8 @@ from __future__ import annotations
 from .errors import PrecisionLoss
 
 
-def val_p(n: int, p: int, cap: int) -> int:
-    """p-adic valuation of n mod p^cap (cap if n == 0 mod p^cap)."""
-    n %= p**cap
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a, x, mod: int):
-    return [sum(aij * xj for aij, xj in zip(row, x)) % mod for row in a]
-
-
-def mat_mul(a, b, mod: int):
-    n, m, r = len(a), len(b), len(b[0])
-    out = [[0] * r for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for k in range(m):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                oi = out[i]
-                for j in range(r):
-                    oi[j] = (oi[j] + c * bk[j]) % mod
-    return out
 
 
 def solve_unit(a, b, p: int, mod: int):
@@ -66,69 +35,6 @@ def solve_unit(a, b, p: int, mod: int):
 
 def inverse(a, p: int, mod: int):
     return solve_unit(a, identity(len(a)), p, mod)
-
-
-def kernel(a, p: int, exp: int):
-    """Generators of {x : A x = 0 mod p^exp} as a Z/p^exp-module.
-
-    Returns a list of length-m vectors. Diagonalizes by unimodular row and
-    column operations, tracking the column transform.
-    """
-    mod = p**exp
-    n = len(a)
-    m = len(a[0]) if n else 0
-    mat = [[x % mod for x in row] for row in a]
-    v = identity(m)
-    diag = []
-    r0 = 0
-    c0 = 0
-    while r0 < n and c0 < m:
-        best = None
-        for i in range(r0, n):
-            for j in range(c0, m):
-                if mat[i][j] % mod:
-                    w = val_p(mat[i][j], p, exp)
-                    if best is None or w < best[0]:
-                        best = (w, i, j)
-                        if w == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        w, bi, bj = best
-        mat[r0], mat[bi] = mat[bi], mat[r0]
-        if bj != c0:
-            for row in mat:
-                row[c0], row[bj] = row[bj], row[c0]
-            for row in v:
-                row[c0], row[bj] = row[bj], row[c0]
-        unit = mat[r0][c0] // p**w
-        uinv = pow(unit, -1, mod)
-        mat[r0] = [(x * uinv) % mod for x in mat[r0]]
-        pw = p**w
-        for i in range(r0 + 1, n):
-            if mat[i][c0]:
-                t = mat[i][c0] // pw
-                mat[i] = [(x - t * y) % mod for x, y in zip(mat[i], mat[r0])]
-        for j in range(c0 + 1, m):
-            if mat[r0][j]:
-                t = mat[r0][j] // pw
-                for row in mat:
-                    row[j] = (row[j] - t * row[c0]) % mod
-                for row in v:
-                    row[j] = (row[j] - t * row[c0]) % mod
-        diag.append(w)
-        r0 += 1
-        c0 += 1
-    gens = []
-    for idx, w in enumerate(diag):
-        if w > 0:
-            scale = p ** (exp - w)
-            gens.append([(row[idx] * scale) % mod for row in v])
-    for j in range(len(diag), m):
-        gens.append([row[j] % mod for row in v])
-    return gens
 
 
 def charpoly_berkowitz(a, zero, one):

@@ -5,7 +5,7 @@ import pytest
 from localchar.cyclotomic import CycNumber
 from localchar.errors import ConductorTooSmall, NotAdmissible, PrecisionLoss
 from localchar.localfield import TameRamified, make_tower
-from localchar.embeddings import prime_subfield
+from localchar.embeddings import Subfield, prime_subfield
 from localchar.characters import (
     MulChar,
     howe_factorize,
@@ -196,6 +196,24 @@ def test_inflation_pointwise(E):
     triv = MulChar(F, None, 0, None)
     trivE = pullback(triv, E, sub.emb)
     assert trivE.is_trivial_params()
+
+
+def test_pullback_generator_norms_match_fresh_subfield(E):
+    E6 = make_tower(11, [TameRamified(6, 1)], 24)
+    for T in (E, E6):
+        gen = T.teichmuller(T.res_of(T.xi()))
+        for sub in subfield_lattice(T):
+            if sub.S.degree == T.degree:
+                continue
+            norms = sub.emb.generator_norms()
+            assert sub.emb.generator_norms() is norms
+            fresh = Subfield(sub.S, T, sub.emb)
+            assert norms[0] == fresh.norm(T.uniformizer())
+            assert norms[1] == fresh.norm(gen)
+            chi = random_char(sub.S, 3, random.Random(sub.S.degree))
+            chiT = pullback(chi, T, sub.emb)
+            assert chiT.eval(T.uniformizer()) == chi.eval(norms[0])
+            assert chiT.eval(gen) == chi.eval(norms[1])
 
 
 def test_char_group_ops(E):

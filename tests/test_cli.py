@@ -102,3 +102,12 @@ def test_config_file_values_beat_parser_defaults(tmp_path):
     assert cfg["jobs"] == 2
     assert cfg["oracle_budget"] == 1000 and cfg["char_t"] == 0
     assert cfg["seed"] == 0 and cfg["level"] == "r1" and cfg["mutate"] is False
+
+
+def test_config_file_mutate_is_a_boolean(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    base = "p = 7\nN = 5\nprecision = 12\n"
+    for word, code in (("false", 0), ("No", 0), ("0", 0), ("yes", 1),
+                       ("maybe", 2)):
+        cfgfile.write_text(base + f"mutate = {word}\n")
+        assert run(["construct", "--config", str(cfgfile)]) == code, word

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from localchar.cyclotomic import ScaledCyc
+from localchar.cyclotomic import CycNumber, ScaledCyc
 from localchar.errors import CapacityError, ConductorMismatch, EvenConductor
-from localchar.localfield import TameRamified, make_tower
+from localchar.localfield import TameRamified, Unramified, make_tower
+from localchar.ambient import compositum_abstract
 from localchar.embeddings import automorphisms
-from localchar.characters import MulChar, make_psi, random_char
+from localchar.characters import MulChar, make_psi, pullback, random_char
 from localchar.epsilon import (
     epsilon_factor,
     epsilon_oracle_consistency,
@@ -33,6 +34,65 @@ def test_gauss_sum_term_count_and_parity_guard(F):
     assert g.qhalf == -1
     with pytest.raises(EvenConductor):
         gauss_sum(random_char(F, 4, random.Random(0)), psi)
+
+
+def _reference_gauss_sum(chi, psi, c):
+    """The q terms chi(1 + x)^-1 psi(c x) added one CycNumber at a time."""
+    F = chi.field
+    n = (chi.conductor() - 1) // 2
+    total = CycNumber.one()
+    for a in range(1, F.q):
+        x = F.monomial(a, n)
+        total = total + chi.eval(F.one() + x).conj() * psi.eval(c * x)
+    return ScaledCyc(total, -1, F.q)
+
+
+def _parametric_chars():
+    F = make_tower(7, (), 12)
+    E = make_tower(7, [TameRamified(5, 1)], 12)
+    U = make_tower(11, [Unramified(2)], 16)
+    rng = random.Random(14)
+    for field, conductors in ((F, (3, 5)), (E, (3, 5, 9)), (U, (3, 5))):
+        for c in conductors:
+            chi = random_char(field, c, rng)
+            yield MulChar(field, chi.w, 0, chi.gamma)
+            yield MulChar(field, chi.w, 1 + rng.randrange(field.q - 2),
+                          chi.gamma)
+
+
+def _factored_chars():
+    """Products of pullbacks from E = Q_7(7^(1/5)) and L = Q_7(7^(1/2)) to
+    their compositum (e = 10, so no exp/log there): conductor 7, two parts."""
+    E = make_tower(7, [TameRamified(5, 1)], 24)
+    L = make_tower(7, [TameRamified(2, 1)], 24)
+    K, iE, iL = compositum_abstract(E, L, 120)
+    for t_E, t_L in ((0, 0), (2, 3)):
+        phi = MulChar(E, CycNumber.root(6, 1), t_E,
+                      E.monomial(3, -3) + E.monomial(1, -1))
+        lam = MulChar(L, None, t_L, L.monomial(2, -1))
+        yield pullback(phi, K, iE).mul(pullback(lam, K, iL))
+
+
+@pytest.mark.parametrize("chars", [
+    pytest.param(_parametric_chars, id="parametric-F-E-unram2"),
+    pytest.param(_factored_chars, id="factored-compositum"),
+])
+def test_gauss_sum_and_epsilon_match_termwise_reference(chars):
+    seen_t = set()
+    for chi in chars():
+        F = chi.field
+        psi = make_psi(F)
+        f = chi.conductor()
+        c = chi.c_rep()
+        ref = _reference_gauss_sum(chi, psi, c)
+        assert gauss_sum(chi, psi).serialize() == ref.serialize()
+        root = ScaledCyc(chi.eval(c).conj() * psi.eval(c), f - 1, F.q)
+        eps = epsilon_factor(chi, psi)
+        assert eps.value.serialize() == (root * ref).serialize()
+        assert eps.gauss_part.serialize() == ref.serialize()
+        parts = chi.parts if chi.is_factored() else ((None, chi),)
+        seen_t.add(any(part.t for _, part in parts))
+    assert seen_t == {False, True}
 
 
 def test_gauss_sum_unit_modulus_exact_and_embedded(E, F):

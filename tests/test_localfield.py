@@ -5,7 +5,13 @@ from pathlib import Path
 import pytest
 
 import localchar
-from localchar.errors import DivisionByZero, ExpLogRadius, PrecisionLoss, WildRamification
+from localchar.errors import (
+    ConfigError,
+    DivisionByZero,
+    ExpLogRadius,
+    PrecisionLoss,
+    WildRamification,
+)
 from localchar.localfield import TameRamified, TowerField, Unramified, make_tower
 
 
@@ -180,3 +186,27 @@ def test_digit_representation_unique(E):
         x = E.from_digits(digs)
         y = E.from_digits(digs)
         assert (x - y).is_zero()
+
+
+@pytest.mark.parametrize("p, steps, k", [
+    (7, (), 12),
+    (7, (TameRamified(5, 1),), 12),
+    (11, (Unramified(2),), 16),
+])
+def test_principal_log_table_matches_direct_logs(p, steps, k):
+    T = make_tower(p, steps, k)
+    fresh = TowerField(p, steps, k)
+    one = fresh.one()
+    systems = [True] if T.f > 1 else [True, False]
+    for n, window in ((1, 3), (2, 5), (4, 9)):
+        for teich in systems:
+            table = T.principal_logs(n, window, teich=teich)
+            assert len(table) == T.q - 1
+            assert T.principal_logs(n, window, teich=teich) is table
+            for a, lg in enumerate(table, 1):
+                x = fresh.monomial(a, n) if teich else fresh.from_int(a).shift(n)
+                direct = fresh.log_principal(one + x, window=window)
+                assert lg.serialize() == direct.serialize()
+    if T.f > 1:
+        with pytest.raises(ConfigError):
+            T.principal_logs(1, 3, teich=False)
