@@ -59,9 +59,6 @@ class AddChar:
         z, mod = self.exponent(x)
         return CycNumber.root(mod, z)
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 @lru_cache(maxsize=None)
 def make_psi(field: TowerField) -> AddChar:
@@ -114,55 +111,19 @@ class MulChar:
     # ------------------------------------------------------------- evaluation
 
     def eval(self, x: TowerElement) -> CycNumber:
-        if x.is_zero():
-            raise ConfigError("character of zero")
-        if self.parts is not None:
-            val = CycNumber.one()
-            for handle, chi in self.parts:
-                val = val * chi.eval(handle.norm(x))
-            return val
-        F = self.field
-        v = x.v
-        unit = TowerElement(F, 0, x.core, x.prec, x.store)
-        r, u1 = unit.principal_split()
-        z, m = self.principal_exponent(u1)
-        if self.t:
-            z, m = _add_exponents(z, m, self.t * F.dlog_res(r), F.q - 1)
-        out = CycNumber.root(m, z)
-        if v:
-            out = out * (self.w ** (v % _order_cap(self.w)) if v >= 0
-                         else self.w.conj() ** ((-v) % _order_cap(self.w)))
-        return out
+        return eval_many((self,), x)[0]
 
-    def principal_exponent(self, u: TowerElement | None = None, lg=None):
-        """(z, m) with theta(u) = zeta_m^z for a principal unit u.
-
+    def principal_exponent(self, lg):
+        """(z, m) with theta(u) = zeta_m^z for a principal unit u, given
+        lg = log(u) at window max(conductor, 1) (None if gamma is None).
         m is the modulus eval(u) carries: it includes q - 1 whenever t != 0
-        (the tame factor at residue 1 is zeta_{q-1}^0).  A parametric
-        character may be given lg = log(u) at window max(conductor, 1)
-        instead of u, which spares the series; a factored character needs u
-        and adds its parts' exponents at the norms of u."""
-        if self.parts is not None:
-            z, m = 0, 1
-            for handle, chi in self.parts:
-                z2, m2 = chi.principal_exponent(handle.norm(u))
-                z, m = _add_exponents(z, m, z2, m2)
-            return z, m
+        (the tame factor at residue 1 is zeta_{q-1}^0)."""
         F = self.field
         m = F.q - 1 if self.t else 1
-        c = max(self.conductor(), 1)
-        if lg is None and u.prec < c:
-            raise PrecisionLoss(
-                f"need the argument mod P^{c} relative; have {u.prec}")
         if self.gamma is None:
             return 0, m
-        if lg is None:
-            lg = F.log_principal(u, window=c)
         z2, m2 = make_psi(F).exponent(self.gamma * lg)
         return _add_exponents(0, m, z2, m2)
-
-    def __call__(self, x):
-        return self.eval(x)
 
     # ------------------------------------------------------------- invariants
 
@@ -262,8 +223,78 @@ def _add_exponents(z1: int, m1: int, z2: int, m2: int):
     return (z1 * (m // m1) + z2 * (m // m2)) % m, m
 
 
-def _order_cap(w: CycNumber) -> int:
-    return max(w.modulus, 1)
+def unit_exponents(chars, x: TowerElement):
+    """(z, m) per character of x's field, with chi(pi^-v(x) x) = zeta_m^z.
+
+    The shared evaluation: parametric characters share one principal_split
+    of the unit part tau(r) u1 and one log_principal(u1) per window
+    max(conductor, 1) (its own window, as AddChar.exponent's modulus reads
+    digits above it; twins share theirs), then each adds its principal and
+    tame exponents.  A factored character adds its parts' exponents at the
+    norms of the unit part.  PrecisionLoss when u1 is certified below a
+    conductor."""
+    if x.is_zero():
+        raise ConfigError("character of zero")
+    F = x.field
+    unit = TowerElement(F, 0, x.core, x.prec, x.store)
+    split = None
+    logs = {}
+    out = []
+    for chi in chars:
+        if chi.parts is not None:
+            z, m = 0, 1
+            for handle, part in chi.parts:
+                z, m = _add_exponents(
+                    z, m, *unit_exponents((part,), handle.norm(unit))[0])
+            out.append((z, m))
+            continue
+        if split is None:
+            split = unit.principal_split()
+        r, u1 = split
+        c = max(chi.conductor(), 1)
+        if u1.prec < c:
+            raise PrecisionLoss(
+                f"need the argument mod P^{c} relative; have {u1.prec}")
+        if chi.gamma is not None and c not in logs:
+            logs[c] = F.log_principal(u1, window=c)
+        z, m = chi.principal_exponent(logs.get(c))
+        if chi.t:
+            z, m = _add_exponents(z, m, chi.t * F.dlog_res(r), F.q - 1)
+        out.append((z, m))
+    return out
+
+
+def eval_many(chars, x: TowerElement) -> list:
+    """[chi(x) for chi in chars], for characters of x's field.
+
+    A parametric character is zeta_m^z from unit_exponents times w^v(x); a
+    factored one is the product of its parts at the norms of x.
+    MulChar.eval is the one-character case."""
+    exps = iter(unit_exponents([c for c in chars if c.parts is None], x))
+    out = []
+    for chi in chars:
+        if chi.parts is not None:
+            val = CycNumber.one()
+            for handle, part in chi.parts:
+                val = val * part.eval(handle.norm(x))
+        else:
+            z, m = next(exps)
+            val = CycNumber.root(m, z)
+            if x.v:
+                n = chi.w.modulus
+                val = val * (chi.w ** (x.v % n) if x.v >= 0
+                             else chi.w.conj() ** (-x.v % n))
+        out.append(val)
+    return out
+
+
+def tame_exponent(chi: MulChar, u: TowerElement, n: int) -> int:
+    """t with chi(u) = zeta_n^t for a unit u, read from its unit exponent;
+    ConfigError when chi(u) is not an n-th root of unity."""
+    z, m = unit_exponents((chi,), u)[0]
+    if z * n % m:
+        raise ConfigError("value is not a root of unity of the expected order")
+    return z * n // m % n
 
 
 def _as_parts(chi: MulChar):
@@ -304,22 +335,9 @@ def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
         return MulChar(K, parts=((Subfield(S, K, emb), chi),))
     npi, ngen = emb.generator_norms()
     w_new = chi.eval(npi)
-    t_new = _root_exponent(chi.eval(ngen), K.q - 1) if chi.t else 0
+    t_new = tame_exponent(chi, ngen, K.q - 1) if chi.t else 0
     g_new = None if chi.gamma is None else emb.apply(chi.gamma)
     return MulChar(K, w_new, t_new, g_new)
-
-
-def _root_exponent(val: CycNumber, n: int) -> int:
-    """Solve val = zeta_n^t for t (val must be an n-th root of unity)."""
-    if val.is_one():
-        return 0
-    root = CycNumber.root(n)
-    cur = CycNumber.one()
-    for t in range(n):
-        if cur == val:
-            return t
-        cur = cur * root
-    raise ConfigError("value is not a root of unity of the expected order")
 
 
 def restrict_to_base(chi: MulChar, base_handle: Subfield) -> MulChar:
@@ -334,8 +352,8 @@ def restrict_to_base(chi: MulChar, base_handle: Subfield) -> MulChar:
         raise ConfigError("restriction targets the prime subfield")
     w_F = chi.eval(base_handle.emb.apply(F.uniformizer()))
     gF = (F.p - _prime_gen(F.p)) % F.p
-    tval = chi.eval(E.teichmuller(E.int_to_res(_prime_gen(F.p))))
-    t_F = _root_exponent(tval, F.p - 1)
+    t_F = tame_exponent(chi, E.teichmuller(E.int_to_res(_prime_gen(F.p))),
+                        F.p - 1)
     g = chi.gamma_full()
     if g is None:
         gamma_F = None

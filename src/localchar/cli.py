@@ -3,7 +3,8 @@
 Commands: epsilon | factorize | construct | verify | search | selftest.
 Configuration comes from a flat key=value file plus command-line overrides;
 every report echoes the configuration it ran under.  Exit codes: 0 pass,
-1 verification failure, 2 configuration error, 3 capacity/precision error.
+1 verification failure, 2 configuration error, 3 capacity/precision error,
+4 internal error (an unexpected exception, reported in one stderr line).
 """
 
 from __future__ import annotations
@@ -96,7 +97,10 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True,
 
 def _config_value(key, val):
     if key in _INT_KEYS:
-        return int(val)
+        try:
+            return int(val)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {val!r}") from None
     if key == "mutate":
         if val.lower() not in _BOOL_WORDS:
             raise ConfigError(f"mutate must be true/false/1/0/yes/no, got {val!r}")
@@ -147,8 +151,12 @@ def _char_from_spec(cfg, field):
     if cfg.get("char_gamma"):
         digits = []
         for part in cfg["char_gamma"].split(","):
-            v, res = part.split(":")
-            digits.append((int(v), int(res)))
+            try:
+                v, res = part.split(":")
+                digits.append((int(v), int(res)))
+            except ValueError:
+                raise ConfigError("char_gamma must be a comma list of v:res "
+                                  f"integer pairs, got {part!r}") from None
         gamma = field.from_digits(digits)
     w = CycNumber.root(field.q - 1, cfg.get("char_w") or 0)
     return MulChar(field, w, cfg.get("char_t") or 0, gamma)
@@ -363,6 +371,9 @@ def main(argv=None) -> int:
     except LocalCharError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,22 +21,24 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclotomic import CycNumber
 from .errors import ConfigError, InternalContradiction, RangeViolation
 from .ambient import compositum_abstract
 from .characters import (
     MulChar,
+    eval_many,
     is_admissible,
     make_psi,
     pullback,
     subfield_lattice,
+    tame_exponent,
     truncate_to,
     _prime_handle,
-    _root_exponent,
 )
-from .embeddings import Subfield, automorphisms, find_embeddings
+from .embeddings import (Subfield, automorphisms, find_embeddings,
+                          identity_embedding)
 from .epsilon import epsilon_factor, gauss_sum
 from .localfield import TameRamified, TowerElement, TowerField, Unramified, make_tower
 
@@ -93,9 +95,29 @@ class TwinPair:
     beta: TowerElement
     selector: int
     tower: list
+    _beta_images: dict = dfield(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def difference(self) -> MulChar:
         return self.phi1.mul(self.phi2.inv())
+
+    # values that depend only on the pair, computed on first use; a new
+    # TwinPair (such as a mutated one) starts without them
+
+    @cached_property
+    def beta_inv(self) -> TowerElement:
+        return self.beta.inv()
+
+    @cached_property
+    def beta_values(self):
+        """(phi1(beta), phi2(beta))."""
+        return tuple(eval_many((self.phi1, self.phi2), self.beta))
+
+    def beta_in(self, K: TowerField, iE) -> TowerElement:
+        """iota_E(beta) in the compositum K (iE: E -> K)."""
+        if K not in self._beta_images:
+            self._beta_images[K] = iE.apply(self.beta)
+        return self._beta_images[K]
 
 
 def build_twin_characters(cfg: TwinConfig) -> TwinPair:
@@ -150,22 +172,22 @@ def verify_twin_pair(pair: TwinPair) -> dict:
     N = pair.cfg.N
     out = {}
     out["conductor"] = phi1.conductor() == phi2.conductor() == 2 * N - 1
-    pi = E.uniformizer()
-    out["uniformizer_value"] = phi1.eval(pi) == phi2.eval(pi)
-    out["tame_part"] = all(
-        phi1.eval(E.teichmuller(a)) == phi2.eval(E.teichmuller(a))
-        for a in range(1, E.q))
+
+    def agree(x):
+        v1, v2 = eval_many((phi1, phi2), x)
+        return v1 == v2
+
+    out["uniformizer_value"] = agree(E.uniformizer())
+    out["tame_part"] = all(agree(E.teichmuller(a)) for a in range(1, E.q))
     deep = True
     one = E.one()
     for j in range(2, E.k):
         for a in range(1, E.q):
-            x = one + E.monomial(a, j)
-            if not (phi1.eval(x) == phi2.eval(x)):
+            if not agree(one + E.monomial(a, j)):
                 deep = False
     out["agree_on_level_two"] = deep
     out["differ_on_level_one"] = any(
-        not (phi1.eval(one + E.monomial(a, 1)) == phi2.eval(one + E.monomial(a, 1)))
-        for a in range(1, E.q))
+        not agree(one + E.monomial(a, 1)) for a in range(1, E.q))
     out["admissible"] = is_admissible(phi1) and is_admissible(phi2)
     out["non_conjugate"] = not is_conjugate(phi1, phi2)
     out["difference_conductor"] = pair.difference().conductor() == 2
@@ -180,7 +202,7 @@ def transport_char(chi: MulChar, sigma, auts) -> MulChar:
     """chi o sigma for an automorphism sigma of chi's field."""
     E = chi.field
     pi = E.uniformizer()
-    idx = _ident_x(E)
+    idx = identity_embedding(E).x_img
     inv = None
     for a in auts:
         comp = sigma.compose(a)  # a after sigma
@@ -191,14 +213,9 @@ def transport_char(chi: MulChar, sigma, auts) -> MulChar:
         raise ConfigError("automorphism inverse not found")
     w_new = chi.eval(sigma.apply(pi))
     gen = E.teichmuller(E.res_of(E.xi()))
-    t_new = _root_exponent(chi.eval(sigma.apply(gen)), E.q - 1)
+    t_new = tame_exponent(chi, sigma.apply(gen), E.q - 1)
     g_new = None if chi.gamma is None else inv.apply(chi.gamma)
     return MulChar(E, w_new, t_new, g_new)
-
-
-def _ident_x(E: TowerField):
-    from .embeddings import identity_embedding
-    return identity_embedding(E).x_img
 
 
 def is_conjugate(chi1: MulChar, chi2: MulChar) -> bool:
@@ -479,14 +496,13 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
     beta = pair.beta
     label, vb, va = classify_case(N, tw.L.e, tw.L.f, tw.m)
 
-    beta_K = iE.apply(beta)
+    beta_K = pair.beta_in(K, iE)
     alpha_K = iL.apply(tw.alpha) if tw.alpha is not None else None
     x = beta_K + alpha_K if alpha_K is not None else beta_K
 
     # Route A: multiplication-matrix norm of the full representative
     yE = handleE.norm(x)
-    a1 = phi1.eval(yE)
-    a2 = phi2.eval(yE)
+    a1, a2 = eval_many((phi1, phi2), yE)
     route_a = {"equal": bool(a1 == a2),
                "value_1": _cyc(a1), "value_2": _cyc(a2)}
 
@@ -494,13 +510,11 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
     degKE = K.degree // E.degree
     norm_match = True
     if label == "beta" or alpha_K is None:
-        dom1 = phi1.eval(beta) ** degKE
-        dom2 = phi2.eval(beta) ** degKE
-        arg = _symmetric_argument(E, tw, beta, invert_beta=True)
+        dom1, dom2 = (v ** degKE for v in pair.beta_values)
+        arg = _symmetric_argument(E, tw, pair.beta_inv, invert_beta=True)
     else:
         nrmL = handleE.norm(alpha_K)
-        dom1 = phi1.eval(nrmL)
-        dom2 = phi2.eval(nrmL)
+        dom1, dom2 = eval_many((phi1, phi2), nrmL)
         arg = _symmetric_argument(E, tw, beta, invert_beta=False)
         # the coset product of the dominant part must be N_{L/F}(alpha)
         handleF = _prime_handle(tw.L)
@@ -509,8 +523,9 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
         embF = find_embeddings(handleF.S, E)[0]
         norm_match = (nrmL - embF.apply(nlf)).is_zero()
     member = arg.eq_mod(E.one(), 2) if not (arg - E.one()).is_zero() else True
-    b1 = dom1 * phi1.eval(arg)
-    b2 = dom2 * phi2.eval(arg)
+    v1, v2 = eval_many((phi1, phi2), arg)
+    b1 = dom1 * v1
+    b2 = dom2 * v2
     route_b = {
         "dominant_equal": bool(dom1 == dom2),
         "dominant_norm_match": bool(norm_match),
@@ -537,10 +552,11 @@ def _cyc(v: CycNumber):
     return {"modulus": v.modulus, "coeffs": [[k, c] for k, c in v.to_pairs()]}
 
 
-def _symmetric_argument(E: TowerField, tw: TwistPair, beta, invert_beta: bool):
+def _symmetric_argument(E: TowerField, tw: TwistPair, b, invert_beta: bool):
     """1 + sum_i beta^{-i} e_i(conjugates of alpha) (or beta^{+i} with
     alpha^{-1} for the mirrored case), assembled from the characteristic
-    polynomial over the prime field."""
+    polynomial over the prime field.  b is beta^{-1} when invert_beta,
+    else beta."""
     if tw.alpha is None:
         return E.one()
     handleF = _prime_handle(tw.L)
@@ -548,11 +564,10 @@ def _symmetric_argument(E: TowerField, tw: TwistPair, beta, invert_beta: bool):
     vec = handleF.charpoly(target)
     r = len(vec) - 1
     embF = find_embeddings(handleF.S, E)[0]
-    binv = beta.inv() if invert_beta else beta
     acc = E.one()
     power = E.one()
     for i in range(1, r + 1):
-        power = power * binv
+        power = power * b
         ei = vec[i] if i % 2 == 0 else -vec[i]
         if ei.is_zero():
             continue
@@ -588,8 +603,8 @@ def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, x, label) -> dict:
     for j in range(n, min(n + e + 2, K.k)):
         for a in range(1, min(K.q, 30)):
             u = one + K.monomial(a, j)
-            nu = handleE.norm(u)
-            if not (pair.phi1.eval(nu) == pair.phi2.eval(nu)):
+            v1, v2 = eval_many((pair.phi1, pair.phi2), handleE.norm(u))
+            if not (v1 == v2):
                 ok_layer = False
     out["middle_layer_agreement"] = ok_layer
     if f_pred % 2 == 1:
@@ -687,7 +702,7 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int,
                      (tw.m * (ctx["K"].e // tw.L.e)) if tw.m else 0) + 1
         n = (f_pred - 1) // 2
         cert = -(-n // e) >= 2  # norms of the middle layer land in 1 + P_E^2
-        beta_K = ctx["iE"].apply(pair.beta)
+        beta_K = pair.beta_in(ctx["K"], ctx["iE"])
         x = beta_K + ctx["iL"].apply(tw.alpha) if tw.alpha is not None else beta_K
         yE = handleE.norm(x)
         ratio = eta.eval(yE)

@@ -29,8 +29,6 @@ from .localfield import (
     TowerField,
     TameRamified,
     Unramified,
-    _poly_mul_mod,
-    _poly_pow_mod,
     make_tower,
 )
 from .zmodpk import charpoly_berkowitz, inverse as mat_inverse
@@ -55,19 +53,6 @@ def w_nth_root_oneunit(field: TowerField, w, n: int):
     return z
 
 
-def _hensel_root(field: TowerField, poly, r0):
-    """Lift a simple residue root r0 of poly to an exact root in W."""
-    dpoly = tuple((i * c) % field.pa for i, c in enumerate(poly))[1:]
-    r = tuple(c % field.pa for c in r0)
-    for _ in range(field.a + 2):
-        fr = field._weval_poly(poly, r)
-        dfr = field._weval_poly(dpoly, r)
-        r = field.wsub(r, field.wmul(fr, field.winv(dfr)))
-    if field._weval_poly(poly, r) != field.wzero():
-        raise ConfigError("Hensel lift did not converge to a root")
-    return r
-
-
 def _generator_images(S: TowerField, T: TowerField):
     """All exact roots of S.h in W_T, in a deterministic order."""
     if S.f == 1:
@@ -80,25 +65,7 @@ def _generator_images(S: TowerField, T: TowerField):
     qs = S.p**S.f
     if qs > 50000:
         raise CapacityError("generator image search too large")
-    hbar = [c % T.p for c in S.h]
-    tbar = [c % T.p for c in T.h]
-    step = (T.q - 1) // (qs - 1)
-    base = _poly_pow_mod(list(T.res_of(T.xi())), step, tbar, T.p)
-    roots = []
-    cur = list(base)
-    for _ in range(qs - 1):
-        val = [0] * T.f
-        acc = [1] + [0] * (T.f - 1)
-        for c in hbar:
-            if c:
-                val = [(x + c * y) % T.p for x, y in zip(val, acc)]
-            acc = _poly_mul_mod(acc, cur, tbar, T.p)
-        if not any(val):
-            roots.append(_hensel_root(T, S.h, tuple(cur)))
-            if len(roots) == S.f:
-                break
-        cur = _poly_mul_mod(cur, base, tbar, T.p)
-    return roots
+    return T.residue_roots(S.h, S.f)
 
 
 class EmbeddingMap:

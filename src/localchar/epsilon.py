@@ -29,7 +29,7 @@ from .errors import (
     EvenConductor,
     InternalContradiction,
 )
-from .characters import AddChar, MulChar
+from .characters import AddChar, MulChar, unit_exponents
 
 
 @dataclass
@@ -51,17 +51,17 @@ class EpsilonValue:
 
 
 def theta_row(chi: MulChar, n: int):
-    """theta(1 + tau(a) pi^n) for a = 1..q-1, as principal_exponent pairs.
+    """theta(1 + tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs.
 
     A parametric character reads the logs from the field's table; a factored
-    one evaluates its parts at the norms."""
+    one takes its unit exponents, which evaluate its parts at the norms."""
     F = chi.field
     if chi.is_factored():
         one = F.one()
-        return [chi.principal_exponent(one + F.monomial(a, n))
+        return [unit_exponents((chi,), one + F.monomial(a, n))[0]
                 for a in range(1, F.q)]
     logs = F.principal_logs(n, max(chi.conductor(), 1))
-    return [chi.principal_exponent(lg=lg) for lg in logs]
+    return [chi.principal_exponent(lg) for lg in logs]
 
 
 def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None, theta=None) -> ScaledCyc:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cyclotomic import _factorize
 from .errors import (
     ConfigError,
     DivisionByZero,
@@ -38,32 +39,6 @@ class Unramified:
 class TameRamified:
     degree: int
     unit: object = 1  # int, or ("gen", m): m-th power of the prefix residue generator
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _poly_mul_mod(a, b, hbar, p):
@@ -102,11 +77,11 @@ def _primitive_poly(p: int, f: int):
     has multiplicative order p^f - 1.  Coefficients little-endian in [0, p)."""
     if f == 1:
         for g in range(2, p):
-            if all(pow(g, (p - 1) // l, p) != 1 for l in _prime_factors(p - 1)):
+            if all(pow(g, (p - 1) // l, p) != 1 for l, *_ in _factorize(p - 1)):
                 return ((-g) % p, 1)
         raise ConfigError("no primitive root found")
     q1 = p**f - 1
-    ls = _prime_factors(q1)
+    ls = [l for l, *_ in _factorize(q1)]
     one = [1] + [0] * (f - 1)
     for code in range(p**f):
         coeffs = []
@@ -126,12 +101,11 @@ def _primitive_poly(p: int, f: int):
     raise ConfigError("no primitive polynomial found")
 
 
-def _legendre_vp_factorial(n: int, p: int) -> int:
+def _vp(n: int, p: int) -> int:
     v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
+    while n % p == 0:
+        n //= p
+        v += 1
     return v
 
 
@@ -139,7 +113,7 @@ class TowerField:
     """Compiled tame tower; immutable after construction and safe to share."""
 
     def __init__(self, p: int, steps: tuple, k: int, series_window: int | None = None):
-        if not _is_prime(p) or p == 2:
+        if p < 3 or _factorize(p)[0][0] != p:
             raise ConfigError(f"p must be an odd prime, got {p}")
         if k < 2:
             raise ConfigError("precision k must be >= 2")
@@ -171,7 +145,8 @@ class TowerField:
         self.series_window = min(k, series_window) if series_window else k
         if self.explog_ok:
             n_limit = -((-self.series_window * (p - 1)) // ((p - 1) - e)) + 1
-            self.headroom = _legendre_vp_factorial(n_limit, p) + 1
+            # v_p(n_limit!) + 1
+            self.headroom = sum(_vp(m, p) for m in range(1, n_limit + 1)) + 1
         else:
             self.headroom = 1
         self.a = -(-k // e) + self.headroom
@@ -306,16 +281,83 @@ class TowerField:
             if self.f == 1:
                 self._caches["frobgen"] = self.wone()
             else:
-                dh = tuple((i * c) % self.pa for i, c in enumerate(self.h))[1:]
-                r = self.wpow((0, 1) + (0,) * (self.f - 2), self.p)
-                for _ in range(self.a + 2):
-                    hr = self._weval_poly(self.h, r)
-                    hpr = self._weval_poly(dh, r)
-                    r = self.wsub(r, self.wmul(hr, self.winv(hpr)))
-                if self._weval_poly(self.h, r) != self.wzero():
-                    raise InternalContradiction("Frobenius root lift did not converge")
-                self._caches["frobgen"] = r
+                self._caches["frobgen"] = self.hensel_root(
+                    self.h, self.wpow((0, 1) + (0,) * (self.f - 2), self.p))
         return self._caches["frobgen"]
+
+    def hensel_root(self, poly, r0):
+        """Newton lift of a simple residue root r0 of the integer polynomial
+        poly (little-endian) to the exact root in W."""
+        dpoly = tuple((i * c) % self.pa for i, c in enumerate(poly))[1:]
+        r = tuple(c % self.pa for c in r0)
+        for _ in range(self.a + 2):
+            r = self.wsub(r, self.wmul(self._weval_poly(poly, r),
+                                       self.winv(self._weval_poly(dpoly, r))))
+        if self._weval_poly(poly, r) != self.wzero():
+            raise InternalContradiction("Hensel lift did not converge to a root")
+        return r
+
+    def residue_roots(self, poly, count: int):
+        """The first count roots in W of a primitive degree-d polynomial over
+        F_p, d | f: its residue roots generate F_{p^d}^x, so they are among
+        the powers of xi^((q-1)/(p^d-1)), searched in order and lifted."""
+        d = len(poly) - 1
+        hbar = [c % self.p for c in poly]
+        tbar = [c % self.p for c in self.h]
+        base = _poly_pow_mod(list(self.res_of(self.xi())),
+                             (self.q - 1) // (self.p**d - 1), tbar, self.p)
+        roots = []
+        cur = list(base)
+        for _ in range(self.p**d - 1):
+            val = [0] * self.f
+            acc = [1] + [0] * (self.f - 1)
+            for c in hbar:
+                if c:
+                    val = [(x + c * y) % self.p for x, y in zip(val, acc)]
+                acc = _poly_mul_mod(acc, cur, tbar, self.p)
+            if not any(val):
+                roots.append(self.hensel_root(poly, tuple(cur)))
+                if len(roots) == count:
+                    break
+            cur = _poly_mul_mod(cur, base, tbar, self.p)
+        return roots
+
+    def subres_generator(self, fp: int):
+        """Canonical root in W of the degree-fp primitive polynomial: the
+        first residue root found among powers of xi^((q-1)/(p^fp-1)), lifted.
+        For fp = f this is exactly the W generator x."""
+        key = ("subgen", fp)
+        if key not in self._caches:
+            if fp == 1:
+                g = (self.p - _primitive_poly(self.p, 1)[0]) % self.p
+                self._caches[key] = self.wint(g)
+            elif self.f % fp:
+                raise ConfigError("residue degree does not divide")
+            else:
+                roots = self.residue_roots(_primitive_poly(self.p, fp), 1)
+                if not roots:
+                    raise ConfigError("no root of the sub-residue polynomial found")
+                self._caches[key] = roots[0]
+        return self._caches[key]
+
+    def _compile_unit(self, steps):
+        u = self.wone()
+        e_so_far = 1
+        f_so_far = 1
+        for s in steps:
+            if isinstance(s, Unramified):
+                f_so_far *= s.degree
+                continue
+            if isinstance(s.unit, int):
+                uval = self.wint(s.unit)
+            elif (isinstance(s.unit, tuple) and len(s.unit) == 2
+                  and s.unit[0] == "gen"):
+                uval = self.wpow(self.subres_generator(f_so_far), s.unit[1])
+            else:
+                raise ConfigError(f"bad unit spec {s.unit!r}")
+            u = self.wmul(self.wpow(uval, e_so_far), u)
+            e_so_far *= s.degree
+        return u
 
     def frob_w(self, x, power: int = 1):
         if self.f == 1:
@@ -619,6 +661,18 @@ class TowerField:
         return acc.cap_window(window)
 
     def log_principal(self, u: "TowerElement", window=None) -> "TowerElement":
+        """log(u) = sum_n (-1)^(n+1) y^n / n, y = u - 1, mod P^window.
+
+        Term n has valuation exactly n v - e v_p(n), v = v(y).  Let n_limit
+        be the least n >= 1 with f(n) = n v - e log_p(n) >= window (tested
+        exactly as p^(n v - window) >= n^e); since v_p(n) <= log_p(n), term
+        n lies in P^window once f(n) >= window.  If v < window, then
+        f(1) = v < window <= f(n_limit); f is convex, so its slope past
+        n_limit is at least the positive slope of the chord from 1 to
+        n_limit, and every term from n_limit on lies in P^window.  If
+        v >= window, then n_limit = 1 and every term has valuation >= v, as
+        p^j v - e j >= v for j >= 0 when e <= p - 2.  So the series is
+        summed up to the last n < n_limit whose term lies below the window."""
         if not self.explog_ok:
             raise ExpLogRadius(f"p - 1 = {self.p - 1} <= e = {self.e}")
         y = u - self.one()
@@ -627,12 +681,15 @@ class TowerField:
         if y.v < 1:
             raise ExpLogRadius("log needs a principal unit")
         window = min(y.window(), self.kint, window if window else self.kint)
-        n_limit = max(1, self.e)
-        while not (n_limit * y.v - self.e * math.log(max(n_limit, 2), self.p) >= window):
+        n_limit = 1
+        while not (n_limit * y.v >= window and
+                   self.p ** (n_limit * y.v - window) >= n_limit ** self.e):
             n_limit += 1
+        last = max((n for n in range(1, n_limit)
+                    if n * y.v - self.e * _vp(n, self.p) < window), default=0)
         acc = self.zero()
         power = self.one()
-        for n in range(1, n_limit + 1):
+        for n in range(1, last + 1):
             power = power * y
             t = power.div_int(n)
             if n % 2 == 0:
@@ -900,79 +957,6 @@ class TowerElement:
             return {"zero_mod": None if self.prec is INF else self.prec}
         return {"valuation": self.v, "unit": [list(w) for w in self.core],
                 "prec": self.prec}
-
-
-def _compile_unit_value(field: TowerField, spec, prefix_f: int):
-    if isinstance(spec, int):
-        return field.wint(spec)
-    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "gen":
-        return field.wpow(field.subres_generator(prefix_f), spec[1])
-    raise ConfigError(f"bad unit spec {spec!r}")
-
-
-def _subres_generator(self: TowerField, fp: int):
-    """Canonical root in W of the degree-fp primitive polynomial: Hensel lift
-    of the first residue root found among powers of xi^((q-1)/(p^fp-1)).
-    For fp = f this is exactly the W generator x."""
-    key = ("subgen", fp)
-    if key in self._caches:
-        return self._caches[key]
-    if fp == 1:
-        g = (self.p - _primitive_poly(self.p, 1)[0]) % self.p
-        out = self.wint(g)
-    else:
-        if self.f % fp:
-            raise ConfigError("residue degree does not divide")
-        hsub = _primitive_poly(self.p, fp)
-        hbar = [c % self.p for c in hsub]
-        step = (self.q - 1) // (self.p**fp - 1)
-        xibar = list(self.res_of(self.xi()))
-        base = _poly_pow_mod(xibar, step, [c % self.p for c in self.h], self.p)
-        cur = list(base)
-        root_res = None
-        for _ in range(self.p**fp - 1):
-            val = [0] * self.f
-            acc = [1] + [0] * (self.f - 1)
-            for c in hbar:
-                if c:
-                    val = [(x + c * y) % self.p for x, y in zip(val, acc)]
-                acc = _poly_mul_mod(acc, cur, [c2 % self.p for c2 in self.h], self.p)
-            if not any(val):
-                root_res = tuple(cur)
-                break
-            cur = _poly_mul_mod(cur, base, [c2 % self.p for c2 in self.h], self.p)
-        if root_res is None:
-            raise ConfigError("no root of the sub-residue polynomial found")
-        # Newton lift against hsub
-        dh = tuple((i * c) % self.pa for i, c in enumerate(hsub))[1:]
-        r = root_res
-        for _ in range(self.a + 2):
-            fr = self._weval_poly(hsub, r)
-            dfr = self._weval_poly(dh, r)
-            r = self.wsub(r, self.wmul(fr, self.winv(dfr)))
-        if self._weval_poly(hsub, r) != self.wzero():
-            raise InternalContradiction("sub-residue root lift did not converge")
-        out = r
-    self._caches[key] = out
-    return out
-
-
-def _compile_unit(self: TowerField, steps):
-    u = self.wone()
-    e_so_far = 1
-    f_so_far = 1
-    for s in steps:
-        if isinstance(s, Unramified):
-            f_so_far *= s.degree
-        else:
-            uval = _compile_unit_value(self, s.unit, f_so_far)
-            u = self.wmul(self.wpow(uval, e_so_far), u)
-            e_so_far *= s.degree
-    return u
-
-
-TowerField.subres_generator = _subres_generator
-TowerField._compile_unit = _compile_unit
 
 
 @lru_cache(maxsize=None)

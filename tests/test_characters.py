@@ -2,12 +2,19 @@ import random
 
 import pytest
 
+from localchar.ambient import compositum_abstract
 from localchar.cyclotomic import CycNumber
-from localchar.errors import ConductorTooSmall, NotAdmissible, PrecisionLoss
+from localchar.errors import (
+    ConductorTooSmall,
+    ConfigError,
+    NotAdmissible,
+    PrecisionLoss,
+)
 from localchar.localfield import TameRamified, make_tower
 from localchar.embeddings import Subfield, prime_subfield
 from localchar.characters import (
     MulChar,
+    eval_many,
     howe_factorize,
     is_admissible,
     is_generic,
@@ -16,6 +23,7 @@ from localchar.characters import (
     random_char,
     restrict_to_base,
     subfield_lattice,
+    tame_exponent,
     verify_c_rep,
 )
 
@@ -315,3 +323,77 @@ def test_restriction_to_base_agrees_for_twins(E):
     for _ in range(50):
         x = sub.S.random_element(rng, 0, 3)
         assert r1.eval(x) == pair.phi1.eval(sub.emb.apply(x))
+
+
+def _value_bytes(v):
+    return v.modulus, v.to_pairs()
+
+
+def test_eval_many_matches_one_character_at_a_time(E):
+    rng = random.Random(21)
+    chars = [random_char(E, c, rng) for c in (0, 1, 2, 3, 3, 5, 7)]
+    assert any(chi.t and not chi.w.is_one() and chi.gamma is not None
+               for chi in chars)
+    seen_v = set()
+    for _ in range(60):
+        x = E.random_element(rng, -3, 4)
+        seen_v.add(x.v != 0)
+        got = [_value_bytes(v) for v in eval_many(chars, x)]
+        assert got == [_value_bytes(chi.eval(x)) for chi in chars]
+    assert seen_v == {False, True}
+
+
+def test_eval_many_factored_characters_on_a_compositum():
+    # the construction of test_epsilon's factored case: K has e = 10, so
+    # these characters are carried as products of pullbacks
+    E7 = make_tower(7, [TameRamified(5, 1)], 24)
+    L = make_tower(7, [TameRamified(2, 1)], 24)
+    K, iE, iL = compositum_abstract(E7, L, 120)
+    chars = []
+    for t_E, t_L in ((0, 0), (2, 3)):
+        phi = MulChar(E7, CycNumber.root(6, 1), t_E,
+                      E7.monomial(3, -3) + E7.monomial(1, -1))
+        lam = MulChar(L, None, t_L, L.monomial(2, -1))
+        chars.append(pullback(phi, K, iE).mul(pullback(lam, K, iL)))
+    assert all(chi.is_factored() for chi in chars)
+    rng = random.Random(23)
+    for _ in range(4):
+        x = K.random_element(rng, -2, 3)
+        got = [_value_bytes(v) for v in eval_many(chars, x)]
+        assert got == [_value_bytes(chi.eval(x)) for chi in chars]
+
+
+def test_eval_many_below_the_conductor_raises_as_eval(E):
+    rng = random.Random(24)
+    chars = [random_char(E, 5, rng), random_char(E, 7, rng)]
+    for window, failing in ((3, 0), (6, 1)):
+        x = (E.one() + E.uniformizer()).cap_window(window)
+        with pytest.raises(PrecisionLoss) as shared:
+            eval_many(chars, x)
+        with pytest.raises(PrecisionLoss) as single:
+            chars[failing].eval(x)
+        assert str(shared.value) == str(single.value)
+    assert chars[0].eval(x) == eval_many(chars[:1], x)[0]
+
+
+def test_tame_exponent_reads_the_unit_exponent(E):
+    rng = random.Random(25)
+    n = E.q - 1
+    gen = E.teichmuller(E.res_of(E.xi()))
+    ts = set()
+    for _ in range(12):
+        chi = random_char(E, 3, rng)
+        t = tame_exponent(chi, gen, n)
+        assert CycNumber.root(n, t) == chi.eval(gen)
+        ts.add(t)
+    assert len(ts) > 2
+    # a principal unit where chi has p-power order is no (q - 1)-th root
+    one = E.one()
+    raised = 0
+    for a in range(1, E.q):
+        u = one + E.monomial(a, 2)
+        if not (chi.eval(u) ** n).is_one():
+            with pytest.raises(ConfigError):
+                tame_exponent(chi, u, n)
+            raised += 1
+    assert raised

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from localchar import cli
 from localchar.cli import main
 from localchar.reporting import canonical_json
 
@@ -111,3 +114,25 @@ def test_config_file_mutate_is_a_boolean(tmp_path):
                        ("maybe", 2)):
         cfgfile.write_text(base + f"mutate = {word}\n")
         assert run(["construct", "--config", str(cfgfile)]) == code, word
+
+
+def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,
+                                                          capsys):
+    # malformed character specs are configuration errors, not failures
+    assert run(["epsilon", "--p", "7", "--char-gamma=-2:x"]) == 2
+    assert run(["epsilon", "--p", "7", "--char-gamma=-2"]) == 2
+    cfgfile = tmp_path / "run.cfg"
+    for line in ("char_t = two", "char_w = 1.5"):
+        cfgfile.write_text(f"p = 7\n{line}\n")
+        assert run(["epsilon", "--config", str(cfgfile)]) == 2, line
+    with pytest.raises(SystemExit) as usage:  # argparse's own usage error
+        run(["epsilon", "--p", "7", "--char-w", "x"])
+    assert usage.value.code == 2
+
+    def boom(cfg):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._COMMANDS, "selftest", boom)
+    capsys.readouterr()
+    assert run(["selftest"]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: unexpected\n"

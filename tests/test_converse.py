@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from localchar.converse import (
     verify_twin_pair,
 )
 from localchar.embeddings import automorphisms
+from localchar.reporting import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +226,31 @@ def test_search_finds_distinguisher_and_mutating_back_to_rank_one(pair5):
     from localchar.converse import TwistPair
     tw1 = TwistPair(F, lam, 3, lam.c_rep(), "unram(1)")
     assert verify_coset_products(pair5, tw1).verdict
+
+
+def test_coset_product_reports_match_recorded_digest(pair7):
+    # every fifth pair of the conductor-3 catalog: 35 pairs over every shape,
+    # both cases; the digest was recorded when each twin was evaluated on
+    # its own, so the shared evaluation must not move a byte
+    sample = list(iter_twist_pairs(11, 2, 3, 16))[::5]
+    reps = [verify_coset_products(pair7, tw).serialize() for tw in sample]
+    assert len(reps) == 35
+    assert {r["case"] for r in reps} == {"alpha", "beta"}
+    digest = hashlib.sha256(canonical_json(reps).encode()).hexdigest()
+    assert digest == (
+        "c0953cc754622c489d2ce771b4683c6cb297facaf7d972fc7dee60ce08184a77")
+
+
+def test_twin_pair_values_are_held_per_pair(pair7):
+    tw = next(iter_twist_pairs(11, 2, 2, 16))
+    verify_coset_products(pair7, tw)
+    assert pair7.beta_values == (pair7.phi1.eval(pair7.beta),
+                                 pair7.phi2.eval(pair7.beta))
+    assert pair7.beta_inv * pair7.beta == pair7.E.one()
+    assert pair7._beta_images
+    assert all(beta_K.field is K for K, beta_K in pair7._beta_images.items())
+    bad = TwinPair(pair7.cfg, pair7.E, pair7.phi1,
+                   mutate_on_level_two(pair7.phi2), pair7.beta,
+                   pair7.selector, pair7.tower)
+    assert not bad._beta_images
+    assert "beta_values" not in vars(bad) and "beta_inv" not in vars(bad)

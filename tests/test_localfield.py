@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import localchar
 from localchar.errors import (
@@ -210,3 +211,42 @@ def test_principal_log_table_matches_direct_logs(p, steps, k):
     if T.f > 1:
         with pytest.raises(ConfigError):
             T.principal_logs(1, 3, teich=False)
+
+
+def _long_log(T, u, window):
+    """log(u) mod P^window with the series summed to n = window + e, adding
+    the terms below the window as log_principal does."""
+    y = u - T.one()
+    if y.is_zero():
+        return T.zero() if y.prec == float("inf") else T.zero_bounded(y.prec)
+    window = min(y.window(), T.kint, window)
+    acc = T.zero()
+    power = T.one()
+    for n in range(1, window + T.e + 1):
+        power = power * y
+        t = power.div_int(n)
+        if n % 2 == 0:
+            t = -t
+        if t.is_zero() or t.v < window:
+            acc = acc + t
+    return acc.cap_window(window)
+
+
+@pytest.mark.parametrize("p, steps, k", [
+    (7, (), 12),
+    (7, (TameRamified(5, 1),), 12),
+    (11, (TameRamified(7, 1),), 28),
+])
+@settings(max_examples=40, deadline=None)
+@given(v=st.integers(1, 45), window=st.integers(1, 60),
+       lead=st.integers(1, 120), rest=st.lists(st.integers(0, 120), max_size=30))
+# v = 1 at the full window runs the series past n = p, 2p, ...
+@example(v=1, window=60, lead=1, rest=[5] * 30)
+def test_log_term_count_matches_long_series(p, steps, k, v, window, lead, rest):
+    T = make_tower(p, steps, k)
+    window = min(window, T.kint)
+    digits = [(v, 1 + (lead - 1) % (T.q - 1))]
+    digits += [(v + i, d % T.q) for i, d in enumerate(rest, 1)]
+    u = T.one() + T.from_digits(digits)
+    got = T.log_principal(u, window=window)
+    assert got.serialize() == _long_log(T, u, window).serialize()
