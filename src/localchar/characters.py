@@ -69,7 +69,9 @@ def make_psi(field: TowerField) -> AddChar:
 class MulChar:
     """Structured character of T^x.
 
-    Parametric form: fields (w, t, gamma); factored form: a tuple of
+    Parametric form: fields (w, t, gamma), with w = (z, m) the exponent pair
+    of the uniformizer value theta(pi) = zeta_m^z (0 <= z < m; m is the
+    modulus the value carries into eval); factored form: a tuple of
     (Subfield handle, parametric MulChar) whose norm pullbacks multiply to
     the character.
     """
@@ -89,7 +91,8 @@ class MulChar:
         if not field.explog_ok:
             raise ConfigError(
                 "parametric characters need p - 1 > e; use factored form")
-        self.w = w if w is not None else CycNumber.one()
+        z, m = w if w is not None else (0, 1)
+        self.w = (z % m, m)
         self.t = t % (field.q - 1)
         if gamma is not None:
             gamma = gamma.cap_window(0)
@@ -152,7 +155,8 @@ class MulChar:
     def _factored_tame_nontrivial(self) -> bool:
         F = self.field
         gen = F.teichmuller(F.res_of(F.xi()))
-        return not self.eval(gen).is_one()
+        z, m = char_exponents((self,), gen)[0]
+        return z % m != 0
 
     def standard_rep(self) -> TowerElement:
         """The monomial tau(r) pi^(1-c) representing the top layer."""
@@ -185,14 +189,14 @@ class MulChar:
                 g = g1
             else:
                 g = g1 + g2
-            return MulChar(self.field, self.w * other.w,
+            return MulChar(self.field, _add_exponents(*self.w, *other.w),
                            self.t + other.t, g)
         return MulChar(self.field, parts=_as_parts(self) + _as_parts(other))
 
     def inv(self) -> "MulChar":
         if self.parts is None:
             g = None if self.gamma is None else -self.gamma
-            return MulChar(self.field, self.w.conj(), -self.t, g)
+            return MulChar(self.field, (-self.w[0], self.w[1]), -self.t, g)
         return MulChar(self.field,
                        parts=tuple((h, c.inv()) for h, c in self.parts))
 
@@ -200,7 +204,7 @@ class MulChar:
         return self.mul(other)
 
     def is_trivial_params(self) -> bool:
-        return (self.parts is None and self.w.is_one() and
+        return (self.parts is None and self.w[0] == 0 and
                 self.t % (self.field.q - 1) == 0 and self.gamma is None)
 
     def equals(self, other: "MulChar") -> bool:
@@ -209,7 +213,7 @@ class MulChar:
             raise ConfigError("equality only for parametric characters")
         if self.field is not other.field:
             return False
-        if not (self.w == other.w):
+        if not same_root(self.w, other.w):
             return False
         if (self.t - other.t) % (self.field.q - 1):
             return False
@@ -223,20 +227,30 @@ def _add_exponents(z1: int, m1: int, z2: int, m2: int):
     return (z1 * (m // m1) + z2 * (m // m2)) % m, m
 
 
-def unit_exponents(chars, x: TowerElement):
-    """(z, m) per character of x's field, with chi(pi^-v(x) x) = zeta_m^z.
+def same_root(a, b) -> bool:
+    """Whether the exponent pairs a = (z1, m1), b = (z2, m2) name the same
+    root of unity, zeta_m1^z1 = zeta_m2^z2."""
+    return (a[0] * b[1] - b[0] * a[1]) % (a[1] * b[1]) == 0
 
-    The shared evaluation: parametric characters share one principal_split
-    of the unit part tau(r) u1 and one log_principal(u1) per window
-    max(conductor, 1) (its own window, as AddChar.exponent's modulus reads
-    digits above it; twins share theirs), then each adds its principal and
-    tame exponents.  A factored character adds its parts' exponents at the
-    norms of the unit part.  PrecisionLoss when u1 is certified below a
-    conductor."""
+
+def char_exponents(chars, x: TowerElement):
+    """(z, m) per character of x's field, with chi(x) = zeta_m^z.
+
+    The shared evaluation.  With x = pi^v u, parametric characters share one
+    principal_split of the unit u = tau(r) u1 and one log_principal(u1) per
+    window max(conductor, 1) (its own window, as AddChar.exponent's modulus
+    reads digits above it; twins share theirs); each adds its principal and
+    tame exponents and, when v != 0, v times its uniformizer exponent w.  A
+    factored character adds its parts' exponents at the norms of u and, when
+    v != 0, v times their exponents at the norms of pi, so the norms see
+    only units.  m is the modulus of the value's CycNumber: it takes the lcm
+    with the uniformizer exponent's modulus exactly when v != 0.
+    PrecisionLoss when u1 is certified below a conductor."""
     if x.is_zero():
         raise ConfigError("character of zero")
     F = x.field
-    unit = TowerElement(F, 0, x.core, x.prec, x.store)
+    v = x.v
+    unit = TowerElement(F, 0, x.core, x.prec, x.store) if v else x
     split = None
     logs = {}
     out = []
@@ -245,7 +259,11 @@ def unit_exponents(chars, x: TowerElement):
             z, m = 0, 1
             for handle, part in chi.parts:
                 z, m = _add_exponents(
-                    z, m, *unit_exponents((part,), handle.norm(unit))[0])
+                    z, m, *char_exponents((part,), handle.norm(unit))[0])
+                if v:
+                    npi = handle.emb.generator_norms()[0]
+                    zp, mp = char_exponents((part,), npi)[0]
+                    z, m = _add_exponents(z, m, zp * v, mp)
             out.append((z, m))
             continue
         if split is None:
@@ -260,38 +278,23 @@ def unit_exponents(chars, x: TowerElement):
         z, m = chi.principal_exponent(logs.get(c))
         if chi.t:
             z, m = _add_exponents(z, m, chi.t * F.dlog_res(r), F.q - 1)
+        if v:
+            zw, mw = chi.w
+            z, m = _add_exponents(z, m, zw * v, mw)
         out.append((z, m))
     return out
 
 
 def eval_many(chars, x: TowerElement) -> list:
-    """[chi(x) for chi in chars], for characters of x's field.
-
-    A parametric character is zeta_m^z from unit_exponents times w^v(x); a
-    factored one is the product of its parts at the norms of x.
-    MulChar.eval is the one-character case."""
-    exps = iter(unit_exponents([c for c in chars if c.parts is None], x))
-    out = []
-    for chi in chars:
-        if chi.parts is not None:
-            val = CycNumber.one()
-            for handle, part in chi.parts:
-                val = val * part.eval(handle.norm(x))
-        else:
-            z, m = next(exps)
-            val = CycNumber.root(m, z)
-            if x.v:
-                n = chi.w.modulus
-                val = val * (chi.w ** (x.v % n) if x.v >= 0
-                             else chi.w.conj() ** (-x.v % n))
-        out.append(val)
-    return out
+    """[chi(x) for chi in chars]: the roots of unity named by
+    char_exponents.  MulChar.eval is the one-character case."""
+    return [CycNumber.root(m, z) for z, m in char_exponents(chars, x)]
 
 
 def tame_exponent(chi: MulChar, u: TowerElement, n: int) -> int:
     """t with chi(u) = zeta_n^t for a unit u, read from its unit exponent;
     ConfigError when chi(u) is not an n-th root of unity."""
-    z, m = unit_exponents((chi,), u)[0]
+    z, m = char_exponents((chi,), u)[0]
     if z * n % m:
         raise ConfigError("value is not a root of unity of the expected order")
     return z * n // m % n
@@ -334,7 +337,7 @@ def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
     if not K.explog_ok:
         return MulChar(K, parts=((Subfield(S, K, emb), chi),))
     npi, ngen = emb.generator_norms()
-    w_new = chi.eval(npi)
+    w_new = char_exponents((chi,), npi)[0]
     t_new = tame_exponent(chi, ngen, K.q - 1) if chi.t else 0
     g_new = None if chi.gamma is None else emb.apply(chi.gamma)
     return MulChar(K, w_new, t_new, g_new)
@@ -350,7 +353,7 @@ def restrict_to_base(chi: MulChar, base_handle: Subfield) -> MulChar:
     F = base_handle.S
     if F.degree != 1:
         raise ConfigError("restriction targets the prime subfield")
-    w_F = chi.eval(base_handle.emb.apply(F.uniformizer()))
+    w_F = char_exponents((chi,), base_handle.emb.apply(F.uniformizer()))[0]
     gF = (F.p - _prime_gen(F.p)) % F.p
     t_F = tame_exponent(chi, E.teichmuller(E.int_to_res(_prime_gen(F.p))),
                         F.p - 1)
@@ -518,12 +521,12 @@ def howe_factorize(chi: MulChar, base: Subfield | None = None):
             sub = _minimal_subfield_containing(E, [gm], prev)
             if sub.S.degree == E.degree:
                 factors.append((self_subfield(E), work))
-                chi0 = MulChar(base.S, CycNumber.one(), 0, None)
+                chi0 = MulChar(base.S, None, 0, None)
                 return chi0, factors
             prev_cond = f
             gam = sub.project(gm)
             while True:
-                phi = MulChar(sub.S, CycNumber.one(), 0, gam)
+                phi = MulChar(sub.S, None, 0, gam)
                 rest = work.mul(pullback(phi, E, sub.emb).inv())
                 fr = rest.conductor()
                 if fr < 2:
@@ -563,14 +566,15 @@ def _solve_base_char(work: MulChar, base: Subfield):
     E = work.field
     F = base.S
     gen = E.teichmuller(E.res_of(E.xi()))
-    target = work.eval(gen)
+    target = char_exponents((work,), gen)[0]
     ngen = base.norm(gen)
     for t in range(F.p - 1):
-        cand = MulChar(F, CycNumber.one(), t, None)
-        if cand.eval(ngen) == target:
+        cand = MulChar(F, None, t, None)
+        if same_root(char_exponents((cand,), ngen)[0], target):
             npi = base.norm(E.uniformizer())
-            wv = work.eval(E.uniformizer()) * cand.eval(npi).conj()
-            chi0 = MulChar(F, wv, t, None)
+            zw, mw = char_exponents((work,), E.uniformizer())[0]
+            zc, mc = char_exponents((cand,), npi)[0]
+            chi0 = MulChar(F, _add_exponents(zw, mw, -zc, mc), t, None)
             full = pullback(chi0, E, base.emb)
             if full.equals(work):
                 return chi0
@@ -585,7 +589,7 @@ def random_char(field: TowerField, conductor: int, rng,
     """Random parametric character of the exact given conductor."""
     q = field.q
     n = w_order if w_order is not None else q - 1
-    w = CycNumber.root(n, rng.randrange(n))
+    w = (rng.randrange(n), n)
     if conductor == 0:
         return MulChar(field, w, 0, None)
     t = rng.randrange(q - 1)

@@ -15,7 +15,6 @@ import sys
 import time
 
 from .errors import CapacityError, ConfigError, LocalCharError, PrecisionLoss
-from .cyclotomic import CycNumber
 from .localfield import TameRamified, make_tower
 from .characters import MulChar, howe_factorize, is_admissible, make_psi, random_char
 from .epsilon import epsilon_factor, epsilon_oracle_consistency
@@ -158,7 +157,7 @@ def _char_from_spec(cfg, field):
                 raise ConfigError("char_gamma must be a comma list of v:res "
                                   f"integer pairs, got {part!r}") from None
         gamma = field.from_digits(digits)
-    w = CycNumber.root(field.q - 1, cfg.get("char_w") or 0)
+    w = (cfg.get("char_w") or 0, field.q - 1)
     return MulChar(field, w, cfg.get("char_t") or 0, gamma)
 
 

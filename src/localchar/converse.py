@@ -28,18 +28,20 @@ from .errors import ConfigError, InternalContradiction, RangeViolation
 from .ambient import compositum_abstract
 from .characters import (
     MulChar,
-    eval_many,
+    char_exponents,
     is_admissible,
     make_psi,
     pullback,
+    same_root,
     subfield_lattice,
     tame_exponent,
     truncate_to,
+    _add_exponents,
     _prime_handle,
 )
 from .embeddings import (Subfield, automorphisms, find_embeddings,
                           identity_embedding)
-from .epsilon import epsilon_factor, gauss_sum
+from .epsilon import epsilon_factors, gauss_sum
 from .localfield import TameRamified, TowerElement, TowerField, Unramified, make_tower
 
 
@@ -110,8 +112,8 @@ class TwinPair:
 
     @cached_property
     def beta_values(self):
-        """(phi1(beta), phi2(beta))."""
-        return tuple(eval_many((self.phi1, self.phi2), self.beta))
+        """(phi1(beta), phi2(beta)) as exponent pairs."""
+        return tuple(char_exponents((self.phi1, self.phi2), self.beta))
 
     def beta_in(self, K: TowerField, iE) -> TowerElement:
         """iota_E(beta) in the compositum K (iE: E -> K)."""
@@ -174,8 +176,7 @@ def verify_twin_pair(pair: TwinPair) -> dict:
     out["conductor"] = phi1.conductor() == phi2.conductor() == 2 * N - 1
 
     def agree(x):
-        v1, v2 = eval_many((phi1, phi2), x)
-        return v1 == v2
+        return same_root(*char_exponents((phi1, phi2), x))
 
     out["uniformizer_value"] = agree(E.uniformizer())
     out["tame_part"] = all(agree(E.teichmuller(a)) for a in range(1, E.q))
@@ -211,7 +212,7 @@ def transport_char(chi: MulChar, sigma, auts) -> MulChar:
             break
     if inv is None:
         raise ConfigError("automorphism inverse not found")
-    w_new = chi.eval(sigma.apply(pi))
+    w_new = char_exponents((chi,), sigma.apply(pi))[0]
     gen = E.teichmuller(E.res_of(E.xi()))
     t_new = tame_exponent(chi, sigma.apply(gen), E.q - 1)
     g_new = None if chi.gamma is None else inv.apply(chi.gamma)
@@ -502,19 +503,19 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
 
     # Route A: multiplication-matrix norm of the full representative
     yE = handleE.norm(x)
-    a1, a2 = eval_many((phi1, phi2), yE)
-    route_a = {"equal": bool(a1 == a2),
+    a1, a2 = char_exponents((phi1, phi2), yE)
+    route_a = {"equal": same_root(a1, a2),
                "value_1": _cyc(a1), "value_2": _cyc(a2)}
 
     # Route B: dominant term times the symmetric-function argument
     degKE = K.degree // E.degree
     norm_match = True
     if label == "beta" or alpha_K is None:
-        dom1, dom2 = (v ** degKE for v in pair.beta_values)
+        dom1, dom2 = ((z * degKE, m) for z, m in pair.beta_values)
         arg = _symmetric_argument(E, tw, pair.beta_inv, invert_beta=True)
     else:
         nrmL = handleE.norm(alpha_K)
-        dom1, dom2 = eval_many((phi1, phi2), nrmL)
+        dom1, dom2 = char_exponents((phi1, phi2), nrmL)
         arg = _symmetric_argument(E, tw, beta, invert_beta=False)
         # the coset product of the dominant part must be N_{L/F}(alpha)
         handleF = _prime_handle(tw.L)
@@ -523,15 +524,15 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
         embF = find_embeddings(handleF.S, E)[0]
         norm_match = (nrmL - embF.apply(nlf)).is_zero()
     member = arg.eq_mod(E.one(), 2) if not (arg - E.one()).is_zero() else True
-    v1, v2 = eval_many((phi1, phi2), arg)
-    b1 = dom1 * v1
-    b2 = dom2 * v2
+    v1, v2 = char_exponents((phi1, phi2), arg)
+    b1 = _add_exponents(*dom1, *v1)
+    b2 = _add_exponents(*dom2, *v2)
     route_b = {
-        "dominant_equal": bool(dom1 == dom2),
+        "dominant_equal": same_root(dom1, dom2),
         "dominant_norm_match": bool(norm_match),
         "membership_level_two": bool(member),
-        "equal": bool(b1 == b2),
-        "agrees_with_route_a": bool(b1 == a1 and b2 == a2),
+        "equal": same_root(b1, b2),
+        "agrees_with_route_a": same_root(b1, a1) and same_root(b2, a2),
     }
     verdict = (route_a["equal"] and route_b["membership_level_two"]
                and route_b["dominant_equal"] and route_b["dominant_norm_match"]
@@ -548,8 +549,11 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
         timing=time.time() - t0, extra=extra)
 
 
-def _cyc(v: CycNumber):
-    return {"modulus": v.modulus, "coeffs": [[k, c] for k, c in v.to_pairs()]}
+def _cyc(zm):
+    """zeta_m^z for zm = (z, m), rendered as its CycNumber."""
+    z, m = zm
+    return {"modulus": m,
+            "coeffs": [[k, c] for k, c in CycNumber.root(m, z).to_pairs()]}
 
 
 def _symmetric_argument(E: TowerField, tw: TwistPair, b, invert_beta: bool):
@@ -603,8 +607,8 @@ def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, x, label) -> dict:
     for j in range(n, min(n + e + 2, K.k)):
         for a in range(1, min(K.q, 30)):
             u = one + K.monomial(a, j)
-            v1, v2 = eval_many((pair.phi1, pair.phi2), handleE.norm(u))
-            if not (v1 == v2):
+            if not same_root(*char_exponents((pair.phi1, pair.phi2),
+                                             handleE.norm(u))):
                 ok_layer = False
     out["middle_layer_agreement"] = ok_layer
     if f_pred % 2 == 1:
@@ -624,7 +628,7 @@ def base_characters(F: TowerField, bound: int):
     p = F.p
     out = []
     for wexp in range(p - 1):
-        w = CycNumber.root(p - 1, wexp)
+        w = (wexp, p - 1)
         for t in range(p - 1):
             for combo in _digit_tuples(p, max(bound - 1, 0)):
                 digits = [(-(i + 1), d) for i, d in enumerate(combo)]
@@ -653,18 +657,16 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
         f = th1.conductor()
         if f < 1:
             all_ramified = False
-        e1 = epsilon_factor(th1, psiE)
-        e2 = epsilon_factor(th2, psiE)
+        e1, e2 = epsilon_factors((th1, th2), psiE)
         ok = (e1.value == e2.value)
         # independent route: the quotient character at the shared c-rep
-        c = th1.c_rep()
-        quot = th2.mul(th1.inv()).eval(c)
+        z, m = char_exponents((th2.mul(th1.inv()),), th1.c_rep())[0]
         g_eq = True
         if f % 2 == 1:
             g_eq = bool(e1.gauss_part.num == e2.gauss_part.num)
-        ok_ratio = bool(quot.is_one()) and g_eq
+        ok_ratio = z % m == 0 and g_eq
         if not (ok and ok_ratio):
-            failures.append({"w": chi.w.to_pairs(), "t": chi.t,
+            failures.append({"w": _cyc(chi.w)["coeffs"], "t": chi.t,
                              "conductor_twist": chi.conductor(),
                              "eps_equal": bool(ok),
                              "quotient_route": bool(ok_ratio)})
@@ -705,9 +707,9 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int,
         beta_K = pair.beta_in(ctx["K"], ctx["iE"])
         x = beta_K + ctx["iL"].apply(tw.alpha) if tw.alpha is not None else beta_K
         yE = handleE.norm(x)
-        ratio = eta.eval(yE)
+        ratio = char_exponents((eta,), yE)[0]
         scanned += 1
-        if not ratio.is_one():
+        if ratio[0] % ratio[1]:
             if not cert:
                 rep = verify_coset_products(pair, tw, deep=True)
                 if rep.route_a["equal"]:

@@ -218,19 +218,6 @@ class CycNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in the ring")
-        result = CycNumber.one(self.modulus)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def conj(self) -> "CycNumber":
         """Complex conjugation: every root of unity to its inverse."""
         fact = _factorize(self.modulus)
@@ -357,12 +344,6 @@ class ScaledCyc:
 
     def conj(self) -> "ScaledCyc":
         return ScaledCyc(self.num.conj(), self.qhalf, self.q)
-
-    def __pow__(self, n: int):
-        out = ScaledCyc.one(self.q)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -5,15 +5,18 @@ c is theta^{-1}(c) psi(c) q^{(f-1)/2}, times the Gauss sum
 q^{-1/2} sum_{x in U^n/U^{n+1}} theta^{-1}(x) psi(c (x - 1)) when the
 conductor f = 2n + 1 is odd.  The value theta^{-1}(c) psi(c) depends on the
 choice of representative modulo P^{1-r} when f is odd, but the assembled
-product does not; epsilon_factor recomputes with a perturbed representative
+product does not; epsilon_factors recomputes with a perturbed representative
 and refuses to return a representative-dependent value.
 
-The Gauss sum is exact integer work up to one cyclotomic sum.  Its theta
-row, the exponents of theta(1 + tau(a) pi^n), comes from the field's
-memoized table of log(1 + tau(a) pi^n) and does not depend on c, so
-epsilon_factor computes it once per character and both representatives
-reuse it.  The q terms then land in one histogram of root exponents at the
-lcm of their moduli, summed by a single CycNumber.from_root_sum.
+All of it is integer work on exponents of roots of unity up to one
+cyclotomic sum.  The theta row, the exponents of theta(1 + tau(a) pi^n),
+comes from the field's memoized log table and does not depend on c, so both
+representatives reuse it.  Characters sharing c share the psi row
+psi(c tau(a) pi^n) and one char_exponents call for their root parts
+theta^{-1}(c) psi(c).  The q Gauss-sum terms land in one histogram of root
+exponents at the lcm M of their moduli: the Gauss sum is its
+CycNumber.from_root_sum, the epsilon value the same histogram shifted by
+the root exponent at lcm(m_root, M).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     EvenConductor,
     InternalContradiction,
 )
-from .characters import AddChar, MulChar, unit_exponents
+from .characters import AddChar, MulChar, _add_exponents, char_exponents
 
 
 @dataclass
@@ -38,7 +41,6 @@ class EpsilonValue:
     conductor: int
     parity: str
     provenance: str
-    root_part: ScaledCyc = None
     gauss_part: ScaledCyc = None
 
     def serialize(self):
@@ -54,26 +56,41 @@ def theta_row(chi: MulChar, n: int):
     """theta(1 + tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs.
 
     A parametric character reads the logs from the field's table; a factored
-    one takes its unit exponents, which evaluate its parts at the norms."""
+    one takes its exponents at the units, which evaluate its parts at the
+    norms."""
     F = chi.field
     if chi.is_factored():
         one = F.one()
-        return [unit_exponents((chi,), one + F.monomial(a, n))[0]
+        return [char_exponents((chi,), one + F.monomial(a, n))[0]
                 for a in range(1, F.q)]
     logs = F.principal_logs(n, max(chi.conductor(), 1))
     return [chi.principal_exponent(lg) for lg in logs]
+
+
+def _psi_row(psi: AddChar, c, n: int):
+    """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs."""
+    F = psi.field
+    return [psi.exponent(c * F.monomial(a, n)) for a in range(1, F.q)]
+
+
+def _gauss_histogram(theta, psi_row):
+    """(M, histogram) of the q Gauss-sum terms theta^{-1}(x) psi(c (x - 1))
+    as root exponents k of zeta_M, M the lcm of all term moduli (the modulus
+    the sum of the terms as CycNumbers carries); a = 0 is the term 1."""
+    mod = math.lcm(1, *(m for _, m in theta), *(m for _, m in psi_row))
+    hist = Counter({0: 1})
+    for (zt, mt), (zp, mp) in zip(theta, psi_row):
+        hist[(zp * (mod // mp) - zt * (mod // mt)) % mod] += 1
+    return mod, hist
 
 
 def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None, theta=None) -> ScaledCyc:
     """q^{-1/2} sum over U^n/U^{n+1} of theta^{-1}(x) psi(c (x-1)).
 
     The coset representatives are 1 + tau(a) pi^n over the q residues a
-    (a = 0 giving x = 1), so the sum has exactly q terms.  theta is
-    theta_row(chi, n) when the caller already has it.  Each term is the root
-    of unity zeta_M^k, M the lcm of all term moduli, which is the modulus the
-    sum of the terms as CycNumbers carries; the terms are counted per k and
-    summed once."""
-    F = chi.field
+    (a = 0 giving x = 1), so the sum has exactly q terms, counted per root
+    exponent and summed once.  theta is theta_row(chi, n) when the caller
+    already has it."""
     f = chi.conductor()
     if f < 3 or f % 2 == 0:
         raise EvenConductor(f"Gauss sum needs odd conductor >= 3, got {f}")
@@ -81,42 +98,77 @@ def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None, theta=None) -> ScaledCyc:
     c = c_rep if c_rep is not None else chi.c_rep()
     if theta is None:
         theta = theta_row(chi, n)
-    psi_row = [psi.exponent(c * F.monomial(a, n)) for a in range(1, F.q)]
-    mod = math.lcm(1, *(m for _, m in theta), *(m for _, m in psi_row))
-    hist = Counter({0: 1})  # the a = 0 term
-    for (zt, mt), (zp, mp) in zip(theta, psi_row):
-        hist[(zp * (mod // mp) - zt * (mod // mt)) % mod] += 1
-    return ScaledCyc(CycNumber.from_root_sum(mod, hist.items()), -1, F.q)
+    return _gauss_value(*_gauss_histogram(theta, _psi_row(psi, c, n)),
+                        chi.field.q)
 
 
 def epsilon_factor(chi: MulChar, psi: AddChar, check_rep: bool = True) -> EpsilonValue:
     """Closed-form epsilon at s = 0 for a character of conductor >= 2."""
-    f = chi.conductor()
+    return epsilon_factors((chi,), psi, check_rep)[0]
+
+
+def epsilon_factors(chars, psi: AddChar, check_rep: bool = True) -> list:
+    """epsilon_factor of each character, for characters of one field that
+    share the conductor f >= 2 and the c-representative.
+
+    Per representative the characters are evaluated together: one
+    char_exponents call, one psi(c) and one psi row.  The perturbed
+    representative c2 gets its own evaluation; theta(c2) is never derived
+    from theta(c).  ConductorMismatch when the conductors or the
+    c-representatives differ."""
+    fs = [chi.conductor() for chi in chars]
+    f = fs[0]
+    if len(set(fs)) > 1:
+        raise ConductorMismatch(f"conductors {' != '.join(map(str, fs))}")
     if f < 2:
         raise ConductorTooSmall(
             "closed form needs conductor >= 2; use the oracle for f <= 1")
-    F = chi.field
-    c = chi.c_rep()
-    theta = theta_row(chi, (f - 1) // 2) if f % 2 else None
-    val, root, gpart = _assemble(chi, psi, c, f, theta)
+    F = chars[0].field
+    c = chars[0].c_rep()
+    if any(not (chi.c_rep() - c).is_zero() for chi in chars[1:]):
+        raise ConductorMismatch("c-representatives differ at the shared truncation")
+    thetas = [theta_row(chi, (f - 1) // 2) if f % 2 else None for chi in chars]
+    vals, hists = _assemble(chars, psi, c, f, thetas)
     if check_rep:
-        r = (f + 1) // 2
-        c2 = c + F.monomial(1, 1 - r)
-        val2, _, _ = _assemble(chi, psi, c2, f, theta)
-        if not (val == val2):
+        c2 = c + F.monomial(1, 1 - (f + 1) // 2)
+        vals2, _ = _assemble(chars, psi, c2, f, thetas)
+        if not all(v == v2 for v, v2 in zip(vals, vals2)):
             raise InternalContradiction(
                 f"epsilon depends on the c-representative at conductor {f}")
-    return EpsilonValue(val, f, "odd" if f % 2 else "even", "closed_form",
-                        root_part=root, gauss_part=gpart)
+    parity = "odd" if f % 2 else "even"
+    out = []
+    for v, h in zip(vals, hists):
+        g = None if h is None else _gauss_value(*h, F.q)
+        out.append(EpsilonValue(v, f, parity, "closed_form", gauss_part=g))
+    return out
 
 
-def _assemble(chi, psi, c, f, theta):
-    F = chi.field
-    root = ScaledCyc(chi.eval(c).conj() * psi.eval(c), f - 1, F.q)
-    if f % 2 == 0:
-        return root, root, None
-    g = gauss_sum(chi, psi, c_rep=c, theta=theta)
-    return root * g, root, g
+def _gauss_value(mod: int, hist, q: int) -> ScaledCyc:
+    return ScaledCyc(CycNumber.from_root_sum(mod, hist.items()), -1, q)
+
+
+def _assemble(chars, psi, c, f, thetas):
+    """Epsilon values of chars at the representative c, with their Gauss-sum
+    histograms (None for even f).  The root part theta^{-1}(c) psi(c) is an
+    exponent (z, m); for odd f the value is the histogram shifted by it."""
+    q = psi.field.q
+    zp, mp = psi.exponent(c)
+    psi_row = _psi_row(psi, c, (f - 1) // 2) if f % 2 else None
+    vals, hists = [], []
+    for (zc, mc), theta in zip(char_exponents(chars, c), thetas):
+        zr, mr = _add_exponents(zp, mp, -zc, mc)
+        if psi_row is None:
+            vals.append(ScaledCyc(CycNumber.root(mr, zr), f - 1, q))
+            hists.append(None)
+            continue
+        mod, hist = _gauss_histogram(theta, psi_row)
+        big = math.lcm(mr, mod)
+        shift = zr * (big // mr)
+        vals.append(ScaledCyc(CycNumber.from_root_sum(
+            big, ((k * (big // mod) + shift, n) for k, n in hist.items())),
+            f - 2, q))
+        hists.append((mod, hist))
+    return vals, hists
 
 
 def epsilon_ratio(chi1: MulChar, chi2: MulChar, psi: AddChar) -> ScaledCyc:
@@ -127,19 +179,12 @@ def epsilon_ratio(chi1: MulChar, chi2: MulChar, psi: AddChar) -> ScaledCyc:
     agree on the middle layer) the ratio reduces to the character quotient
     (chi2 chi1^{-1}) at the shared representative; both computations are
     performed and must coincide."""
-    f1, f2 = chi1.conductor(), chi2.conductor()
-    if f1 != f2:
-        raise ConductorMismatch(f"conductors {f1} != {f2}")
-    F = chi1.field
-    c1, c2 = chi1.c_rep(), chi2.c_rep()
-    if not (c1 - c2).is_zero():
-        raise ConductorMismatch("c-representatives differ at the shared truncation")
-    e1 = epsilon_factor(chi1, psi)
-    e2 = epsilon_factor(chi2, psi)
+    e1, e2 = epsilon_factors((chi1, chi2), psi)
     ratio = e1.value / e2.value
-    if f1 % 2 == 1 and e1.gauss_part.num == e2.gauss_part.num:
-        quotient = chi2.eval(c1) * chi1.eval(c1).conj()
-        if not (ratio == ScaledCyc(quotient, 0, F.q)):
+    if e1.conductor % 2 == 1 and e1.gauss_part.num == e2.gauss_part.num:
+        (z1, m1), (z2, m2) = char_exponents((chi1, chi2), chi1.c_rep())
+        z, m = _add_exponents(z2, m2, -z1, m1)
+        if not (ratio == ScaledCyc(CycNumber.root(m, z), 0, psi.field.q)):
             raise InternalContradiction(
                 "epsilon ratio disagrees with the character quotient")
     return ratio

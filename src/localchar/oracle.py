@@ -13,7 +13,8 @@ digit tables (log is additive over the digit factors; the logs come from the
 field's memoized principal_logs) plus one offset per block.  All arithmetic
 is integer arithmetic modulo powers of p; per-block histograms combine
 associatively, so blocks split across processes.  Only the psi-side
-exponents are cached per (field, conductor, delta).
+exponents are cached, in the field's own caches under (conductor, delta),
+so a grid lives exactly as long as its field.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import numpy as np
 
 from .cyclotomic import CycNumber, ScaledCyc
 from .errors import CapacityError, ConfigError
-from .characters import AddChar, MulChar
+from .characters import AddChar, MulChar, _add_exponents, char_exponents
 from .localfield import TowerField
 
 _SLOW_BUDGET = 500_000
 _CHUNK = 1 << 20
-_GRIDS: dict = {}
 
 
 def oracle_sum(chi: MulChar, psi: AddChar, delta, budget: int = 300_000_000,
@@ -52,8 +52,9 @@ def oracle_sum(chi: MulChar, psi: AddChar, delta, budget: int = 300_000_000,
     return ScaledCyc(total, -c, F.q)
 
 
-def clear_oracle_cache():
-    _GRIDS.clear()
+def clear_oracle_cache(F: TowerField):
+    """Drop the oracle grids cached on the field F."""
+    F._caches.pop("oracle_grids", None)
 
 
 # --------------------------------------------------------------- slow path
@@ -92,7 +93,9 @@ def _slow_sum(chi, psi, delta, c):
     for u1 in principal_units():
         for tj in tame:
             x = tj * u1 * delta
-            total = total + chi.eval(x).conj() * psi.eval(x)
+            zc, mc = char_exponents((chi,), x)[0]
+            z, m = _add_exponents(*psi.exponent(x), -zc, mc)
+            total = total + CycNumber.root(m, z)
     return total
 
 
@@ -189,11 +192,11 @@ def _pi_pow_mult(x, i, ring):
 def _fast_sum(chi, psi, delta, c, jobs):
     F = chi.field
     p, q = F.p, F.q
-    key = (id(F), c, delta.v, tuple(tuple(w) for w in delta.core))
-    grid = _GRIDS.get(key)
+    grids = F._caches.setdefault("oracle_grids", {})
+    key = (c, delta.v, tuple(tuple(w) for w in delta.core))
+    grid = grids.get(key)
     if grid is None:
-        grid = _Grid(F, psi, c, delta, jobs)
-        _GRIDS[key] = grid
+        grid = grids[key] = _Grid(F, psi, c, delta, jobs)
 
     # theta side: psi(-gamma log(1 + a pi^i)) digit tables, exact
     st = 1
@@ -228,4 +231,5 @@ def _fast_sum(chi, psi, delta, c, jobs):
         nz = np.nonzero(row)[0]
         cyc = CycNumber.from_root_sum(ps, [(int(b), int(row[b])) for b in nz])
         total = total + CycNumber.root(q - 1, (-tame_t * j) % (q - 1)) * cyc
-    return chi.eval(delta).conj() * total
+    z, m = char_exponents((chi,), delta)[0]
+    return CycNumber.root(m, -z) * total

@@ -10,10 +10,11 @@ from localchar.errors import (
     NotAdmissible,
     PrecisionLoss,
 )
-from localchar.localfield import TameRamified, make_tower
+from localchar.localfield import TameRamified, TowerElement, make_tower
 from localchar.embeddings import Subfield, prime_subfield
 from localchar.characters import (
     MulChar,
+    char_exponents,
     eval_many,
     howe_factorize,
     is_admissible,
@@ -112,7 +113,7 @@ def test_mulchar_basics(E):
     rng = random.Random(3)
     chi = random_char(E, 4, rng)
     assert chi.eval(E.one()).is_one()
-    assert chi.eval(E.uniformizer()) == chi.w
+    assert chi.eval(E.uniformizer()) == CycNumber.root(chi.w[1], chi.w[0])
     for _ in range(200):
         x = E.random_element(rng, -2, 3)
         y = E.random_element(rng, -2, 3)
@@ -125,7 +126,7 @@ def test_conductor_trichotomy_and_scan(E):
     assert beta_char.conductor() == 9
     tame = MulChar(E, None, 3, None)
     assert tame.conductor() == 1
-    unram = MulChar(E, CycNumber.root(6, 1), 0, None)
+    unram = MulChar(E, (1, 6), 0, None)
     assert unram.conductor() == 0
     for c in range(0, 8):
         chi = random_char(E, c, rng)
@@ -332,7 +333,7 @@ def _value_bytes(v):
 def test_eval_many_matches_one_character_at_a_time(E):
     rng = random.Random(21)
     chars = [random_char(E, c, rng) for c in (0, 1, 2, 3, 3, 5, 7)]
-    assert any(chi.t and not chi.w.is_one() and chi.gamma is not None
+    assert any(chi.t and chi.w[0] and chi.gamma is not None
                for chi in chars)
     seen_v = set()
     for _ in range(60):
@@ -351,7 +352,7 @@ def test_eval_many_factored_characters_on_a_compositum():
     K, iE, iL = compositum_abstract(E7, L, 120)
     chars = []
     for t_E, t_L in ((0, 0), (2, 3)):
-        phi = MulChar(E7, CycNumber.root(6, 1), t_E,
+        phi = MulChar(E7, (1, 6), t_E,
                       E7.monomial(3, -3) + E7.monomial(1, -1))
         lam = MulChar(L, None, t_L, L.monomial(2, -1))
         chars.append(pullback(phi, K, iE).mul(pullback(lam, K, iL)))
@@ -361,6 +362,65 @@ def test_eval_many_factored_characters_on_a_compositum():
         x = K.random_element(rng, -2, 3)
         got = [_value_bytes(v) for v in eval_many(chars, x)]
         assert got == [_value_bytes(chi.eval(x)) for chi in chars]
+
+
+def test_char_exponents_are_the_unit_value_times_w_to_the_v(E):
+    # chi(x) = chi(pi^-v x) w^v as cyclotomic numbers, the modulus included:
+    # it takes the lcm with w's modulus exactly when v(x) != 0
+    rng = random.Random(26)
+    chars = [random_char(E, c, rng) for c in (0, 1, 2, 3, 5, 7)]
+    seen_v = set()
+    for _ in range(60):
+        x = E.random_element(rng, -3, 4)
+        seen_v.add(x.v != 0)
+        unit = TowerElement(E, 0, x.core, x.prec, x.store)
+        for chi, (z, m) in zip(chars, char_exponents(chars, x)):
+            ref = chi.eval(unit)
+            if x.v:
+                ref = ref * CycNumber.root(chi.w[1], chi.w[0] * x.v)
+            got = CycNumber.root(m, z)
+            assert (m, got.to_pairs()) == _value_bytes(ref)
+            assert _value_bytes(chi.eval(x)) == _value_bytes(got)
+    assert seen_v == {False, True}
+    unram = MulChar(E, (0, 6), 0, None)
+    assert char_exponents((unram,), E.uniformizer()) == [(0, 6)]
+    assert char_exponents((unram,), E.one()) == [(0, 1)]
+
+
+def test_factored_char_exponents_match_the_norm_route():
+    # the norms of x itself, as the parts were evaluated before the unit
+    # split; K carries enough precision for norms of valuation -4 elements
+    E7 = make_tower(7, [TameRamified(5, 1)], 24)
+    L = make_tower(7, [TameRamified(2, 1)], 24)
+    K, iE, iL = compositum_abstract(E7, L, 120)
+    phi = MulChar(E7, (1, 6), 2, E7.monomial(3, -3) + E7.monomial(1, -1))
+    lam = MulChar(L, (1, 2), 3, L.monomial(2, -1))
+    chi = pullback(phi, K, iE).mul(pullback(lam, K, iL))
+    assert chi.is_factored()
+    rng = random.Random(27)
+    seen_v = set()
+    xs = [K.random_element(rng, -4, 3) for _ in range(6)]
+    for x in xs + [K.random_unit(rng) for _ in range(2)]:
+        seen_v.add(x.v != 0)
+        ref = CycNumber.one()
+        for handle, part in chi.parts:
+            ref = ref * part.eval(handle.norm(x))
+        assert _value_bytes(chi.eval(x)) == _value_bytes(ref)
+    assert seen_v == {False, True}
+
+
+def test_uniformizer_exponent_survives_mul_inv_and_equals(E):
+    pi = E.uniformizer()
+    a = MulChar(E, (1, 6), 2, E.monomial(3, -2))
+    b = MulChar(E, (2, 3), 1, None)
+    assert a.mul(b).w == (5, 6)
+    assert a.mul(b).eval(pi) == a.eval(pi) * b.eval(pi)
+    assert a.inv().w == (5, 6)
+    assert (a.inv().eval(pi) * a.eval(pi)).is_one()
+    assert a.mul(a.inv()).is_trivial_params()
+    assert MulChar(E, (7, 6)).w == (1, 6)
+    assert MulChar(E, (1, 3)).equals(MulChar(E, (2, 6)))
+    assert not MulChar(E, (1, 3)).equals(MulChar(E, (1, 6)))
 
 
 def test_eval_many_below_the_conductor_raises_as_eval(E):
@@ -392,7 +452,8 @@ def test_tame_exponent_reads_the_unit_exponent(E):
     raised = 0
     for a in range(1, E.q):
         u = one + E.monomial(a, 2)
-        if not (chi.eval(u) ** n).is_one():
+        z, m = char_exponents((chi,), u)[0]
+        if z * n % m:
             with pytest.raises(ConfigError):
                 tame_exponent(chi, u, n)
             raised += 1

@@ -3,15 +3,18 @@ import random
 
 import pytest
 
+from localchar.cyclotomic import CycNumber
 from localchar.errors import ConfigError, RangeViolation
 from localchar.localfield import TameRamified, Unramified, make_tower
-from localchar.characters import MulChar, is_admissible, random_char
+from localchar.characters import (MulChar, _prime_handle, is_admissible,
+                                  make_psi, pullback, random_char)
 from localchar.ambient import compositum_abstract, double_cosets
 from localchar.converse import (
     TwinConfig,
     TwinPair,
     _gamma_key,
     a_exponent,
+    base_characters,
     build_twin_characters,
     case_one_scan,
     classify_case,
@@ -27,6 +30,7 @@ from localchar.converse import (
     verify_twin_pair,
 )
 from localchar.embeddings import automorphisms
+from localchar.epsilon import epsilon_factors
 from localchar.reporting import canonical_json
 
 
@@ -244,8 +248,10 @@ def test_coset_product_reports_match_recorded_digest(pair7):
 def test_twin_pair_values_are_held_per_pair(pair7):
     tw = next(iter_twist_pairs(11, 2, 2, 16))
     verify_coset_products(pair7, tw)
-    assert pair7.beta_values == (pair7.phi1.eval(pair7.beta),
-                                 pair7.phi2.eval(pair7.beta))
+    held = [CycNumber.root(m, z) for z, m in pair7.beta_values]
+    fresh = [pair7.phi1.eval(pair7.beta), pair7.phi2.eval(pair7.beta)]
+    assert ([(v.modulus, v.to_pairs()) for v in held]
+            == [(v.modulus, v.to_pairs()) for v in fresh])
     assert pair7.beta_inv * pair7.beta == pair7.E.one()
     assert pair7._beta_images
     assert all(beta_K.field is K for K, beta_K in pair7._beta_images.items())
@@ -254,3 +260,23 @@ def test_twin_pair_values_are_held_per_pair(pair7):
                    pair7.selector, pair7.tower)
     assert not bad._beta_images
     assert "beta_values" not in vars(bad) and "beta_inv" not in vars(bad)
+
+
+def test_rank_one_epsilon_reports_match_recorded_digest(pair5):
+    # both twins of every bound-2 twist, value and Gauss part, as
+    # verify_rank_one_twists computes them; the digest was recorded when
+    # each epsilon factor was computed on its own, with the root part
+    # multiplied into the Gauss sum as a cyclotomic number
+    E = pair5.E
+    psi = make_psi(E)
+    prime = _prime_handle(E)
+    rows = []
+    for chi in base_characters(prime.S, 2):
+        chiE = pullback(chi, E, prime.emb)
+        twins = (pair5.phi1.mul(chiE), pair5.phi2.mul(chiE))
+        for e in epsilon_factors(twins, psi):
+            rows.append([e.value.serialize(), e.gauss_part.serialize()])
+    assert len(rows) == 2 * 6 * 6 * 7
+    digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    assert digest == (
+        "16e1bedf9d3370826ff7f78422c24d11389942b03706d8707854e72be8accf07")

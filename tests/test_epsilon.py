@@ -4,12 +4,14 @@ import pytest
 
 from localchar.cyclotomic import CycNumber, ScaledCyc
 from localchar.errors import CapacityError, ConductorMismatch, EvenConductor
-from localchar.localfield import TameRamified, Unramified, make_tower
+from localchar.localfield import (TameRamified, TowerField, Unramified,
+                                  make_tower)
 from localchar.ambient import compositum_abstract
 from localchar.embeddings import automorphisms
 from localchar.characters import MulChar, make_psi, pullback, random_char
 from localchar.epsilon import (
     epsilon_factor,
+    epsilon_factors,
     epsilon_oracle_consistency,
     epsilon_ratio,
     gauss_sum,
@@ -60,14 +62,14 @@ def _parametric_chars():
                           chi.gamma)
 
 
-def _factored_chars():
+def _factored_chars(k=24, k_K=120):
     """Products of pullbacks from E = Q_7(7^(1/5)) and L = Q_7(7^(1/2)) to
     their compositum (e = 10, so no exp/log there): conductor 7, two parts."""
-    E = make_tower(7, [TameRamified(5, 1)], 24)
-    L = make_tower(7, [TameRamified(2, 1)], 24)
-    K, iE, iL = compositum_abstract(E, L, 120)
+    E = make_tower(7, [TameRamified(5, 1)], k)
+    L = make_tower(7, [TameRamified(2, 1)], k)
+    K, iE, iL = compositum_abstract(E, L, k_K)
     for t_E, t_L in ((0, 0), (2, 3)):
-        phi = MulChar(E, CycNumber.root(6, 1), t_E,
+        phi = MulChar(E, (1, 6), t_E,
                       E.monomial(3, -3) + E.monomial(1, -1))
         lam = MulChar(L, None, t_L, L.monomial(2, -1))
         yield pullback(phi, K, iE).mul(pullback(lam, K, iL))
@@ -76,6 +78,10 @@ def _factored_chars():
 @pytest.mark.parametrize("chars", [
     pytest.param(_parametric_chars, id="parametric-F-E-unram2"),
     pytest.param(_factored_chars, id="factored-compositum"),
+    # the representative c has valuation -6: its norms would burn the
+    # subfields' storage, so the character is evaluated at the unit part
+    pytest.param(lambda: _factored_chars(12, 24),
+                 id="factored-compositum-k24"),
 ])
 def test_gauss_sum_and_epsilon_match_termwise_reference(chars):
     seen_t = set()
@@ -93,6 +99,80 @@ def test_gauss_sum_and_epsilon_match_termwise_reference(chars):
         parts = chi.parts if chi.is_factored() else ((None, chi),)
         seen_t.add(any(part.t for _, part in parts))
     assert seen_t == {False, True}
+
+
+def test_factored_epsilon_bytes_do_not_depend_on_precision():
+    def outputs(k, k_K):
+        psi = None
+        out = []
+        for chi in _factored_chars(k, k_K):
+            psi = psi or make_psi(chi.field)
+            eps = epsilon_factor(chi, psi)
+            out.append((eps.value.serialize(), eps.gauss_part.serialize()))
+        return out
+
+    assert outputs(12, 24) == outputs(24, 120)
+
+
+def _sharing_c(field, f, rng):
+    """A character of conductor f and twists of it by characters of small
+    conductor, with nontrivial w and t: all share f and c_rep."""
+    chi = random_char(field, f, rng)
+    r = (f + 1) // 2  # c_rep drops the levels 1 - r .. -1
+    out = [chi]
+    for _ in range(2):
+        gamma = None
+        if r > 1:
+            gamma = field.monomial(rng.randrange(1, field.q),
+                                   rng.randrange(1 - r, 0))
+        eta = MulChar(field, (rng.randrange(1, 6), 6),
+                      rng.randrange(1, field.q - 1), gamma)
+        out.append(chi.mul(eta))
+    return out
+
+
+def _epsilon_bytes(e):
+    g = None if e.gauss_part is None else e.gauss_part.serialize()
+    return e.serialize(), g
+
+
+@pytest.mark.parametrize("f", [2, 3, 6, 7])
+def test_epsilon_factors_match_one_at_a_time(E, f):
+    psi = make_psi(E)
+    rng = random.Random(30 + f)
+    for _ in range(3):
+        chars = _sharing_c(E, f, rng)
+        assert any(chi.t and chi.w[0] for chi in chars)
+        assert len({chi.conductor() for chi in chars}) == 1
+        got = [_epsilon_bytes(e) for e in epsilon_factors(chars, psi)]
+        assert got == [_epsilon_bytes(epsilon_factor(chi, psi))
+                       for chi in chars]
+        assert (got[0][1] is None) == (f % 2 == 0)
+
+
+def test_epsilon_factors_raise_on_differing_c_representatives(E):
+    psi = make_psi(E)
+    chi = random_char(E, 7, random.Random(40))
+    # a level inside the truncation window [1-f, 1-r) moves c, not f
+    other = chi.mul(MulChar(E, None, 0, E.monomial(1, -4)))
+    assert other.conductor() == 7
+    with pytest.raises(ConductorMismatch):
+        epsilon_factors((chi, other), psi)
+    with pytest.raises(ConductorMismatch):
+        epsilon_factors((chi, random_char(E, 5, random.Random(41))), psi)
+
+
+def test_oracle_grids_belong_to_their_field():
+    from localchar.oracle import clear_oracle_cache
+    rng = random.Random(42)
+    # fields built directly, not shared through make_tower's memo
+    T, fresh = TowerField(7, (), 12), TowerField(7, (), 12)
+    chi = random_char(T, 3, rng)
+    oracle_sum(chi, make_psi(T), T.uniformizer() ** (-2))
+    assert len(T._caches["oracle_grids"]) == 1
+    assert "oracle_grids" not in fresh._caches
+    clear_oracle_cache(T)
+    assert "oracle_grids" not in T._caches
 
 
 def test_gauss_sum_unit_modulus_exact_and_embedded(E, F):
@@ -159,11 +239,11 @@ def test_oracle_term_count_and_slow_agreement(name, c, chunk, request,
     delta = field.uniformizer() ** (1 - c)
     if chunk:
         monkeypatch.setattr(om, "_CHUNK", chunk)
-    om.clear_oracle_cache()
+    om.clear_oracle_cache(field)
     try:
         fast = oracle_sum(chi, psi, delta)
     finally:
-        om.clear_oracle_cache()
+        om.clear_oracle_cache(field)
     slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, 7)
     assert not fast.is_zero()
     assert fast == slow  # q^(c-1)(q-1) terms, order-independent by exactness
@@ -225,7 +305,7 @@ def test_oracle_parallel_chunks_match_serial(E):
     chi = random_char(E, 6, random.Random(13))
     delta = E.uniformizer() ** (-5)
     serial = oracle_sum(chi, psi, delta)
-    clear_oracle_cache()
+    clear_oracle_cache(E)
     import localchar.oracle as om
     old = om._CHUNK
     om._CHUNK = 1 << 14  # force several chunks
@@ -233,7 +313,7 @@ def test_oracle_parallel_chunks_match_serial(E):
         parallel = oracle_sum(chi, psi, delta, jobs=2)
     finally:
         om._CHUNK = old
-        clear_oracle_cache()
+        clear_oracle_cache(E)
     assert serial == parallel
 
 
