@@ -214,15 +214,18 @@ def test_principal_log_table_matches_direct_logs(p, steps, k):
 
 
 def _long_log(T, u, window):
-    """log(u) mod P^window with the series summed to n = window + e, adding
-    the terms below the window as log_principal does."""
+    """log(u) mod P^window with the series summed to n = p (window + e),
+    adding the terms below the window as log_principal does.  Term n has
+    valuation n v - e v_p(n) >= n - e log_p(n), which is at least the window
+    for every larger n; window + e alone is too few once p^2 | n, as at
+    n = 49 on Q_7(7^(1/5)) with v = 1 and window 40 (valuation 39)."""
     y = u - T.one()
     if y.is_zero():
         return T.zero() if y.prec == float("inf") else T.zero_bounded(y.prec)
     window = min(y.window(), T.kint, window)
     acc = T.zero()
     power = T.one()
-    for n in range(1, window + T.e + 1):
+    for n in range(1, T.p * (window + T.e) + 1):
         power = power * y
         t = power.div_int(n)
         if n % 2 == 0:
@@ -242,6 +245,8 @@ def _long_log(T, u, window):
        lead=st.integers(1, 120), rest=st.lists(st.integers(0, 120), max_size=30))
 # v = 1 at the full window runs the series past n = p, 2p, ...
 @example(v=1, window=60, lead=1, rest=[5] * 30)
+# ... and at window 40 on e = 5 needs the term n = p^2 = 49
+@example(v=1, window=40, lead=1, rest=[])
 def test_log_term_count_matches_long_series(p, steps, k, v, window, lead, rest):
     T = make_tower(p, steps, k)
     window = min(window, T.kint)
