@@ -10,10 +10,10 @@ non-conjugate.
 
 Verify: for a twisting pair (L, lambda) with representative alpha, both
 routes evaluate the coset product of phi^(i) o N at beta + alpha: Route A by
-multiplication-matrix norms in the compositum, Route B by factoring out the
+a multiplication-matrix norm in the compositum, Route B by factoring out the
 dominant term and reassembling the complementary product from the
-characteristic polynomial of alpha (its symmetric functions lie in F), then
-certifying the remaining argument falls in 1 + P_E^2 where the twins agree.
+characteristic polynomial of alpha over F, then certifying the remaining
+argument falls in 1 + P_E^2 where the twins agree.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
+from itertools import product
 
 from .cyclotomic import CycNumber
 from .errors import ConfigError, InternalContradiction, RangeViolation
@@ -203,13 +204,9 @@ def transport_char(chi: MulChar, sigma, auts) -> MulChar:
     """chi o sigma for an automorphism sigma of chi's field."""
     E = chi.field
     pi = E.uniformizer()
-    idx = identity_embedding(E).x_img
-    inv = None
-    for a in auts:
-        comp = sigma.compose(a)  # a after sigma
-        if (comp.pi_img - pi).is_zero() and (comp.x_img - idx).is_zero():
-            inv = a
-            break
+    ident = identity_embedding(E)
+    # sigma^-1: the a with a after sigma the identity
+    inv = next((a for a in auts if sigma.compose(a).same_as(ident)), None)
     if inv is None:
         raise ConfigError("automorphism inverse not found")
     w_new = char_exponents((chi,), sigma.apply(pi))[0]
@@ -248,12 +245,11 @@ def _gamma_key(lam: MulChar):
         return ("tame", lam.t)
     F = lam.field
     out = []
-    x = g
-    core = x.core
+    core = g.core
     for i in range(F.e):
         for lev in range(F.a):
             w = tuple((c // F.p**lev) % F.p for c in core[i])
-            pos = x.v + i + lev * F.e
+            pos = g.v + i + lev * F.e
             if any(w) and pos < 0:
                 out.append((pos, w))
     return tuple(sorted(out))
@@ -298,9 +294,11 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
             if skipped is not None:
                 skipped.append(shape)
             continue
-        exts.append((L, shape, automorphisms(L), set()))
+        ident = identity_embedding(L)
+        others = [s for s in automorphisms(L) if not s.same_as(ident)]
+        exts.append((L, shape, others, set()))
     if bound >= 1:
-        for L, shape, auts, seen in exts:
+        for L, shape, _others, seen in exts:
             for t in range(1, L.q - 1):
                 lam = MulChar(L, None, t, None)
                 if not is_admissible(lam):
@@ -312,10 +310,10 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
                 seen.add(key)
                 yield TwistPair(L, lam, 0, None, shape)
     for m in range(1, bound):
-        for L, shape, auts, seen in exts:
+        for L, shape, others, seen in exts:
             rl = (m + 2) // 2
             positions = list(range(-m, 1 - rl))
-            for combo in _digit_tuples(L.q, len(positions)):
+            for combo in product(range(L.q), repeat=len(positions)):
                 if combo[0] == 0:
                     continue
                 alpha = L.from_digits(list(zip(positions, combo)))
@@ -325,9 +323,11 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
                 if not is_admissible(lam):
                     continue
                 if dedupe:
-                    # = transport_char's keys: sigma -> sigma^-1 permutes auts
-                    key = min(_gamma_key(MulChar(L, None, 0, s.apply(lam.gamma)))
-                              for s in auts)
+                    # = transport_char's keys: sigma -> sigma^-1 permutes auts;
+                    # the identity's key is lam's own
+                    key = min([_gamma_key(lam)] + [
+                        _gamma_key(MulChar(L, None, 0, s.apply(lam.gamma)))
+                        for s in others])
                     if key in seen:
                         continue
                     seen.add(key)
@@ -340,22 +340,6 @@ def enumerate_twist_pairs(p: int, r: int, bound: int, k: int,
     skipped: list = []
     pairs = list(iter_twist_pairs(p, r, bound, k, dedupe, skipped=skipped))
     return pairs, skipped
-
-
-def _digit_tuples(q: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    idx = [0] * n
-    while True:
-        yield tuple(idx)
-        j = n - 1
-        while j >= 0 and idx[j] == q - 1:
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        idx[j] += 1
 
 
 # ------------------------------------------------------------- case analysis
@@ -444,11 +428,9 @@ def case_one_scan(Ns=(5, 6, 7), m_bound: int = 12) -> dict:
 @lru_cache(maxsize=None)
 def _twist_context(E: TowerField, L: TowerField, kk: int, sw: int):
     K, iE, iL = compositum_abstract(E, L, kk, sw)
-    handleE = Subfield(E, K, iE)
-    handleL = Subfield(L, K, iL)
-    handleF_L = _prime_handle(L)
-    return {"K": K, "iE": iE, "iL": iL, "handleE": handleE,
-            "handleL": handleL, "handleF_L": handleF_L}
+    handleF = _prime_handle(L)
+    return {"K": K, "iE": iE, "iL": iL, "handleE": Subfield(E, K, iE),
+            "handleF": handleF, "embF": find_embeddings(handleF.S, E)[0]}
 
 
 def _context_for(pair_E: TowerField, N: int, tw: TwistPair):
@@ -485,24 +467,26 @@ class VerificationReport:
 
 def verify_coset_products(pair: TwinPair, tw: TwistPair,
                           deep: bool = False) -> VerificationReport:
-    """The coset-product equality for one twisting pair, both routes."""
+    """The coset-product equality for one twisting pair, both routes.
+
+    Route A is a determinant over E, N_{K/E}(beta + alpha).  When alpha
+    dominates, M_{beta+alpha} = beta I + M_alpha (beta lies in E), so one
+    matrix gives it as (-1)^d chi(-beta) and the dominant N_{K/E}(alpha) as
+    (-1)^d chi(0).  When beta dominates, chi(-beta) would certify more digits
+    than the determinant (prec 75, not 47, on ram(2,u=g^0), m = 1) and change
+    norm_image, so the matrix norm of beta + alpha stays.  Route B stays
+    independent: it reads e_i(alpha), e_i(alpha^-1) and N_{L/F}(alpha) from
+    one charpoly of alpha over F, and checks N_{L/F}(alpha) against chi(0)."""
     t0 = time.time()
     E = pair.E
     N = pair.cfg.N
     ctx = _context_for(E, N, tw)
     K = ctx["K"]
-    handleE = ctx["handleE"]
-    iE, iL = ctx["iE"], ctx["iL"]
     phi1, phi2 = pair.phi1, pair.phi2
-    beta = pair.beta
     label, vb, va = classify_case(N, tw.L.e, tw.L.f, tw.m)
 
-    beta_K = pair.beta_in(K, iE)
-    alpha_K = iL.apply(tw.alpha) if tw.alpha is not None else None
-    x = beta_K + alpha_K if alpha_K is not None else beta_K
-
-    # Route A: multiplication-matrix norm of the full representative
-    yE = handleE.norm(x)
+    # Route A: the norm of the full representative
+    yE, nrm_alpha = _route_a_norms(pair, tw, ctx, label)
     a1, a2 = char_exponents((phi1, phi2), yE)
     route_a = {"equal": same_root(a1, a2),
                "value_1": _cyc(a1), "value_2": _cyc(a2)}
@@ -510,19 +494,18 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
     # Route B: dominant term times the symmetric-function argument
     degKE = K.degree // E.degree
     norm_match = True
-    if label == "beta" or alpha_K is None:
+    # e_0, ..., e_r of alpha's conjugates over F, from one charpoly
+    es = [] if tw.alpha is None else [
+        c if i % 2 == 0 else -c
+        for i, c in enumerate(ctx["handleF"].charpoly(tw.alpha))]
+    if nrm_alpha is None:
         dom1, dom2 = ((z * degKE, m) for z, m in pair.beta_values)
-        arg = _symmetric_argument(E, tw, pair.beta_inv, invert_beta=True)
+        arg = _symmetric_argument(E, ctx, es, pair.beta_inv)
     else:
-        nrmL = handleE.norm(alpha_K)
-        dom1, dom2 = char_exponents((phi1, phi2), nrmL)
-        arg = _symmetric_argument(E, tw, beta, invert_beta=False)
+        dom1, dom2 = char_exponents((phi1, phi2), nrm_alpha)
+        arg = _symmetric_argument(E, ctx, _inverse_symmetric(es), pair.beta)
         # the coset product of the dominant part must be N_{L/F}(alpha)
-        handleF = _prime_handle(tw.L)
-        vec = handleF.charpoly(tw.alpha)
-        nlf = vec[-1] if len(vec) % 2 else -vec[-1]
-        embF = find_embeddings(handleF.S, E)[0]
-        norm_match = (nrmL - embF.apply(nlf)).is_zero()
+        norm_match = (nrm_alpha - ctx["embF"].apply(es[-1])).is_zero()
     member = arg.eq_mod(E.one(), 2) if not (arg - E.one()).is_zero() else True
     v1, v2 = char_exponents((phi1, phi2), arg)
     b1 = _add_exponents(*dom1, *v1)
@@ -539,7 +522,7 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
                and route_b["agrees_with_route_a"])
     extra = {}
     if deep:
-        extra = _deep_checks(pair, tw, ctx, x, label)
+        extra = _deep_checks(pair, tw, ctx, label)
         verdict = verdict and extra.get("pass", False)
     return VerificationReport(
         config=pair.cfg.echo(), pair_id=tw.label(), case=label,
@@ -549,6 +532,19 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
         timing=time.time() - t0, extra=extra)
 
 
+def _route_a_norms(pair: TwinPair, tw: TwistPair, ctx, label):
+    """(N_{K/E}(beta + alpha), N_{K/E}(alpha) or None when beta dominates)."""
+    handleE = ctx["handleE"]
+    beta_K = pair.beta_in(ctx["K"], ctx["iE"])
+    if tw.alpha is None:
+        return handleE.norm(beta_K), None
+    alpha_K = ctx["iL"].apply(tw.alpha)
+    if label == "alpha":
+        return handleE.norms_of_shift(alpha_K, pair.beta)
+    y = handleE.norm(beta_K + alpha_K)
+    return y, (None if label == "beta" else handleE.norm(alpha_K))
+
+
 def _cyc(zm):
     """zeta_m^z for zm = (z, m), rendered as its CycNumber."""
     z, m = zm
@@ -556,30 +552,28 @@ def _cyc(zm):
             "coeffs": [[k, c] for k, c in CycNumber.root(m, z).to_pairs()]}
 
 
-def _symmetric_argument(E: TowerField, tw: TwistPair, b, invert_beta: bool):
-    """1 + sum_i beta^{-i} e_i(conjugates of alpha) (or beta^{+i} with
-    alpha^{-1} for the mirrored case), assembled from the characteristic
-    polynomial over the prime field.  b is beta^{-1} when invert_beta,
-    else beta."""
-    if tw.alpha is None:
-        return E.one()
-    handleF = _prime_handle(tw.L)
-    target = tw.alpha if invert_beta else tw.alpha.inv()
-    vec = handleF.charpoly(target)
-    r = len(vec) - 1
-    embF = find_embeddings(handleF.S, E)[0]
+def _inverse_symmetric(es):
+    """e_i(alpha^-1) = e_{d-i}(alpha) / e_d(alpha): the reversed list over
+    one division in F."""
+    dinv = es[-1].inv()
+    return [c * dinv for c in reversed(es)]
+
+
+def _symmetric_argument(E: TowerField, ctx, es, b):
+    """1 + sum_i b^i e_i embedded in E: b = beta^-1 with e_i(alpha), or
+    b = beta with e_i(alpha^-1) in the mirrored case."""
+    embF = ctx["embF"]
     acc = E.one()
     power = E.one()
-    for i in range(1, r + 1):
+    for ei in es[1:]:
         power = power * b
-        ei = vec[i] if i % 2 == 0 else -vec[i]
         if ei.is_zero():
             continue
         acc = acc + power * embF.apply(ei)
     return acc
 
 
-def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, x, label) -> dict:
+def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, label) -> dict:
     """Per-instance invariants: conductor formula, c-data agreement, the
     middle-layer agreement criterion, exact Gauss-sum equality, and the
     epsilon-ratio route."""
@@ -597,6 +591,9 @@ def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, x, label) -> dict:
     f1, f2 = th1.conductor(), th2.conductor()
     out["conductor_formula"] = (f1 == f2 == f_pred)
     rK = (f_pred + 1) // 2
+    x = pair.beta_in(K, ctx["iE"])
+    if tw.alpha is not None:
+        x = x + ctx["iL"].apply(tw.alpha)
     cx = truncate_to(x, 1 - rK)
     out["c_data_agreement"] = bool(
         (th1.c_rep() - cx).is_zero() and (th2.c_rep() - cx).is_zero())
@@ -630,7 +627,7 @@ def base_characters(F: TowerField, bound: int):
     for wexp in range(p - 1):
         w = (wexp, p - 1)
         for t in range(p - 1):
-            for combo in _digit_tuples(p, max(bound - 1, 0)):
+            for combo in product(range(p), repeat=max(bound - 1, 0)):
                 digits = [(-(i + 1), d) for i, d in enumerate(combo)]
                 gamma = F.from_digits(digits) if any(combo) else None
                 out.append(MulChar(F, w, t, gamma))
@@ -697,16 +694,13 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int,
         if max_instances and scanned >= max_instances:
             break
         ctx = _context_for(E, cfg.N, tw)
-        handleE = ctx["handleE"]
         label, vb, va = classify_case(cfg.N, tw.L.e, tw.L.f, tw.m)
         e = ctx["K"].e // cfg.N
         f_pred = max(e * (2 * cfg.N - 2),
                      (tw.m * (ctx["K"].e // tw.L.e)) if tw.m else 0) + 1
         n = (f_pred - 1) // 2
         cert = -(-n // e) >= 2  # norms of the middle layer land in 1 + P_E^2
-        beta_K = pair.beta_in(ctx["K"], ctx["iE"])
-        x = beta_K + ctx["iL"].apply(tw.alpha) if tw.alpha is not None else beta_K
-        yE = handleE.norm(x)
+        yE = _route_a_norms(pair, tw, ctx, label)[0]
         ratio = char_exponents((eta,), yE)[0]
         scanned += 1
         if ratio[0] % ratio[1]:

@@ -37,19 +37,15 @@ INF = math.inf
 
 
 def w_nth_root_oneunit(field: TowerField, w, n: int):
-    """The unique one-unit z with z^n = w, for w in 1 + pW and p not | n."""
+    """The unique one-unit z with z^n = w, for w in 1 + pW and p not | n:
+    1 + pW has exponent dividing p^(a-1), so z = w^(1/n mod p^(a-1))."""
     if field.res_of(w) != field.res_of(field.wone()):
         raise ConfigError("nth root needs a one-unit")
     if n % field.p == 0:
         raise ConfigError("root degree divisible by p")
-    z = field.wone()
-    for _ in range(field.a + 2):
-        zn1 = field.wpow(z, n - 1)
-        fz = field.wsub(field.wmul(zn1, z), w)
-        dz = field.wscal(zn1, n)
-        z = field.wsub(z, field.wmul(fz, field.winv(dz)))
+    z = field.wpow(w, pow(n, -1, field.p ** (field.a - 1)))
     if field.wpow(z, n) != w:
-        raise InternalContradiction("n-th root lift did not converge")
+        raise InternalContradiction("one-unit n-th root check failed")
     return z
 
 
@@ -84,9 +80,6 @@ class EmbeddingMap:
         self._pi_inv = None
         self._gen_norms = None
 
-    def ratio(self) -> int:
-        return self.dst.e // self.src.e
-
     def _basis_table(self):
         if self._table is None:
             S, T = self.src, self.dst
@@ -105,7 +98,7 @@ class EmbeddingMap:
         if x.field is not self.src:
             raise ConfigError("element not in the embedding source")
         T = self.dst
-        rho = self.ratio()
+        rho = T.e // self.src.e
         if x.is_zero():
             return T.zero_bounded(x.prec * rho if x.prec is not INF else INF)
         tab = self._basis_table()
@@ -122,9 +115,6 @@ class EmbeddingMap:
                     self._pi_inv = self.pi_img.inv()
                 acc = acc * self._pi_inv ** (-x.v)
         return acc.cap_window(rho * x.window())
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def generator_norms(self):
         """(N(pi_dst), N(tau(xi_dst))) down to src, computed once: they fix a
@@ -367,26 +357,41 @@ class Subfield:
         m = (-x.v + self.T.e - 1) // self.T.e
         return x.div_p(-m), m
 
-    def charpoly(self, x: TowerElement):
-        """Coefficients [1, c_{n-1}, ..., c_0] of det(lambda - x) over S."""
+    def _scaled_charpoly(self, x: TowerElement):
+        """(charpoly of x p^m over S, m), x p^m integral."""
         xi, m = self._scaled(x)
         mat = self.mult_matrix(xi)
-        vec = charpoly_berkowitz(mat, self.S.zero(), self.S.one())
-        if m:
-            vec = [coef.div_p(m * i) for i, coef in enumerate(vec)]
-        return vec
+        return charpoly_berkowitz(mat, self.S.zero(), self.S.one()), m
+
+    def charpoly(self, x: TowerElement):
+        """Coefficients [1, c_{n-1}, ..., c_0] of det(lambda - x) over S."""
+        vec, m = self._scaled_charpoly(x)
+        return [coef.div_p(m * i) for i, coef in enumerate(vec)]
 
     def norm(self, x: TowerElement) -> TowerElement:
         if x.is_zero():
             if x.prec is INF:
                 return self.S.zero()
             return self.S.zero_bounded(int(x.prec) * (self.T.f // self.S.f))
-        xi, m = self._scaled(x)
-        mat = self.mult_matrix(xi)
-        vec = charpoly_berkowitz(mat, self.S.zero(), self.S.one())
-        n = len(mat)
+        vec, m = self._scaled_charpoly(x)
+        n = len(vec) - 1
         det = vec[n] if n % 2 == 0 else -vec[n]
         return det.div_p(m * n)
+
+    def norms_of_shift(self, x: TowerElement, b: TowerElement):
+        """(N(b + x), N(x)) for b in S from one matrix: M_{b+x} = b I + M_x
+        gives (-1)^n chi(-b) (Horner in S) and (-1)^n chi(0), chi the charpoly
+        of x.  Both keep x's scaling by p^m, norm(b + x)'s when v(b) > v(x)."""
+        chi, m = self._scaled_charpoly(x)
+        n = len(chi) - 1
+        t = -b.div_p(-m)
+        val = chi[0]
+        for c in chi[1:]:
+            val = val * t + c
+        det = chi[n]
+        if n % 2:
+            val, det = -val, -det
+        return val.div_p(m * n), det.div_p(m * n)
 
     def trace(self, x: TowerElement) -> TowerElement:
         if x.is_zero():
@@ -411,14 +416,13 @@ def prime_subfield(T: TowerField, k_sub=None) -> Subfield:
     return Subfield(F, T, emb)
 
 
-def enumerate_subfields(T: TowerField, k_sub: int | None = None):
+def enumerate_subfields(T: TowerField):
     """All intermediate fields F <= S <= T, each with a canonical embedding.
 
     A subfield is a divisor pair (f', e') of (f, e) together with the coset
     of the Teichmuller twist t on the uniformizer modulo mu_{q'-1}, subject
     to t^{e'} U_T having residue in the degree-f' residue subfield.
     """
-    k_sub = k_sub if k_sub is not None else T.k
     out = []
     p = T.p
     for fp in [d for d in range(1, T.f + 1) if T.f % d == 0]:
@@ -429,7 +433,7 @@ def enumerate_subfields(T: TowerField, k_sub: int | None = None):
                 continue
             if ep == 1:
                 steps = (Unramified(fp),) if fp > 1 else ()
-                S = make_tower(p, steps, k_sub)
+                S = make_tower(p, steps, T.k)
                 embs = find_embeddings(S, T)
                 if not embs:
                     raise ConfigError("missing unramified subfield")
@@ -455,7 +459,7 @@ def enumerate_subfields(T: TowerField, k_sub: int | None = None):
                     d0 = T.dlog_res(rho0)
                     m = (dglob // step) * pow(d0 // step, -1, qs - 1) % (qs - 1)
                     steps = (Unramified(fp), TameRamified(ep, ("gen", m)))
-                S = make_tower(p, steps, k_sub)
+                S = make_tower(p, steps, T.k)
                 chosen = None
                 for emb in find_embeddings(S, T):
                     g_res = emb.pi_img.residue()

@@ -3,6 +3,7 @@ its wall time against the stated budget.  Every equality here is exact ring
 arithmetic; the only numerical assertion is the embedded Gauss-sum modulus.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -23,6 +24,7 @@ from localchar.characters import (
 )
 from localchar.epsilon import epsilon_oracle_consistency, epsilon_ratio, gauss_sum
 from localchar.oracle import oracle_sum
+from localchar.reporting import canonical_json
 from localchar.converse import (
     TwinConfig,
     TwinPair,
@@ -105,9 +107,11 @@ def test_criterion_04_coset_products_rank_two(pair7):
     count = 0
     cases = set()
     shapes = set()
+    digest = hashlib.sha256()
     for tw in iter_twist_pairs(11, 2, 4, 16):
         rep = verify_coset_products(pair7, tw)
         assert rep.verdict, (tw.label(), rep.serialize())
+        digest.update(canonical_json(rep.serialize()).encode())
         assert rep.route_a["equal"]
         assert rep.route_b["agrees_with_route_a"]
         assert rep.route_b["membership_level_two"]
@@ -117,6 +121,9 @@ def test_criterion_04_coset_products_rank_two(pair7):
     assert count == 7490
     assert shapes == {"ram(2,u=g^0)", "ram(2,u=g^1)", "unram(2)"}
     assert cases == {"beta", "alpha"}
+    # every report byte for byte as the two-matrix route gave it
+    assert digest.hexdigest() == (
+        "f1f719afdd4d628e11e814f705adffa24eca31483117336715c66b54d6ecb1b9")
     _report(4, f"coset products N=7 r=2, {count} pairs", t0, 600)
 
 

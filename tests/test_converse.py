@@ -1,5 +1,7 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -8,11 +10,14 @@ from localchar.errors import ConfigError, RangeViolation
 from localchar.localfield import TameRamified, Unramified, make_tower
 from localchar.characters import (MulChar, _prime_handle, is_admissible,
                                   make_psi, pullback, random_char)
+from localchar import converse, embeddings
 from localchar.ambient import compositum_abstract, double_cosets
 from localchar.converse import (
     TwinConfig,
     TwinPair,
+    _context_for,
     _gamma_key,
+    _inverse_symmetric,
     a_exponent,
     base_characters,
     build_twin_characters,
@@ -29,7 +34,8 @@ from localchar.converse import (
     verify_rank_one_twists,
     verify_twin_pair,
 )
-from localchar.embeddings import automorphisms
+from localchar.embeddings import Subfield, automorphisms, identity_embedding
+from localchar.localfield import TowerElement
 from localchar.epsilon import epsilon_factors
 from localchar.reporting import canonical_json
 
@@ -280,3 +286,82 @@ def test_rank_one_epsilon_reports_match_recorded_digest(pair5):
     digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
     assert digest == (
         "16e1bedf9d3370826ff7f78422c24d11389942b03706d8707854e72be8accf07")
+
+
+def _alpha_case_pairs(pair, tws):
+    N = pair.cfg.N
+    return [tw for tw in tws if tw.alpha is not None
+            and classify_case(N, tw.L.e, tw.L.f, tw.m)[0] == "alpha"]
+
+
+def test_one_matrix_norms_match_the_matrix_route(pair5, pair7):
+    # every alpha-case pair of the conductor-3 catalog, five m = 3 pairs,
+    # and the rank-1 pairs of N = 5, where d = [K : E] = 1 is odd
+    r2 = _alpha_case_pairs(pair7, iter_twist_pairs(11, 2, 3, 16))
+    m3 = _alpha_case_pairs(pair7, (tw for tw in islice(
+        iter_twist_pairs(11, 2, 4, 16), 600) if tw.m == 3))[:5]
+    r1 = _alpha_case_pairs(pair5, iter_twist_pairs(7, 1, 3, 12))
+    assert len(r2) > 50 and len(m3) == 5 and r1
+    for pair, tws in ((pair7, r2 + m3), (pair5, r1)):
+        for tw in tws:
+            ctx = _context_for(pair.E, pair.cfg.N, tw)
+            handleE = ctx["handleE"]
+            beta_K = pair.beta_in(ctx["K"], ctx["iE"])
+            alpha_K = ctx["iL"].apply(tw.alpha)
+            y, dom = handleE.norms_of_shift(alpha_K, pair.beta)
+            assert y.serialize() == handleE.norm(beta_K + alpha_K).serialize()
+            assert dom.serialize() == handleE.norm(alpha_K).serialize()
+            # the reversal certifies a few digits fewer than the charpoly
+            # of alpha^-1, so the F side is compared by value
+            def sym(x):
+                vec = ctx["handleF"].charpoly(x)
+                return [c if i % 2 == 0 else -c for i, c in enumerate(vec)]
+
+            got, inv_es = _inverse_symmetric(sym(tw.alpha)), sym(tw.alpha.inv())
+            assert len(got) == len(inv_es) == tw.L.degree + 1
+            assert all(a == b for a, b in zip(got, inv_es))
+
+
+def test_coset_verification_work_counts(pair7, monkeypatch):
+    pairs = list(iter_twist_pairs(11, 2, 3, 16))
+    alpha_tw = _alpha_case_pairs(pair7, pairs)[0]
+    beta_tw = next(tw for tw in pairs if tw.alpha is not None
+                   and classify_case(7, tw.L.e, tw.L.f, tw.m)[0] == "beta")
+    for tw in (alpha_tw, beta_tw):
+        verify_coset_products(pair7, tw)  # warm every cache and context
+    counts = Counter()
+
+    def count(name, fn, when=lambda *a: True):
+        def wrapped(*args, **kwargs):
+            if when(*args):
+                counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Subfield, "mult_matrix",
+                        count("mult_matrix", Subfield.mult_matrix))
+    monkeypatch.setattr(Subfield, "norm", count("norm", Subfield.norm))
+    for mod in (converse, embeddings):
+        monkeypatch.setattr(mod, "find_embeddings",
+                            count("find_embeddings", mod.find_embeddings))
+    monkeypatch.setattr(TowerElement, "inv", count(
+        "inv_in_L", TowerElement.inv, lambda x: x.field is alpha_tw.L))
+    rep = verify_coset_products(pair7, alpha_tw)
+    assert rep.case == "alpha" and rep.verdict
+    assert counts == Counter(mult_matrix=2)
+    counts.clear()
+    rep = verify_coset_products(pair7, beta_tw)
+    assert rep.case == "beta" and rep.verdict
+    assert counts["mult_matrix"] == 2
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_same_as_finds_the_identity_automorphism(r):
+    for L, shape in tame_extensions(11, r, 10):
+        if L is None:
+            continue
+        ident = identity_embedding(L)
+        hits = [s for s in automorphisms(L) if s.same_as(ident)]
+        assert len(hits) == 1, shape
+        x = L.from_digits([(-2, 3), (-1, L.q - 2), (0, 5), (1, 7)])
+        assert hits[0].apply(x).serialize() == x.serialize()

@@ -11,6 +11,7 @@ from localchar.embeddings import (
     norm_via_conjugates,
     prime_subfield,
     verify_embedding,
+    w_nth_root_oneunit,
 )
 from localchar.localfield import TameRamified, Unramified, make_tower
 
@@ -170,3 +171,14 @@ def test_decompose_membership(E):
     assert not ok
     ok, pre = sub.in_image(E.from_int(7).inv())
     assert ok and (pre - sub.S.from_int(7).inv()).is_zero()
+
+
+def test_one_unit_root_is_the_one_unit_with_that_power(T6):
+    rng = random.Random(3)
+    one = T6.res_of(T6.wone())
+    for n in (2, 3, 5):
+        for _ in range(4):
+            dw = tuple(rng.randrange(T6.pa) for _ in range(T6.f))
+            w = T6.wadd(T6.wone(), T6.wscal(dw, T6.p))
+            z = w_nth_root_oneunit(T6, w, n)
+            assert T6.res_of(z) == one and T6.wpow(z, n) == w
