@@ -76,7 +76,8 @@ class Ambient:
         self.L = L
         self.iota_E = embeddings(E, M)[0]
         self.iota_L = embeddings(L, M)[0]
-        self.zeta = M.wpow(M.xi(), (M.q - 1) // M.e)  # order e_M
+        zeta = M.wpow(M.xi(), (M.q - 1) // M.e)  # order e_M
+        self.zeta_pows = [M.wpow(zeta, i) for i in range(M.e)]
         self.elements = [(a, b) for a in range(M.e) for b in range(M.f)]
 
     def compose(self, g1, g2):
@@ -99,7 +100,7 @@ class Ambient:
             w2 = M.frob_w(w, b)
             tw = (a * (x.v + i)) % M.e
             if tw:
-                w2 = M.wmul(w2, M.wpow(self.zeta, tw))
+                w2 = M.wmul(w2, self.zeta_pows[tw])
             core.append(w2)
         return TowerElement(M, x.v, tuple(core), x.prec, x.store)
 

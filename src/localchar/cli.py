@@ -3,8 +3,9 @@
 Commands: epsilon | factorize | construct | verify | search | selftest.
 Configuration comes from a flat key=value file plus command-line overrides;
 every report echoes the configuration it ran under.  Exit codes: 0 pass,
-1 verification failure, 2 configuration error, 3 capacity/precision error,
-4 internal error (an unexpected exception, reported in one stderr line).
+1 verification failure, 2 configuration error or unsupported shape,
+3 capacity/precision error, 4 internal error (an unexpected exception,
+reported in one stderr line).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import random
 import sys
 import time
 
-from .errors import CapacityError, ConfigError, LocalCharError, PrecisionLoss
+from .errors import (CapacityError, ConfigError, LocalCharError, PrecisionLoss,
+                     UnsupportedShape)
 from .localfield import TameRamified, make_tower
 from .characters import MulChar, howe_factorize, is_admissible, make_psi, random_char
 from .epsilon import epsilon_factor, epsilon_oracle_consistency
@@ -361,7 +363,7 @@ def main(argv=None) -> int:
         if args.out:
             print(f"report written to {args.out}")
         return 0 if verdict else 1
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedShape) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, PrecisionLoss) as exc:

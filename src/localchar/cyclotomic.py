@@ -17,6 +17,7 @@ import math
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .errors import CapacityError, NotInvertible
 
@@ -136,6 +137,28 @@ class CycNumber:
                 else:
                     terms.pop(key, None)
         return cls(modulus, terms)
+
+    @classmethod
+    def from_counts(cls, modulus: int, counts) -> "CycNumber":
+        """Sum of counts[k] * zeta_M^k over an integer array of length M.
+
+        from_root_sum for dense histograms, vectorized over each prime-power
+        axis: the CRT split puts zeta_M^k at the tensor index
+        (k v mod l^a)_l, then each axis folds its top l^(a-1) slots by
+        zeta^(phi+t) = -sum_s zeta^(t + s l^(a-1)), as _reduce_exp does."""
+        fact = _factorize(modulus)
+        k = np.arange(modulus)
+        flat = np.zeros(modulus, dtype=np.int64)
+        for la, _phi, v in _crt_units(modulus):
+            flat = flat * la + k * v % la
+        arr = np.zeros(modulus, dtype=np.int64)
+        arr[flat] = counts
+        arr = arr.reshape([la for _l, _a, la, _phi in fact])
+        for ax, (l, _a, _la, phi) in enumerate(fact):
+            low, top = np.split(arr, [phi], axis=ax)
+            arr = low - np.concatenate([top] * (l - 1), axis=ax)
+        keys = map(tuple, np.argwhere(arr).tolist())
+        return cls(modulus, dict(zip(keys, arr[arr != 0].tolist())))
 
     # -- modulus handling --------------------------------------------------
 

@@ -5,16 +5,21 @@ theta^{-1}(u delta) psi(u delta), the complete sum with q^{c-1}(q-1) terms,
 computed exactly.
 
 On prime-residue fields with convergent exp/log the sum is evaluated by a
-vectorized kernel: units are tau-part times prod_i (1 + a_i pi^i), in mixed
-radix with low levels fastest.  One table of low-level unit coordinates is
-shared by all blocks; a block fixes the high digits, whose factor folds into
-the psi-side trace weights.  The theta side is an outer sum of per-level
-digit tables (log is additive over the digit factors; the logs come from the
-field's memoized principal_logs) plus one offset per block.  All arithmetic
-is integer arithmetic modulo powers of p; per-block histograms combine
-associatively, so blocks split across processes.  Only the psi-side
-exponents are cached, in the field's own caches under (conductor, delta),
-so a grid lives exactly as long as its field.
+vectorized kernel.  A unit is t_j prod_i (1 + a_i pi^i), t_j = xi^j a
+Teichmuller lift, in mixed radix with low levels fastest; a block fixes the
+high digits.  The lifts lie in Z_p and psi is Z_p-linear, so the psi
+exponent of t_j u delta is t_j times that of u delta: per block one row of
+psi exponents (j = 0) and the multipliers t_j suffice.  The theta side is
+an outer sum of per-level digit tables (log is additive over the digit
+factors; the logs come from the field's memoized principal_logs) plus one
+offset per block.  When the (psi, theta) key space is no larger than a
+block, each block gives one joint histogram, and each row j is its table
+rows shifted by t_j a; otherwise each row is one bincount of the keys.  The
+rows form one (q-1) x p^s count array, reduced by one
+CycNumber.from_counts.  All arithmetic is integer arithmetic modulo powers
+of p.  Only the psi side is cached, in the field's own caches under
+(conductor, delta), so a grid lives exactly as long as its field; its
+blocks may be built across processes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .cyclotomic import CycNumber, ScaledCyc
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, InternalContradiction
 from .characters import AddChar, MulChar, _add_exponents, char_exponents
 from .localfield import TowerField
 
@@ -102,21 +107,17 @@ def _slow_sum(chi, psi, delta, c):
 # --------------------------------------------------------------- fast path
 
 
-def _p_exponent(mod: int, p: int) -> int:
-    m = 0
-    while mod > 1:
-        mod //= p
-        m += 1
-    return m
-
-
 class _Grid:
-    """Cached unit enumeration for one (field, conductor, delta) triple.
+    """Cached psi side of the unit enumeration for one (field, conductor,
+    delta) triple.
 
     Index sum d_lev p^(lev-1) is prod (1 + d_lev pi^lev); levels 1..k
     (p^k <= _CHUNK) form the low table, block idx // p^k fixes the rest.
-    Per block it keeps the int32 psi-side rows, one per Teichmuller coset
-    modulo p^sw, and no digit matrix."""
+    The Teichmuller lifts t_j = xi^j lie in Z_p and psi is Z_p-linear, so
+    the psi exponent of t_j u delta is t_j times that of u delta, mod psw.
+    Per block the grid keeps one int32 row of psi exponents (j = 0), so
+    4 q^(c-1) bytes in all; `mult` holds the t_j mod psw, checked against
+    psi(t_j delta pi^i) for every j and i."""
 
     def __init__(self, F: TowerField, psi, c: int, delta, jobs: int):
         p, e, q = F.p, F.e, F.q
@@ -124,28 +125,28 @@ class _Grid:
         amod = max(1, -(-(1 - vd) // e), -(-c // e))
         mod = p**amod
         wrap = (p * (F.U[0] % mod)) % mod
-        raw_w = {}
-        sw = 1
-        for j in range(q - 1):
-            base = F.teichmuller(F.res_of(F.wpow(F.xi(), j))) * delta
-            for i in range(e):
-                z, m2 = psi.exponent(base.shift(i))
-                raw_w[(j, i)] = (z, m2)
-                sw = max(sw, _p_exponent(m2, p))
-        psw = p**sw
+        tame = [F.teichmuller(F.res_of(F.wpow(F.xi(), j)))
+                for j in range(q - 1)]
+        raw_w = {(j, i): psi.exponent((t * delta).shift(i))
+                 for j, t in enumerate(tame) for i in range(e)}
+        psw = max([p] + [m2 for _z, m2 in raw_w.values()])
         wexp = np.zeros((q - 1, e), dtype=np.int64)
         for (j, i), (z, m2) in raw_w.items():
-            wexp[j, i] = z * p ** (sw - _p_exponent(m2, p)) % psw
+            wexp[j, i] = z * (psw // m2) % psw
+        self.mult = np.array([t.core[0][0] % psw for t in tame])
+        if (wexp != self.mult[:, None] * wexp[0] % psw).any():
+            raise InternalContradiction(
+                "psi(t_j delta pi^i) is not t_j psi(delta pi^i) mod psw")
         k = 0
         while k < c - 1 and p ** (k + 1) <= _CHUNK:
             k += 1
-        self.k, self.sw = k, sw
+        self.k, self.psw = k, psw
         ring = (p, e, wrap, mod)
         low = _unit_table(1, k + 1, ring)
         high = _unit_table(k + 1, c, ring)
         # psi-exponent(u h) = sum_i u_i psi-exponent(pi^i h), h a high factor
-        weights = np.stack([_pi_pow_mult(high, i, ring) @ wexp.T % psw
-                            for i in range(e)], axis=2)
+        weights = np.stack([_pi_pow_mult(high, i, ring) @ wexp[0] % psw
+                            for i in range(e)], axis=1)
         args = ([low] * len(high), weights, [psw] * len(high))
         if jobs > 1 and len(high) > 1:
             with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -155,10 +156,7 @@ class _Grid:
 
 
 def _grid_block(low, weights, psw):
-    pexp = np.empty((len(weights), len(low)), dtype=np.int32)
-    for j, w in enumerate(weights):
-        pexp[j] = (low @ w) % psw
-    return pexp
+    return ((low @ weights) % psw).astype(np.int32)
 
 
 def _unit_table(lo, hi, ring):
@@ -199,37 +197,39 @@ def _fast_sum(chi, psi, delta, c, jobs):
         grid = grids[key] = _Grid(F, psi, c, delta, jobs)
 
     # theta side: psi(-gamma log(1 + a pi^i)) digit tables, exact
-    st = 1
     raw_t1 = {}
     if chi.gamma is not None:
         for i in range(1, c):
             for a, lg in enumerate(F.principal_logs(i, c, teich=False), 1):
-                z, m2 = psi.exponent(-chi.gamma * lg)
-                raw_t1[(i, a)] = (z, m2)
-                st = max(st, _p_exponent(m2, p))
-    s = max(st, grid.sw)
-    ps = p**s
-    scale_w = p ** (s - grid.sw)
+                raw_t1[(i, a)] = psi.exponent(-chi.gamma * lg)
+    psw, mult = grid.psw, grid.mult
+    ps = max([psw] + [m2 for _z, m2 in raw_t1.values()])
+    scale_w = ps // psw
     t1 = np.zeros((max(c, 2), p), dtype=np.int64)
     for (i, a), (z, m2) in raw_t1.items():
-        t1[i, a] = z * p ** (s - _p_exponent(m2, p)) % ps
+        t1[i, a] = z * (ps // m2) % ps
 
     tlow = _digit_sums(t1, 1, grid.k + 1)
-    # psi part < ps - scale_w and theta part < ps: 2 ps bins, then one fold
-    hists = np.zeros((q - 1, 2 * ps), dtype=np.int64)
+    # theta^-1(t_j) = zeta_{q-1}^r: row r counts zeta_ps exponents
+    rows = [(-chi.t * j) % (q - 1) for j in range(q - 1)]
+    hists = np.zeros((q - 1, ps), dtype=np.int64)
+    dense, joint = psw * ps <= len(tlow), 0
     for off, pexp in zip(_digit_sums(t1, grid.k + 1, c), grid.blocks):
         texp = (tlow + off) % ps
-        for j in range(q - 1):
-            hists[j] += np.bincount(pexp[j] * scale_w + texp,
-                                    minlength=2 * ps)
-    hists = hists[:, :ps] + hists[:, ps:]
-
-    tame_t = chi.t % (q - 1)
-    total = CycNumber.zero()
-    for j in range(q - 1):
-        row = hists[j]
-        nz = np.nonzero(row)[0]
-        cyc = CycNumber.from_root_sum(ps, [(int(b), int(row[b])) for b in nz])
-        total = total + CycNumber.root(q - 1, (-tame_t * j) % (q - 1)) * cyc
+        if dense:  # one joint (psi, theta) histogram per block
+            joint = joint + np.bincount(pexp * ps + texp, minlength=psw * ps)
+            continue
+        for r, t in zip(rows, mult):
+            hists[r] += np.bincount((t * pexp % psw * scale_w + texp) % ps,
+                                    minlength=ps)
+    if dense:  # row j moves psi exponent a to t_j a: table row a shifts
+        joint, a = joint.reshape(psw, ps), np.arange(psw)[:, None]
+        for r, t in zip(rows, mult):
+            cols = (np.arange(ps) - t * a % psw * scale_w) % ps
+            hists[r] += np.take_along_axis(joint, cols, 1).sum(0)
+    m_all = (q - 1) * ps  # zeta_{q-1}^r zeta_ps^b = zeta_M^(r ps + b (q-1))
+    r, b = np.ogrid[:q - 1, :ps]
+    counts = np.zeros(m_all, dtype=np.int64)
+    counts[(r * ps + b * (q - 1)) % m_all] = hists
     z, m = char_exponents((chi,), delta)[0]
-    return CycNumber.root(m, -z) * total
+    return CycNumber.root(m, -z) * CycNumber.from_counts(m_all, counts)

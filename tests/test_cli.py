@@ -92,6 +92,13 @@ def test_search_bound_zero_returns_none(tmp_path):
     assert rep["results"][0]["search"]["found"] is None
 
 
+def test_unsupported_shape_is_a_configuration_error(capsys):
+    # ell = 5 at p = 11, N = 6 gives two double cosets: no compositum
+    assert run(["search", "--p", "11", "--N", "6", "--ell", "5",
+                "--precision", "24", "--conductor-bound", "6"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_config_file_values_beat_parser_defaults(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("p = 7\nchar_t = 2\nchar_gamma = -2:3,-1:1\n"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,3 +165,26 @@ def test_pairs_serialization_roundtrip():
         m = rng.choice([6, 12, 20, 49])
         a = CycNumber.from_root_sum(m, [(rng.randrange(m), rng.randint(-9, 9)) for _ in range(6)])
         assert CycNumber.from_root_sum(m, a.to_pairs()) == a
+
+
+@st.composite
+def dense_counts(draw):
+    """A modulus with zero to three prime factors and a count per exponent:
+    mostly zeros, some negative, at exponents whose CRT components fall
+    both below phi(l^a) and in the folded slots above it."""
+    m = draw(st.sampled_from([1, 8, 9, 343, 294, 60, 6 * 7**3]))
+    nonzero = draw(st.dictionaries(st.integers(0, m - 1), st.integers(-9, 9),
+                                   min_size=1, max_size=40))
+    counts = np.zeros(m, dtype=np.int64)
+    for k, c in nonzero.items():
+        counts[k] = c
+    return m, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_counts())
+def test_from_counts_matches_from_root_sum(mc):
+    m, counts = mc
+    dense = CycNumber.from_counts(m, counts)
+    assert dense.modulus == m
+    assert dense.terms == CycNumber.from_root_sum(m, enumerate(counts.tolist())).terms

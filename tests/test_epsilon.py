@@ -169,7 +169,9 @@ def test_oracle_grids_belong_to_their_field():
     T, fresh = TowerField(7, (), 12), TowerField(7, (), 12)
     chi = random_char(T, 3, rng)
     oracle_sum(chi, make_psi(T), T.uniformizer() ** (-2))
-    assert len(T._caches["oracle_grids"]) == 1
+    (grid,) = T._caches["oracle_grids"].values()
+    # one int32 psi row per unit of (O/P^3)^x / mu_{q-1}: 4 q^(c-1) bytes
+    assert sum(row.nbytes for row in grid.blocks) == 4 * T.q ** 2
     assert "oracle_grids" not in fresh._caches
     clear_oracle_cache(T)
     assert "oracle_grids" not in T._caches
@@ -225,13 +227,17 @@ def test_epsilon_transport_invariance():
     assert e1.value == e2.value
 
 
-@pytest.mark.parametrize("name, c, chunk", [
-    pytest.param("F", 2, None, id="F-c2"),
-    # _CHUNK = p^2 on E: 7 blocks of 49 units, level 3 is a high digit
-    pytest.param("E", 4, 49, id="E-c4-blocks"),
+@pytest.mark.parametrize("name, c, chunk, dense", [
+    pytest.param("F", 2, None, False, id="F-c2"),
+    # psw ps >= 7^3 7^3 > 49 units: one bincount per Teichmuller row
+    pytest.param("F", 3, None, False, id="F-c3-sparse"),
+    # _CHUNK = p^2 on E: 7 blocks of 49 units, level 3 is a high digit;
+    # psw ps = 7 * 7 <= 49: one joint histogram per block
+    pytest.param("E", 4, 49, True, id="E-c4-blocks"),
 ])
-def test_oracle_term_count_and_slow_agreement(name, c, chunk, request,
+def test_oracle_term_count_and_slow_agreement(name, c, chunk, dense, request,
                                               monkeypatch):
+    import numpy as np
     import localchar.oracle as om
     field = request.getfixturevalue(name)
     psi = make_psi(field)
@@ -239,14 +245,31 @@ def test_oracle_term_count_and_slow_agreement(name, c, chunk, request,
     delta = field.uniformizer() ** (1 - c)
     if chunk:
         monkeypatch.setattr(om, "_CHUNK", chunk)
+    shifts = []
+    take = np.take_along_axis
+    monkeypatch.setattr(np, "take_along_axis",
+                        lambda *a: shifts.append(1) or take(*a))
     om.clear_oracle_cache(field)
     try:
         fast = oracle_sum(chi, psi, delta)
     finally:
         om.clear_oracle_cache(field)
+    assert bool(shifts) == dense  # the dense side shifts the joint table
     slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, 7)
     assert not fast.is_zero()
     assert fast == slow  # q^(c-1)(q-1) terms, order-independent by exactness
+
+
+def test_oracle_rejects_a_teichmuller_lift_outside_z_p(monkeypatch):
+    """The grid keeps one psi row and multiplies it by t_j mod psw; a
+    lift t_j + pi is not in Z_p, so psi is not t_j-linear on it."""
+    from localchar.errors import InternalContradiction
+    T = TowerField(7, (TameRamified(5, 1),), 12)
+    lift = T.teichmuller
+    monkeypatch.setattr(T, "teichmuller", lambda r: lift(r) + T.uniformizer())
+    chi = random_char(T, 4, random.Random(5))
+    with pytest.raises(InternalContradiction):
+        oracle_sum(chi, make_psi(T), T.uniformizer() ** (-3))
 
 
 def test_oracle_wrong_valuation_vanishes(E):
