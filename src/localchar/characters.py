@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import CycNumber
 from .errors import (
@@ -35,29 +36,68 @@ class AddChar:
 
     def __init__(self, field: TowerField):
         self.field = field
-        self.level = 1
 
     def __repr__(self):
         return f"AddChar({self.field!r})"
 
     def exponent(self, x: TowerElement):
         """(k, p^m) with psi(x) = zeta_{p^m}^k.  Needs x certified mod P^1."""
+        pairs, window = self.field.trace_digits(x)
+        _needs_p1(window)
+        return self.digit_exponent(*(pairs[0] if pairs else (1, 0)))
+
+    def digit_exponent(self, m: int, c: int):
+        """psi_F(c p^m) for a trace digit c mod p^a, as exponent gives it:
+        (c mod p^(1-m), p^(1-m)) if m <= 0 and c != 0 mod p^a, else (0, p)."""
+        p, c = self.field.p, c % self.field.pa
+        if m > 0 or c == 0:
+            return 0, p
+        return c % p ** (1 - m), p ** (1 - m)
+
+    def trace_form(self, x: TowerElement, v: int):
+        """(m, form) for a fixed nonzero x: for every y of valuation v, the
+        one trace digit of x y that psi reads sits at p^m (tr(pi^i w) = 0
+        unless e | i) and is sum(coords(y) * form) mod p^a, coords(y) the
+        e f ints of y.core; pi^e = U p and trace_digits' U^m are built in."""
         F = self.field
-        pairs, window = F.trace_digits(x)
-        if window is not INF and window < 1:
-            raise PrecisionLoss("additive character needs the element mod P^1")
-        neg = [m for m, _ in pairs if m <= 0]
-        mm = max(0, -min(neg)) if neg else 0
-        mod = F.p ** (mm + 1)
-        z = 0
-        for m, c in pairs:
-            if m <= 0:
-                z = (z + c * F.p ** (m + mm)) % mod
-        return z, mod
+        e, f = F.e, F.f
+        i0 = -(x.v + v) % e
+        m = (x.v + v + i0) // e
+        um = F.wpow(F.U, m) if m >= 0 else F.wpow(F.Uinv, -m)
+        basis = [tuple(int(i == l) for i in range(f)) for l in range(f)]
+        form = []
+        for k in range(e):  # slot k of y meets slot i0 - k of x
+            w = x.core[i0 - k] if k <= i0 else F.wmul(x.core[i0 + e - k], F.Upw)
+            w = F.wmul(w, um)
+            form += [e * F.trace_w(F.wmul(w, b)) % F.pa for b in basis]
+        return m, tuple(form)
+
+    def log_row(self, y: TowerElement, n: int, window, teich: bool = True):
+        """[exponent(y lg) for lg in principal_logs(n, window, teich)]: one
+        dot product of y's core with lg's trace form at v(y), memoized in the
+        field's caches under (n, window, teich, v(y)), one entry a key of
+        q - 1 (m, form) pairs of e f ints each."""
+        F = self.field
+        logs = F.principal_logs(n, window, teich)
+        memo = F._caches.setdefault("plog_forms", {})
+        key = (n, window, teich, y.v)
+        if key not in memo:
+            memo[key] = tuple(self.trace_form(lg, y.v) for lg in logs)
+        ys = [c for w in y.core for c in w]
+        out = []
+        for lg, (m, form) in zip(logs, memo[key]):
+            _needs_p1(lg.v + y.v + min(lg.prec, y.prec))  # y lg's window
+            out.append(self.digit_exponent(m, sum(map(mul, form, ys))))
+        return out
 
     def eval(self, x: TowerElement) -> CycNumber:
         z, mod = self.exponent(x)
         return CycNumber.root(mod, z)
+
+
+def _needs_p1(window):
+    if window < 1:
+        raise PrecisionLoss("additive character needs the element mod P^1")
 
 
 @lru_cache(maxsize=None)
@@ -115,18 +155,6 @@ class MulChar:
 
     def eval(self, x: TowerElement) -> CycNumber:
         return eval_many((self,), x)[0]
-
-    def principal_exponent(self, lg):
-        """(z, m) with theta(u) = zeta_m^z for a principal unit u, given
-        lg = log(u) at window max(conductor, 1) (None if gamma is None).
-        m is the modulus eval(u) carries: it includes q - 1 whenever t != 0
-        (the tame factor at residue 1 is zeta_{q-1}^0)."""
-        F = self.field
-        m = F.q - 1 if self.t else 1
-        if self.gamma is None:
-            return 0, m
-        z2, m2 = make_psi(F).exponent(self.gamma * lg)
-        return _add_exponents(0, m, z2, m2)
 
     # ------------------------------------------------------------- invariants
 
@@ -273,9 +301,11 @@ def char_exponents(chars, x: TowerElement):
         if u1.prec < c:
             raise PrecisionLoss(
                 f"need the argument mod P^{c} relative; have {u1.prec}")
-        if chi.gamma is not None and c not in logs:
-            logs[c] = F.log_principal(u1, window=c)
-        z, m = chi.principal_exponent(logs.get(c))
+        z, m = 0, 1
+        if chi.gamma is not None:
+            if c not in logs:
+                logs[c] = F.log_principal(u1, window=c)
+            z, m = make_psi(F).exponent(chi.gamma * logs[c])
         if chi.t:
             z, m = _add_exponents(z, m, chi.t * F.dlog_res(r), F.q - 1)
         if v:

@@ -17,7 +17,6 @@ import math
 from functools import lru_cache
 
 import mpmath
-import numpy as np
 
 from .errors import CapacityError, NotInvertible
 
@@ -146,6 +145,8 @@ class CycNumber:
         axis: the CRT split puts zeta_M^k at the tensor index
         (k v mod l^a)_l, then each axis folds its top l^(a-1) slots by
         zeta^(phi+t) = -sum_s zeta^(t + s l^(a-1)), as _reduce_exp does."""
+        import numpy as np  # only the oracle sums counts, so import it here
+
         fact = _factorize(modulus)
         k = np.arange(modulus)
         flat = np.zeros(modulus, dtype=np.int64)

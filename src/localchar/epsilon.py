@@ -9,14 +9,16 @@ product does not; epsilon_factors recomputes with a perturbed representative
 and refuses to return a representative-dependent value.
 
 All of it is integer work on exponents of roots of unity up to one
-cyclotomic sum.  The theta row, the exponents of theta(1 + tau(a) pi^n),
-comes from the field's memoized log table and does not depend on c, so both
-representatives reuse it.  Characters sharing c share the psi row
-psi(c tau(a) pi^n) and one char_exponents call for their root parts
-theta^{-1}(c) psi(c).  The q Gauss-sum terms land in one histogram of root
-exponents at the lcm M of their moduli: the Gauss sum is its
-CycNumber.from_root_sum, the epsilon value the same histogram shifted by
-the root exponent at lcm(m_root, M).
+cyclotomic sum.  psi = psi_F o tr is Z_p-linear, so with one factor fixed
+the digit psi reads of a product is an integer form in the other's core
+(AddChar.trace_form).  The theta row theta(1 + tau(a) pi^n) dots gamma with
+the memoized forms of the field's logs and does not depend on c, so both
+representatives reuse it; the psi row psi(c tau(a) pi^n) dots one form of
+c with tau(a), and characters sharing c share it and one char_exponents
+call for their root parts theta^{-1}(c) psi(c).  The q Gauss-sum terms land
+in one histogram of root exponents at the lcm M of their moduli: the
+epsilon value is it shifted by the root exponent at lcm(m_root, M), the
+Gauss sum its CycNumber.from_root_sum, taken when gauss_part is first read.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .cyclotomic import CycNumber, ScaledCyc
 from .errors import (
@@ -32,7 +36,8 @@ from .errors import (
     EvenConductor,
     InternalContradiction,
 )
-from .characters import AddChar, MulChar, _add_exponents, char_exponents
+from .characters import (AddChar, MulChar, _add_exponents, _needs_p1,
+                         char_exponents, make_psi)
 
 
 @dataclass
@@ -41,7 +46,11 @@ class EpsilonValue:
     conductor: int
     parity: str
     provenance: str
-    gauss_part: ScaledCyc = None
+    gauss_hist: tuple = None  # (M, histogram, q) of the Gauss sum, odd f
+
+    @cached_property
+    def gauss_part(self):  # summed when first read; None for even f
+        return None if self.gauss_hist is None else _gauss_value(*self.gauss_hist)
 
     def serialize(self):
         return {
@@ -55,22 +64,27 @@ class EpsilonValue:
 def theta_row(chi: MulChar, n: int):
     """theta(1 + tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs.
 
-    A parametric character reads the logs from the field's table; a factored
-    one takes its exponents at the units, which evaluate its parts at the
-    norms."""
+    A parametric character dots gamma with its field's log forms (log_row;
+    m takes q - 1 when t != 0, for zeta_{q-1}^0); a factored one takes its
+    exponents at the units, which evaluate its parts at the norms."""
     F = chi.field
     if chi.is_factored():
         one = F.one()
         return [char_exponents((chi,), one + F.monomial(a, n))[0]
                 for a in range(1, F.q)]
-    logs = F.principal_logs(n, max(chi.conductor(), 1))
-    return [chi.principal_exponent(lg) for lg in logs]
+    m = F.q - 1 if chi.t else 1
+    row = make_psi(F).log_row(chi.gamma, n, max(chi.conductor(), 1))
+    return [_add_exponents(0, m, z, mz) for z, mz in row]
 
 
 def _psi_row(psi: AddChar, c, n: int):
-    """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs."""
+    """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs: one
+    trace form of c, whose first f ints meet tau(a), the one nonzero slot."""
     F = psi.field
-    return [psi.exponent(c * F.monomial(a, n)) for a in range(1, F.q)]
+    m, form = psi.trace_form(c, n)
+    _needs_p1(c.v + n + min(c.prec, F.kint))  # the window of c tau(a) pi^n
+    return [psi.digit_exponent(m, sum(map(mul, form, F.teichmuller_w(
+        F.int_to_res(a))))) for a in range(1, F.q)]
 
 
 def _gauss_histogram(theta, psi_row):
@@ -136,11 +150,9 @@ def epsilon_factors(chars, psi: AddChar, check_rep: bool = True) -> list:
             raise InternalContradiction(
                 f"epsilon depends on the c-representative at conductor {f}")
     parity = "odd" if f % 2 else "even"
-    out = []
-    for v, h in zip(vals, hists):
-        g = None if h is None else _gauss_value(*h, F.q)
-        out.append(EpsilonValue(v, f, parity, "closed_form", gauss_part=g))
-    return out
+    return [EpsilonValue(v, f, parity, "closed_form",
+                         None if h is None else (*h, F.q))
+            for v, h in zip(vals, hists)]
 
 
 def _gauss_value(mod: int, hist, q: int) -> ScaledCyc:

@@ -10,16 +10,16 @@ Teichmuller lift, in mixed radix with low levels fastest; a block fixes the
 high digits.  The lifts lie in Z_p and psi is Z_p-linear, so the psi
 exponent of t_j u delta is t_j times that of u delta: per block one row of
 psi exponents (j = 0) and the multipliers t_j suffice.  The theta side is
-an outer sum of per-level digit tables (log is additive over the digit
-factors; the logs come from the field's memoized principal_logs) plus one
-offset per block.  When the (psi, theta) key space is no larger than a
-block, each block gives one joint histogram, and each row j is its table
-rows shifted by t_j a; otherwise each row is one bincount of the keys.  The
-rows form one (q-1) x p^s count array, reduced by one
-CycNumber.from_counts.  All arithmetic is integer arithmetic modulo powers
-of p.  Only the psi side is cached, in the field's own caches under
-(conductor, delta), so a grid lives exactly as long as its field; its
-blocks may be built across processes.
+an outer sum of per-level digit tables psi(-gamma log(1 + a pi^i)) (log is
+additive over the digit factors; AddChar.log_row dots -gamma with the
+memoized trace forms of the field's logs) plus one offset per block.
+When the (psi, theta) key space is no larger than a block, each block gives
+one joint histogram, and each row j is its table rows shifted by t_j a;
+otherwise each row is one bincount of the keys.  The rows form one
+(q-1) x p^s count array, reduced by one CycNumber.from_counts.  All
+arithmetic is integer arithmetic modulo powers of p.  Only the psi side
+is cached, in the field's own caches under (conductor, delta), so a grid
+lives as long as its field; its blocks may be built across processes.
 """
 
 from __future__ import annotations
@@ -197,17 +197,14 @@ def _fast_sum(chi, psi, delta, c, jobs):
         grid = grids[key] = _Grid(F, psi, c, delta, jobs)
 
     # theta side: psi(-gamma log(1 + a pi^i)) digit tables, exact
-    raw_t1 = {}
-    if chi.gamma is not None:
-        for i in range(1, c):
-            for a, lg in enumerate(F.principal_logs(i, c, teich=False), 1):
-                raw_t1[(i, a)] = psi.exponent(-chi.gamma * lg)
+    raw_t1 = {} if chi.gamma is None else {
+        i: psi.log_row(-chi.gamma, i, c, teich=False) for i in range(1, c)}
     psw, mult = grid.psw, grid.mult
-    ps = max([psw] + [m2 for _z, m2 in raw_t1.values()])
+    ps = max([psw] + [m2 for row in raw_t1.values() for _z, m2 in row])
     scale_w = ps // psw
     t1 = np.zeros((max(c, 2), p), dtype=np.int64)
-    for (i, a), (z, m2) in raw_t1.items():
-        t1[i, a] = z * (ps // m2) % ps
+    for i, row in raw_t1.items():
+        t1[i, 1:] = [z * (ps // m2) % ps for z, m2 in row]
 
     tlow = _digit_sums(t1, 1, grid.k + 1)
     # theta^-1(t_j) = zeta_{q-1}^r: row r counts zeta_ps exponents

@@ -1,20 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localchar.cyclotomic import CycNumber, ScaledCyc
-from localchar.errors import CapacityError, ConductorMismatch, EvenConductor
+from localchar.errors import (CapacityError, ConductorMismatch, EvenConductor,
+                              PrecisionLoss)
 from localchar.localfield import (TameRamified, TowerField, Unramified,
                                   make_tower)
 from localchar.ambient import compositum_abstract
 from localchar.embeddings import automorphisms
-from localchar.characters import MulChar, make_psi, pullback, random_char
+from localchar.characters import (MulChar, _add_exponents, char_exponents,
+                                  make_psi, pullback, random_char)
 from localchar.epsilon import (
+    _psi_row,
     epsilon_factor,
     epsilon_factors,
     epsilon_oracle_consistency,
     epsilon_ratio,
     gauss_sum,
+    theta_row,
 )
 from localchar.oracle import _slow_sum, oracle_sum
 
@@ -112,6 +117,119 @@ def test_factored_epsilon_bytes_do_not_depend_on_precision():
         return out
 
     assert outputs(12, 24) == outputs(24, 120)
+
+
+# the five field shapes the trace-form rows must handle: e and f both 1,
+# e > 1, f > 1, both > 1 (with pi^3 = U p for a non-scalar unit U, so the
+# forms' U^m and fold matter), and a second prime
+_ROW_FIELDS = {
+    "Q7": lambda: make_tower(7, (), 12),
+    "Q7(7^1/5)": lambda: make_tower(7, [TameRamified(5, 1)], 12),
+    "unram2": lambda: make_tower(7, [Unramified(2)], 10),
+    "unram2+ram3": lambda: make_tower(
+        7, [Unramified(2), TameRamified(3, ("gen", 1))], 10),
+    "Q11(11^1/7)": lambda: make_tower(11, [TameRamified(7, 1)], 16),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_ROW_FIELDS)), st.sampled_from([3, 5, 7]),
+       st.integers(0, 2**32), st.integers(0, 3), st.integers(-9, 2))
+def test_trace_form_rows_match_the_product_reference(name, f, seed, n, vc):
+    """theta_row, _psi_row and the oracle's theta digit table give the
+    (z, m) pairs of the inline products, moduli included."""
+    F = _ROW_FIELDS[name]()
+    psi = make_psi(F)
+    rng = random.Random(seed)
+    # the form itself, on a y with every slot set (the rows' y are not)
+    x, y = F.random_element(rng, vc, vc), F.random_element(rng, -n, -n)
+    m, form = psi.trace_form(x, y.v)
+    digit = sum(a * b for a, b in zip(form, (c for w in y.core for c in w)))
+    assert psi.digit_exponent(m, digit) == psi.exponent(x * y)
+    chi = random_char(F, f, rng)
+    h = (f - 1) // 2
+    tame = F.q - 1 if chi.t else 1
+    logs = F.principal_logs(h, f)
+    ref = [_add_exponents(0, tame, *psi.exponent(chi.gamma * lg))
+           for lg in logs]
+    assert theta_row(chi, h) == ref
+    assert ref == [char_exponents((chi,), F.one() + F.monomial(a, h))[0]
+                   for a in range(1, F.q)]
+    for c in (chi.c_rep(), F.random_element(rng, vc, vc)):
+        assert _psi_row(psi, c, n) == [psi.exponent(c * F.monomial(a, n))
+                                       for a in range(1, F.q)]
+    if F.f == 1:  # the oracle's digits: psi(-gamma log(1 + a pi^i))
+        for i in range(1, f):
+            lgs = F.principal_logs(i, f, teich=False)
+            assert psi.log_row(-chi.gamma, i, f, teich=False) == [
+                psi.exponent(-chi.gamma * lg) for lg in lgs]
+
+
+def test_trace_form_rows_raise_precision_loss_where_products_do():
+    F = make_tower(7, [TameRamified(5, 1)], 12)
+    psi = make_psi(F)
+    n = 2
+    for w, loses in ((-n, True), (1 - n, False)):
+        # c tau(a) pi^n is certified to w + n: psi needs it mod P^1
+        c = F.monomial(3, -6).cap_window(w)
+        if loses:
+            with pytest.raises(PrecisionLoss):
+                psi.exponent(c * F.monomial(1, n))
+            with pytest.raises(PrecisionLoss):
+                _psi_row(psi, c, n)
+        else:
+            assert _psi_row(psi, c, n) == [psi.exponent(c * F.monomial(a, n))
+                                           for a in range(1, F.q)]
+    gamma = F.monomial(2, -4)
+    for window, loses in ((4, True), (5, False)):
+        # gamma lg is certified to window + v(gamma) = window - 4
+        logs = F.principal_logs(1, window)
+        if loses:
+            with pytest.raises(PrecisionLoss):
+                psi.exponent(gamma * logs[0])
+            with pytest.raises(PrecisionLoss):
+                psi.log_row(gamma, 1, window)
+        else:
+            assert psi.log_row(gamma, 1, window) == [
+                psi.exponent(gamma * lg) for lg in logs]
+
+
+def test_log_forms_memo_holds_one_entry_per_key():
+    """The forms table keeps one entry per (n, window, teich, v(gamma)) of
+    q - 1 forms with e f ints each, shared by the closed form and the
+    oracle; reading it again adds nothing."""
+    T = TowerField(7, (Unramified(2), TameRamified(3, 1)), 10)
+    psi = make_psi(T)
+    rng = random.Random(50)
+    chars = [random_char(T, f, rng) for f in (3, 3, 5, 7)]
+    for _ in range(2):
+        for chi in chars:
+            theta_row(chi, (chi.conductor() - 1) // 2)
+        memo = dict(T._caches["plog_forms"])
+    assert set(memo) == {((f - 1) // 2, f, True, 1 - f) for f in (3, 5, 7)}
+    for entry in memo.values():
+        assert len(entry) == T.q - 1
+        assert all(len(form) == T.e * T.f for _m, form in entry)
+    F = TowerField(7, (), 12)
+    chi = random_char(F, 3, rng)
+    oracle_sum(chi, make_psi(F), F.uniformizer() ** (-2))
+    assert set(F._caches["plog_forms"]) == {(1, 3, False, -2),
+                                            (2, 3, False, -2)}
+
+
+def test_gauss_part_is_summed_when_first_read(E, monkeypatch):
+    psi = make_psi(E)
+    chi = random_char(E, 5, random.Random(51))
+    eager = gauss_sum(chi, psi)
+    orig = CycNumber.from_root_sum
+    calls = []
+    monkeypatch.setattr(CycNumber, "from_root_sum", staticmethod(
+        lambda modulus, terms: calls.append(modulus) or orig(modulus, terms)))
+    eps = epsilon_factor(chi, psi, check_rep=False)
+    assert len(calls) == 1  # the value alone
+    assert eps.gauss_part.serialize() == eager.serialize()
+    assert len(calls) == 2
+    assert eps.gauss_part is eps.gauss_part and len(calls) == 2
 
 
 def _sharing_c(field, f, rng):
