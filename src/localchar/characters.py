@@ -44,7 +44,7 @@ class AddChar:
         """(k, p^m) with psi(x) = zeta_{p^m}^k.  Needs x certified mod P^1."""
         pairs, window = self.field.trace_digits(x)
         _needs_p1(window)
-        return self.digit_exponent(*(pairs[0] if pairs else (1, 0)))
+        return self.digit_exponent(*(pairs[0] if pairs else (0, 0)))
 
     def digit_exponent(self, m: int, c: int):
         """psi_F(c p^m) for a trace digit c mod p^a, as exponent gives it:
@@ -55,12 +55,13 @@ class AddChar:
         return c % p ** (1 - m), p ** (1 - m)
 
     def trace_form(self, x: TowerElement, v: int):
-        """(m, form) for a fixed nonzero x: for every y of valuation v, the
-        one trace digit of x y that psi reads sits at p^m (tr(pi^i w) = 0
-        unless e | i) and is sum(coords(y) * form) mod p^a, coords(y) the
-        e f ints of y.core; pi^e = U p and trace_digits' U^m are built in."""
-        F = self.field
-        e, f = F.e, F.f
+        """(m, form) for a fixed x: for every y of valuation v, the one trace
+        digit of x y that psi reads (tr(pi^i w) = 0 unless e | i) is
+        sum(coords(y) * form) mod p^a at p^m, coords(y) the e f ints of
+        y.core; pi^e = U p and trace_digits' U^m are built in."""
+        F, e, f = self.field, self.field.e, self.field.f
+        if x.is_zero():  # a log at or past its window: the digit is 0
+            return 1, (0,) * (e * f)
         i0 = -(x.v + v) % e
         m = (x.v + v + i0) // e
         um = F.wpow(F.U, m) if m >= 0 else F.wpow(F.Uinv, -m)
@@ -73,10 +74,9 @@ class AddChar:
         return m, tuple(form)
 
     def log_row(self, y: TowerElement, n: int, window, teich: bool = True):
-        """[exponent(y lg) for lg in principal_logs(n, window, teich)]: one
-        dot product of y's core with lg's trace form at v(y), memoized in the
-        field's caches under (n, window, teich, v(y)), one entry a key of
-        q - 1 (m, form) pairs of e f ints each."""
+        """[exponent(y lg) for lg in principal_logs(n, window, teich)], from
+        lg's trace forms at v(y), memoized in the field's caches: one entry
+        per (n, window, teich, v(y)), q - 1 (m, form) pairs of e f ints."""
         F = self.field
         logs = F.principal_logs(n, window, teich)
         memo = F._caches.setdefault("plog_forms", {})
@@ -86,7 +86,8 @@ class AddChar:
         ys = [c for w in y.core for c in w]
         out = []
         for lg, (m, form) in zip(logs, memo[key]):
-            _needs_p1(lg.v + y.v + min(lg.prec, y.prec))  # y lg's window
+            lo = lg.prec if lg.v is None else lg.v  # y lg's window is:
+            _needs_p1(min(lg.window() + y.v, y.window() + lo))
             out.append(self.digit_exponent(m, sum(map(mul, form, ys))))
         return out
 

@@ -146,7 +146,6 @@ class CycNumber:
         (k v mod l^a)_l, then each axis folds its top l^(a-1) slots by
         zeta^(phi+t) = -sum_s zeta^(t + s l^(a-1)), as _reduce_exp does."""
         import numpy as np  # only the oracle sums counts, so import it here
-
         fact = _factorize(modulus)
         k = np.arange(modulus)
         flat = np.zeros(modulus, dtype=np.int64)

@@ -78,8 +78,8 @@ def theta_row(chi: MulChar, n: int):
 
 
 def _psi_row(psi: AddChar, c, n: int):
-    """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs: one
-    trace form of c, whose first f ints meet tau(a), the one nonzero slot."""
+    """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs: tau(a)
+    is the one nonzero slot of the core, so it meets the form's first f."""
     F = psi.field
     m, form = psi.trace_form(c, n)
     _needs_p1(c.v + n + min(c.prec, F.kint))  # the window of c tau(a) pi^n

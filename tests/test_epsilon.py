@@ -141,8 +141,9 @@ def test_trace_form_rows_match_the_product_reference(name, f, seed, n, vc):
     F = _ROW_FIELDS[name]()
     psi = make_psi(F)
     rng = random.Random(seed)
-    # the form itself, on a y with every slot set (the rows' y are not)
-    x, y = F.random_element(rng, vc, vc), F.random_element(rng, -n, -n)
+    # the form itself, on a y with every slot set (the rows' y are not);
+    # x y is certified to v(x) + v(y) + k >= 1
+    x, y = F.random_element(rng, vc, vc), F.random_element(rng, n, n)
     m, form = psi.trace_form(x, y.v)
     digit = sum(a * b for a, b in zip(form, (c for w in y.core for c in w)))
     assert psi.digit_exponent(m, digit) == psi.exponent(x * y)
@@ -181,16 +182,19 @@ def test_trace_form_rows_raise_precision_loss_where_products_do():
             assert _psi_row(psi, c, n) == [psi.exponent(c * F.monomial(a, n))
                                            for a in range(1, F.q)]
     gamma = F.monomial(2, -4)
-    for window, loses in ((4, True), (5, False)):
-        # gamma lg is certified to window + v(gamma) = window - 4
-        logs = F.principal_logs(1, window)
+    # gamma lg is certified to window + v(gamma) = window - 4; from
+    # n = window on, every log is a zero known mod P^window
+    for n, window, loses in ((1, 4, True), (1, 5, False), (4, 4, True),
+                             (5, 5, False), (7, 5, False)):
+        logs = F.principal_logs(n, window)
+        assert all(lg.is_zero() for lg in logs) == (n >= window)
         if loses:
             with pytest.raises(PrecisionLoss):
                 psi.exponent(gamma * logs[0])
             with pytest.raises(PrecisionLoss):
-                psi.log_row(gamma, 1, window)
+                psi.log_row(gamma, n, window)
         else:
-            assert psi.log_row(gamma, 1, window) == [
+            assert psi.log_row(gamma, n, window) == [
                 psi.exponent(gamma * lg) for lg in logs]
 
 
@@ -202,10 +206,11 @@ def test_log_forms_memo_holds_one_entry_per_key():
     psi = make_psi(T)
     rng = random.Random(50)
     chars = [random_char(T, f, rng) for f in (3, 3, 5, 7)]
-    for _ in range(2):
-        for chi in chars:
-            theta_row(chi, (chi.conductor() - 1) // 2)
-        memo = dict(T._caches["plog_forms"])
+    rows = [theta_row(chi, (chi.conductor() - 1) // 2) for chi in chars]
+    memo = dict(T._caches["plog_forms"])
+    assert [theta_row(chi, (chi.conductor() - 1) // 2)
+            for chi in chars] == rows
+    assert T._caches["plog_forms"] == memo
     assert set(memo) == {((f - 1) // 2, f, True, 1 - f) for f in (3, 5, 7)}
     for entry in memo.values():
         assert len(entry) == T.q - 1
