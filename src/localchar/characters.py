@@ -86,8 +86,8 @@ class AddChar:
         ys = [c for w in y.core for c in w]
         out = []
         for lg, (m, form) in zip(logs, memo[key]):
-            lo = lg.prec if lg.v is None else lg.v  # y lg's window is:
-            _needs_p1(min(lg.window() + y.v, y.window() + lo))
+            lo = lg.prec if lg.v is None else lg.v  # v(lg), or a zero's bound
+            _needs_p1(min(lg.window() + y.v, y.window() + lo))  # y lg's window
             out.append(self.digit_exponent(m, sum(map(mul, form, ys))))
         return out
 
