@@ -54,20 +54,22 @@ class AddChar:
             return 0, p
         return c % p ** (1 - m), p ** (1 - m)
 
-    def trace_form(self, x: TowerElement, v: int):
+    def trace_form(self, x: TowerElement, v: int, slots: int | None = None):
         """(m, form) for a fixed x: for every y of valuation v, the one trace
         digit of x y that psi reads (tr(pi^i w) = 0 unless e | i) is
         sum(coords(y) * form) mod p^a at p^m, coords(y) the e f ints of
-        y.core; pi^e = U p and trace_digits' U^m are built in."""
+        y.core; pi^e = U p and trace_digits' U^m are built in.  The form
+        covers y's first `slots` core slots (f ints each), all e by default."""
         F, e, f = self.field, self.field.e, self.field.f
+        slots = e if slots is None else slots
         if x.is_zero():  # a log at or past its window: the digit is 0
-            return 1, (0,) * (e * f)
+            return 1, (0,) * (slots * f)
         i0 = -(x.v + v) % e
         m = (x.v + v + i0) // e
         um = F.wpow(F.U, m) if m >= 0 else F.wpow(F.Uinv, -m)
         basis = [tuple(int(i == l) for i in range(f)) for l in range(f)]
         form = []
-        for k in range(e):  # slot k of y meets slot i0 - k of x
+        for k in range(slots):  # slot k of y meets slot i0 - k of x
             w = x.core[i0 - k] if k <= i0 else F.wmul(x.core[i0 + e - k], F.Upw)
             w = F.wmul(w, um)
             form += [e * F.trace_w(F.wmul(w, b)) % F.pa for b in basis]

@@ -79,9 +79,9 @@ def theta_row(chi: MulChar, n: int):
 
 def _psi_row(psi: AddChar, c, n: int):
     """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs: tau(a)
-    is the one nonzero slot of the core, so it meets the form's first f."""
+    is the one nonzero slot of the core, so the form needs only that slot."""
     F = psi.field
-    m, form = psi.trace_form(c, n)
+    m, form = psi.trace_form(c, n, slots=1)
     _needs_p1(c.v + n + min(c.prec, F.kint))  # the window of c tau(a) pi^n
     return [psi.digit_exponent(m, sum(map(mul, form, F.teichmuller_w(
         F.int_to_res(a))))) for a in range(1, F.q)]

@@ -9,15 +9,18 @@ vectorized kernel.  A unit is t_j prod_i (1 + a_i pi^i), t_j = xi^j a
 Teichmuller lift, in mixed radix with low levels fastest; a block fixes the
 high digits.  The lifts lie in Z_p and psi is Z_p-linear, so the psi
 exponent of t_j u delta is t_j times that of u delta: per block one row of
-psi exponents (j = 0) and the multipliers t_j suffice.  The theta side is
+psi exponents (j = 0) and the multipliers t_j suffice.  A row is built
+level by level from the block's e weights psi(pi^i h delta), with no table
+of unit coordinates, and stored at the width psw needs.  The theta side is
 an outer sum of per-level digit tables psi(-gamma log(1 + a pi^i)) (log is
 additive over the digit factors; AddChar.log_row dots -gamma with the
 memoized trace forms of the field's logs) plus one offset per block.
 When the (psi, theta) key space is no larger than a block, each block gives
-one joint histogram, and each row j is its table rows shifted by t_j a;
-otherwise each row is one bincount of the keys.  The rows form one
-(q-1) x p^s count array, reduced by one CycNumber.from_counts.  All
-arithmetic is integer arithmetic modulo powers of p.  Only the psi side
+one joint histogram, rolled by its offset, and each row j is the summed
+table's rows shifted by t_j a; otherwise each row is one bincount of the
+keys.  The rows form one (q-1) x p^s count array, reduced by one
+CycNumber.from_counts.  All arithmetic is integer arithmetic modulo powers
+of p.  Only the psi side
 is cached, in the field's own caches under (conductor, delta), so a grid
 lives as long as its field; its blocks may be built across processes.
 """
@@ -25,6 +28,7 @@ lives as long as its field; its blocks may be built across processes.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -112,19 +116,18 @@ class _Grid:
     delta) triple.
 
     Index sum d_lev p^(lev-1) is prod (1 + d_lev pi^lev); levels 1..k
-    (p^k <= _CHUNK) form the low table, block idx // p^k fixes the rest.
+    (p^k <= _CHUNK) are the low digits, block idx // p^k fixes the rest.
     The Teichmuller lifts t_j = xi^j lie in Z_p and psi is Z_p-linear, so
     the psi exponent of t_j u delta is t_j times that of u delta, mod psw.
-    Per block the grid keeps one int32 row of psi exponents (j = 0), so
-    4 q^(c-1) bytes in all; `mult` holds the t_j mod psw, checked against
-    psi(t_j delta pi^i) for every j and i."""
+    Per block h the grid keeps one row of psi exponents (j = 0), built by
+    _level_rows from the e weights psi(pi^i h delta), which are the rows of
+    the high levels.  Rows are stored at the width psw needs
+    (np.min_scalar_type(psw - 1)), so q^(c-1) times that width in bytes;
+    `mult` holds the t_j mod psw, checked against psi(t_j delta pi^i) for
+    every j and i."""
 
     def __init__(self, F: TowerField, psi, c: int, delta, jobs: int):
         p, e, q = F.p, F.e, F.q
-        vd = delta.valuation()
-        amod = max(1, -(-(1 - vd) // e), -(-c // e))
-        mod = p**amod
-        wrap = (p * (F.U[0] % mod)) % mod
         tame = [F.teichmuller(F.res_of(F.wpow(F.xi(), j)))
                 for j in range(q - 1)]
         raw_w = {(j, i): psi.exponent((t * delta).shift(i))
@@ -141,50 +144,47 @@ class _Grid:
         while k < c - 1 and p ** (k + 1) <= _CHUNK:
             k += 1
         self.k, self.psw = k, psw
-        ring = (p, e, wrap, mod)
-        low = _unit_table(1, k + 1, ring)
-        high = _unit_table(k + 1, c, ring)
-        # psi-exponent(u h) = sum_i u_i psi-exponent(pi^i h), h a high factor
-        weights = np.stack([_pi_pow_mult(high, i, ring) @ wexp[0] % psw
-                            for i in range(e)], axis=1)
-        args = ([low] * len(high), weights, [psw] * len(high))
-        if jobs > 1 and len(high) > 1:
+        wrap = p * F.U[0] % psw  # pi^e = p U
+        weights = zip(*_level_rows(wexp[0], p, range(k + 1, c), wrap, psw, e))
+        block = partial(_level_rows, p=p, levels=range(1, k + 1), wrap=wrap,
+                        psw=psw, keep=1)
+        if jobs > 1 and k < c - 1:
             with ProcessPoolExecutor(max_workers=jobs) as ex:
-                self.blocks = list(ex.map(_grid_block, *args))
+                self.blocks = [row for row, in ex.map(block, weights)]
         else:
-            self.blocks = list(map(_grid_block, *args))
+            self.blocks = [row for row, in map(block, weights)]
 
 
-def _grid_block(low, weights, psw):
-    return ((low @ weights) % psw).astype(np.int32)
-
-
-def _unit_table(lo, hi, ring):
-    """Coordinates of prod (1 + d_lev pi^lev) over levels lo..hi-1, in
-    mixed radix with the lowest level fastest."""
-    p, e, _, mod = ring
-    units = np.eye(1, e, dtype=np.int64)
-    for lev in range(lo, hi):
-        shifted = _pi_pow_mult(units, lev, ring)
-        units = np.concatenate([(units + d * shifted) % mod for d in range(p)])
-    return units
+def _level_rows(w, p, levels, wrap, psw, keep):
+    """psi exponents of u pi^s x delta for s < keep, u over prod (1 + d_lev
+    pi^lev) in mixed radix (lowest level fastest), from the weights w_s =
+    psi-exponent(pi^s x delta), s < e.  Adding level lev maps the row of
+    shift s to concat_d(row_s + d row_(s+lev)), a shift past e wrapping by
+    (pU)^(shift // e); only the last level drops the shifts s >= keep."""
+    e, width = len(w), np.min_scalar_type(psw - 1)
+    rows = [np.array([x], dtype=width) for x in w]
+    for lev in levels:
+        new = []
+        for s in range(keep if lev == levels[-1] else e):
+            q2, r2 = divmod(s + lev, e)
+            acc = rows[s].astype(np.int64)  # narrow rows overflow in sums
+            step = rows[r2].astype(np.int64) * pow(wrap, q2, psw) % psw
+            out = np.empty((p, len(acc)), dtype=width)
+            for d in range(p):
+                out[d] = acc
+                acc += step
+                acc %= psw
+            new.append(out.ravel())
+        rows = new
+    return rows[:keep]
 
 
 def _digit_sums(t1, lo, hi):
-    """sum_lev t1[lev, d_lev] over levels lo..hi-1, indexed as _unit_table."""
+    """sum_lev t1[lev, d_lev] over levels lo..hi-1, indexed as the units."""
     out = np.zeros(1, dtype=np.int64)
     for lev in range(lo, hi):
         out = (t1[lev][:, None] + out).ravel()
     return out
-
-
-def _pi_pow_mult(x, i, ring):
-    """Multiply reduced coordinate rows by pi^i: roll, wrapping by pU."""
-    _, e, wrap, mod = ring
-    q2, r2 = divmod(i, e)
-    if q2:
-        x = (x * pow(wrap, q2, mod)) % mod
-    return np.concatenate([x[:, e - r2:] * wrap % mod, x[:, : e - r2]], axis=1)
 
 
 def _fast_sum(chi, psi, delta, c, jobs):
@@ -206,21 +206,23 @@ def _fast_sum(chi, psi, delta, c, jobs):
     for i, row in raw_t1.items():
         t1[i, 1:] = [z * (ps // m2) % ps for z, m2 in row]
 
-    tlow = _digit_sums(t1, 1, grid.k + 1)
+    tlow = _digit_sums(t1, 1, grid.k + 1) % ps
     # theta^-1(t_j) = zeta_{q-1}^r: row r counts zeta_ps exponents
     rows = [(-chi.t * j) % (q - 1) for j in range(q - 1)]
     hists = np.zeros((q - 1, ps), dtype=np.int64)
     dense, joint = psw * ps <= len(tlow), 0
     for off, pexp in zip(_digit_sums(t1, grid.k + 1, c), grid.blocks):
-        texp = (tlow + off) % ps
-        if dense:  # one joint (psi, theta) histogram per block
-            joint = joint + np.bincount(pexp * ps + texp, minlength=psw * ps)
+        pexp = pexp.astype(np.int64)  # a narrow row overflows in products
+        if dense:  # one joint (psi, theta) histogram per block, rolled by off
+            table = np.bincount(pexp * ps + tlow, minlength=psw * ps)
+            joint = joint + np.roll(table.reshape(psw, ps), off, axis=1)
             continue
+        texp = (tlow + off) % ps
         for r, t in zip(rows, mult):
             hists[r] += np.bincount((t * pexp % psw * scale_w + texp) % ps,
                                     minlength=ps)
     if dense:  # row j moves psi exponent a to t_j a: table row a shifts
-        joint, a = joint.reshape(psw, ps), np.arange(psw)[:, None]
+        a = np.arange(psw)[:, None]
         for r, t in zip(rows, mult):
             cols = (np.arange(ps) - t * a % psw * scale_w) % ps
             hists[r] += np.take_along_axis(joint, cols, 1).sum(0)

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -293,8 +295,11 @@ def test_oracle_grids_belong_to_their_field():
     chi = random_char(T, 3, rng)
     oracle_sum(chi, make_psi(T), T.uniformizer() ** (-2))
     (grid,) = T._caches["oracle_grids"].values()
-    # one int32 psi row per unit of (O/P^3)^x / mu_{q-1}: 4 q^(c-1) bytes
-    assert sum(row.nbytes for row in grid.blocks) == 4 * T.q ** 2
+    # one psi exponent per unit of (O/P^3)^x / mu_{q-1}, at the width
+    # psw needs: q^(c-1) * 2 bytes at psw = 343
+    width = np.min_scalar_type(grid.psw - 1).itemsize
+    assert (grid.psw, width) == (343, 2)
+    assert sum(row.nbytes for row in grid.blocks) == T.q ** 2 * width
     assert "oracle_grids" not in fresh._caches
     clear_oracle_cache(T)
     assert "oracle_grids" not in T._caches
@@ -381,6 +386,71 @@ def test_oracle_term_count_and_slow_agreement(name, c, chunk, dense, request,
     slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, 7)
     assert not fast.is_zero()
     assert fast == slow  # q^(c-1)(q-1) terms, order-independent by exactness
+
+
+def _reference_grid_rows(F, psi, c, delta, psw):
+    """psi exponents of u delta over the units u = prod (1 + d_lev pi^lev),
+    lowest level fastest, as coordinate table @ psi(pi^i delta) mod psw: the
+    coordinates of every unit mod p^amod, rolled by pi with pi^e = p U."""
+    p, e = F.p, F.e
+    amod = max(1, -(-(1 - delta.valuation()) // e), -(-c // e))
+    mod = p ** amod
+    wrap = p * F.U[0] % mod
+
+    def pi_pow_mult(x, i):
+        q2, r2 = divmod(i, e)
+        x = x * pow(wrap, q2, mod) % mod
+        return np.concatenate([x[:, e - r2:] * wrap % mod, x[:, :e - r2]], 1)
+
+    units = np.eye(1, e, dtype=np.int64)
+    for lev in range(1, c):
+        shifted = pi_pow_mult(units, lev)
+        units = np.concatenate([(units + d * shifted) % mod for d in range(p)])
+    w = [z * (psw // m) % psw
+         for z, m in (psi.exponent(delta.shift(i)) for i in range(e))]
+    return units @ np.array(w, dtype=np.int64) % psw
+
+
+@pytest.mark.parametrize("name, c, chunk, jobs", [
+    pytest.param("F", 3, None, 1, id="F-c3"),
+    # 7 blocks of 49 units: nonzero theta offsets in the dense path
+    pytest.param("E", 4, 49, 1, id="E-c4-blocks"),
+    # 7 blocks of 7^4 units, built in two processes
+    pytest.param("E", 6, 7 ** 4, 2, id="E-c6-jobs2"),
+])
+def test_oracle_grid_rows_match_the_coordinate_table(name, c, chunk, jobs,
+                                                     request, monkeypatch):
+    import localchar.oracle as om
+    field = request.getfixturevalue(name)
+    psi = make_psi(field)
+    delta = field.uniformizer() ** (1 - c)
+    if chunk:
+        monkeypatch.setattr(om, "_CHUNK", chunk)
+    grid = om._Grid(field, psi, c, delta, jobs)
+    assert len(grid.blocks) == field.q ** (c - 1 - grid.k)
+    assert len(grid.blocks) == (7 if chunk else 1)
+    width = np.min_scalar_type(grid.psw - 1)
+    assert all(row.dtype == width for row in grid.blocks)
+    ref = _reference_grid_rows(field, psi, c, delta, grid.psw)
+    assert np.array_equal(np.concatenate(grid.blocks), ref)
+
+
+def test_oracle_grid_build_memory_per_unit():
+    """The rows are built level by level, with no table of unit coordinates:
+    one E, c = 6 grid (q^5 units, one block) traces at most 40 bytes a unit
+    (a coordinate table of e int64 per unit and its copies took about 92)."""
+    import localchar.oracle as om
+    T = TowerField(7, (TameRamified(5, 1),), 12)
+    psi, delta = make_psi(T), T.uniformizer() ** (-5)
+    om._Grid(T, psi, 6, delta, 1)  # fill the field's caches first
+    tracemalloc.start()
+    try:
+        grid = om._Grid(T, psi, 6, delta, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid.blocks) == 1
+    assert peak <= 40 * T.q ** 5
 
 
 def test_oracle_rejects_a_teichmuller_lift_outside_z_p(monkeypatch):
