@@ -214,7 +214,9 @@ def _fast_sum(chi, psi, delta, c, jobs):
     for off, pexp in zip(_digit_sums(t1, grid.k + 1, c), grid.blocks):
         pexp = pexp.astype(np.int64)  # a narrow row overflows in products
         if dense:  # one joint (psi, theta) histogram per block, rolled by off
-            table = np.bincount(pexp * ps + tlow, minlength=psw * ps)
+            pexp *= ps  # keys in place: one int64 copy of the row per block
+            pexp += tlow
+            table = np.bincount(pexp, minlength=psw * ps)
             joint = joint + np.roll(table.reshape(psw, ps), off, axis=1)
             continue
         texp = (tlow + off) % ps
