@@ -427,7 +427,6 @@ def test_oracle_grid_rows_match_the_coordinate_table(name, c, chunk, jobs,
     if chunk:
         monkeypatch.setattr(om, "_CHUNK", chunk)
     grid = om._Grid(field, psi, c, delta, jobs)
-    assert len(grid.blocks) == field.q ** (c - 1 - grid.k)
     assert len(grid.blocks) == (7 if chunk else 1)
     width = np.min_scalar_type(grid.psw - 1)
     assert all(row.dtype == width for row in grid.blocks)
@@ -437,8 +436,8 @@ def test_oracle_grid_rows_match_the_coordinate_table(name, c, chunk, jobs,
 
 def test_oracle_grid_build_memory_per_unit():
     """The rows are built level by level, with no table of unit coordinates:
-    one E, c = 6 grid (q^5 units, one block) traces at most 40 bytes a unit
-    (a coordinate table of e int64 per unit and its copies took about 92)."""
+    one E, c = 6 grid (q^5 units, one block) traces at most 40 bytes a
+    unit, against e int64 coordinates and their copies per unit."""
     import localchar.oracle as om
     T = TowerField(7, (TameRamified(5, 1),), 12)
     psi, delta = make_psi(T), T.uniformizer() ** (-5)
