@@ -549,41 +549,33 @@ def howe_factorize(chi: MulChar, base: Subfield | None = None):
         f = work.conductor()
         if prev_cond is not None and f >= prev_cond:
             raise NotAdmissible("conductor chain failed to decrease")
-        if f >= 2:
-            gm = work.standard_rep()
-            sub = _minimal_subfield_containing(E, [gm], prev)
-            if sub.S.degree == E.degree:
-                factors.append((self_subfield(E), work))
-                chi0 = MulChar(base.S, None, 0, None)
-                return chi0, factors
-            prev_cond = f
-            gam = sub.project(gm)
-            while True:
-                phi = MulChar(sub.S, None, 0, gam)
-                rest = work.mul(pullback(phi, E, sub.emb).inv())
-                fr = rest.conductor()
-                if fr < 2:
-                    break
-                nxt = rest.standard_rep()
-                ok, pre = sub.in_image(nxt)
-                if not ok:
-                    break
-                gam = gam + pre
-            factors.append((sub, phi))
-            work = rest
-            prev = sub
-            continue
-        # tame leftover: must come from the prime field via the norm
-        if work.gamma is not None:
-            raise NotAdmissible("tame stage reached with principal data left")
-        chi0 = _solve_base_char(work, base)
-        if chi0 is None:
-            raise NotAdmissible(
-                "leftover tame character does not come from the base")
-        if not factors or factors[-1][0].S.degree != E.degree:
+        if f < 2:
+            # factors are appended only for proper subfields (the full field
+            # returns below), so a tame stage means the chain never reached E
             raise NotAdmissible(
                 "factorization tower did not reach the full field")
-        return chi0, factors
+        gm = work.standard_rep()
+        sub = _minimal_subfield_containing(E, [gm], prev)
+        if sub.S.degree == E.degree:
+            factors.append((self_subfield(E), work))
+            chi0 = MulChar(base.S, None, 0, None)
+            return chi0, factors
+        prev_cond = f
+        gam = sub.project(gm)
+        while True:
+            phi = MulChar(sub.S, None, 0, gam)
+            rest = work.mul(pullback(phi, E, sub.emb).inv())
+            fr = rest.conductor()
+            if fr < 2:
+                break
+            nxt = rest.standard_rep()
+            ok, pre = sub.in_image(nxt)
+            if not ok:
+                break
+            gam = gam + pre
+        factors.append((sub, phi))
+        work = rest
+        prev = sub
 
 
 def _prime_handle(E: TowerField) -> Subfield:
@@ -591,27 +583,6 @@ def _prime_handle(E: TowerField) -> Subfield:
         if sub.S.degree == 1:
             return sub
     raise ConfigError("missing prime subfield")
-
-
-def _solve_base_char(work: MulChar, base: Subfield):
-    """Find chi on the prime field with chi o N equal to the tame character
-    `work`; None when the tame exponent is not in the norm image."""
-    E = work.field
-    F = base.S
-    gen = E.teichmuller(E.res_of(E.xi()))
-    target = char_exponents((work,), gen)[0]
-    ngen = base.norm(gen)
-    for t in range(F.p - 1):
-        cand = MulChar(F, None, t, None)
-        if same_root(char_exponents((cand,), ngen)[0], target):
-            npi = base.norm(E.uniformizer())
-            zw, mw = char_exponents((work,), E.uniformizer())[0]
-            zc, mc = char_exponents((cand,), npi)[0]
-            chi0 = MulChar(F, _add_exponents(zw, mw, -zc, mc), t, None)
-            full = pullback(chi0, E, base.emb)
-            if full.equals(work):
-                return chi0
-    return None
 
 
 # ----------------------------------------------------------------- randoms

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field as dfield
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import getitem
 
 from .cyclotomic import CycNumber
 from .errors import ConfigError, InternalContradiction, RangeViolation
@@ -38,6 +39,7 @@ from .characters import (
     tame_exponent,
     truncate_to,
     _add_exponents,
+    _prime_gen,
     _prime_handle,
 )
 from .embeddings import (Subfield, automorphisms, find_embeddings,
@@ -271,75 +273,73 @@ def tame_extensions(p: int, r: int, k: int):
             out.append((make_tower(p, steps, k), f"unram({fp})"))
             continue
         g = math.gcd(ep, p - 1)
-        from .characters import _prime_gen
-        gen = _prime_gen(p)
         for j in range(g):
-            u = pow(gen, j, p)
+            u = pow(_prime_gen(p), j, p)
             out.append((make_tower(p, (TameRamified(ep, u),), k),
                         f"ram({ep},u=g^{j})"))
     return out
 
 
+def _digit_tables(L: TowerField, sigmas, positions):
+    """Per non-identity sigma, i -> the q-tuple of digits of sigma(tau(d) pi^i)
+    = tau(phi(d) z^i) pi^i, with z = sigma(pi)/pi and phi(xi) = sigma(tau(xi))
+    mod P, in dlog coordinates; both images must be exact Teichmuller lifts."""
+    def dlog(x):
+        w = x.core[0] if x.v == 0 and x.prec >= L.kint else None
+        if w is None or any(map(any, x.core[1:])) or L.teichmuller_w(w) != w:
+            raise InternalContradiction(
+                "automorphism image is not an exact Teichmuller lift")
+        return L.dlog_res(w)
+    n = L.q - 1
+    logs = [L.dlog_res(L.int_to_res(d)) for d in range(1, L.q)]
+    digit = sorted(range(1, L.q), key=lambda d: logs[d - 1])
+    gen = L.teichmuller(L.res_of(L.xi()))
+    acts = [(dlog(s.pi_img.shift(-1)), dlog(s.apply(gen))) for s in sigmas]
+    # (kz, kx) fixes sigma, and (0, 1) is the identity
+    return [{i: (0,) + tuple(digit[(k * kx + i * kz) % n] for k in logs)
+             for i in positions} for kz, kx in acts if (kz, kx) != (0, 1)]
+
+
 def iter_twist_pairs(p: int, r: int, bound: int, k: int,
                      dedupe: bool = True, skipped=None):
     """Admissible pairs (L/F, lambda) of degree r with conductor <= bound,
-    deduplicated by conjugacy (which leaves every verification invariant),
-    streamed in order of increasing conductor.  A wild pair is keyed by the
-    least gamma key over the orbit {sigma(gamma) : sigma in Aut(L/F)}, which is
-    the parameter set of lambda's conjugates lambda o sigma (parameter
-    sigma^-1(gamma)), as sigma -> sigma^-1 permutes Aut(L/F)."""
+    one per conjugacy class (which leaves every verification invariant),
+    streamed by increasing conductor.  Classes are decided on digits, before
+    any field arithmetic: a tame t is kept iff least in its Frobenius orbit
+    {t p^b mod q-1}, a wild gamma = sum tau(d_j) pi^i_j iff its digit tuple
+    is lexicographically <= each sigma-image, sigma in Aut(L/F), i.e. first
+    of its orbit in product order.  Proof: sigma maps tau(a) pi^i to a
+    monomial at i (_digit_tables), so a candidate to that of the image tuple;
+    the negative-position digits fix gamma mod O_L, as _gamma_key does;
+    lambda o sigma has parameter sigma^-1(gamma), and sigma -> sigma^-1
+    permutes Aut(L/F); conductor and admissibility are sigma-invariant."""
     exts = []
     for L, shape in sorted(tame_extensions(p, r, k), key=lambda t: t[1]):
         if L is None:
             if skipped is not None:
                 skipped.append(shape)
             continue
-        ident = identity_embedding(L)
-        others = [s for s in automorphisms(L) if not s.same_as(ident)]
-        exts.append((L, shape, others, set()))
+        exts.append((L, shape, _digit_tables(
+            L, automorphisms(L), range(1 - bound, 0)) if dedupe else []))
     if bound >= 1:
-        for L, shape, _others, seen in exts:
-            for t in range(1, L.q - 1):
+        for L, shape, _tables in exts:
+            n = L.q - 1
+            for t in range(1, n):
                 lam = MulChar(L, None, t, None)
-                if not is_admissible(lam):
-                    continue
-                key = min((t * pow(p, b, L.q - 1)) % (L.q - 1)
-                          for b in range(L.f))
-                if dedupe and key in seen:
-                    continue
-                seen.add(key)
-                yield TwistPair(L, lam, 0, None, shape)
+                if (not dedupe or t == min(t * p**b % n for b in range(L.f))) \
+                        and is_admissible(lam):
+                    yield TwistPair(L, lam, 0, None, shape)
     for m in range(1, bound):
-        for L, shape, others, seen in exts:
-            rl = (m + 2) // 2
-            positions = list(range(-m, 1 - rl))
+        for L, shape, tables in exts:
+            positions = range(-m, 1 - (m + 2) // 2)
+            rows = [[tab[i] for i in positions] for tab in tables]
             for combo in product(range(L.q), repeat=len(positions)):
-                if combo[0] == 0:
+                if not combo[0] or any(tuple(map(getitem, row, combo)) < combo
+                                       for row in rows):
                     continue
-                alpha = L.from_digits(list(zip(positions, combo)))
-                lam = MulChar(L, None, 0, alpha)
-                if lam.conductor() != m + 1:
-                    continue
-                if not is_admissible(lam):
-                    continue
-                if dedupe:
-                    # = transport_char's keys: sigma -> sigma^-1 permutes auts;
-                    # the identity's key is lam's own
-                    key = min([_gamma_key(lam)] + [
-                        _gamma_key(MulChar(L, None, 0, s.apply(lam.gamma)))
-                        for s in others])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield TwistPair(L, lam, m, lam.c_rep(), shape)
-
-
-def enumerate_twist_pairs(p: int, r: int, bound: int, k: int,
-                          dedupe: bool = True):
-    """Materialized iter_twist_pairs, plus the skipped-shape labels."""
-    skipped: list = []
-    pairs = list(iter_twist_pairs(p, r, bound, k, dedupe, skipped=skipped))
-    return pairs, skipped
+                lam = MulChar(L, None, 0, L.from_digits(zip(positions, combo)))
+                if lam.conductor() == m + 1 and is_admissible(lam):
+                    yield TwistPair(L, lam, m, lam.c_rep(), shape)
 
 
 # ------------------------------------------------------------- case analysis

@@ -35,6 +35,7 @@ from .errors import (
     ConductorTooSmall,
     EvenConductor,
     InternalContradiction,
+    NotInvertible,
 )
 from .characters import (AddChar, MulChar, _add_exponents, _needs_p1,
                          char_exponents, make_psi)
@@ -232,7 +233,7 @@ def epsilon_oracle_consistency(chars, psi: AddChar, oracle_fn):
         if not o0.is_zero():
             try:
                 ratio_c = (m0 / o0).serialize()
-            except Exception:
+            except NotInvertible:
                 ratio_c = None
         report["classes"].append({
             "q": key[0], "e": key[1], "conductor": key[2], "parity": key[3],

@@ -294,6 +294,26 @@ def test_howe_round_trip_random(E):
     assert done >= 100
 
 
+def test_howe_rejects_a_tame_character(E):
+    # conductor <= 1 from the start: no factor was taken, so the chain
+    # cannot have reached E
+    for chi in (MulChar(E, None, 3, None), MulChar(E, (1, 6), 0, None)):
+        with pytest.raises(NotAdmissible, match="did not reach the full"):
+            howe_factorize(chi)
+
+
+def test_howe_rejects_a_chain_ending_in_a_proper_subfield():
+    # a pullback from the index-2 subfield peels off one factor there and
+    # leaves a tame character, so the chain ends below E6
+    E6 = make_tower(11, [TameRamified(6, 1)], 24)
+    sub3 = _handle_for(E6, 3)
+    inner = MulChar(sub3.S, None, 2, sub3.S.uniformizer() ** (1 - 6))
+    chi = pullback(inner, E6, sub3.emb)
+    assert chi.conductor() >= 2 and not is_admissible(chi)
+    with pytest.raises(NotAdmissible, match="did not reach the full"):
+        howe_factorize(chi)
+
+
 def _handle_for(E, degree):
     for sub in subfield_lattice(E):
         if sub.S.degree == degree:

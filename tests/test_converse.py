@@ -6,7 +6,8 @@ from itertools import islice
 import pytest
 
 from localchar.cyclotomic import CycNumber
-from localchar.errors import ConfigError, RangeViolation
+from localchar.errors import (ConfigError, InternalContradiction,
+                              RangeViolation)
 from localchar.localfield import TameRamified, Unramified, make_tower
 from localchar.characters import (MulChar, _prime_handle, is_admissible,
                                   make_psi, pullback, random_char)
@@ -23,7 +24,6 @@ from localchar.converse import (
     build_twin_characters,
     case_one_scan,
     classify_case,
-    enumerate_twist_pairs,
     is_conjugate,
     iter_twist_pairs,
     mutate_on_level_two,
@@ -38,6 +38,13 @@ from localchar.embeddings import Subfield, automorphisms, identity_embedding
 from localchar.localfield import TowerElement
 from localchar.epsilon import epsilon_factors
 from localchar.reporting import canonical_json
+
+
+def enumerate_twist_pairs(p, r, bound, k, dedupe=True):
+    """Materialized iter_twist_pairs, plus the skipped-shape labels."""
+    skipped = []
+    pairs = list(iter_twist_pairs(p, r, bound, k, dedupe, skipped=skipped))
+    return pairs, skipped
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +128,37 @@ def test_catalog_key_matches_transport_char_key():
     deduped, _ = enumerate_twist_pairs(11, 2, 3, 16)
     assert len(kept) < len(pairs)
     assert [tw.label() for tw in deduped] == kept
+
+
+def test_digit_tables_reject_an_inexact_uniformizer_image(monkeypatch):
+    # sigma(pi) = pi (1 + pi): sigma(pi)/pi is a one-unit, not a lift
+    L = make_tower(11, [TameRamified(2, 1)], 16)
+    ident = identity_embedding(L)
+    bad = embeddings.EmbeddingMap(L, L, ident.x_img,
+                                  L.uniformizer() * (L.one() + L.uniformizer()))
+    with pytest.raises(InternalContradiction, match="Teichmuller"):
+        converse._digit_tables(L, [bad], range(-3, 0))
+    # the catalog builds its tables before any candidate is formed
+    monkeypatch.setattr(converse, "automorphisms", lambda T: [ident, bad])
+    with pytest.raises(InternalContradiction):
+        next(iter_twist_pairs(11, 2, 3, 16))
+
+
+def test_digit_tables_match_the_field_action():
+    # each table entry is the Teichmuller digit of sigma(tau(d) pi^i),
+    # read off the image computed in the field
+    for L, shape in tame_extensions(11, 2, 16) + tame_extensions(7, 3, 12):
+        auts = automorphisms(L)
+        ident = identity_embedding(L)
+        others = [s for s in auts if not s.same_as(ident)]
+        tables = converse._digit_tables(L, auts, range(-3, 0))
+        assert len(tables) == len(others), shape
+        for sigma, tab in zip(others, tables):
+            for i, row in tab.items():
+                assert row[0] == 0
+                for d in range(1, L.q):
+                    img = sigma.apply(L.monomial(d, i)).serialize()
+                    assert img == L.monomial(row[d], i).serialize(), shape
 
 
 def test_classify_case_examples():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from localchar.cyclotomic import CycNumber, ScaledCyc
 from localchar.errors import (CapacityError, ConductorMismatch, EvenConductor,
-                              PrecisionLoss)
+                              NotInvertible, PrecisionLoss)
 from localchar.localfield import (TameRamified, TowerField, Unramified,
                                   make_tower)
 from localchar.ambient import compositum_abstract
@@ -498,6 +498,50 @@ def test_consistency_classes_and_shift(F):
     shifts = {(r["from_conductor"], r["to_conductor"]): r["qhalf_shift"]
               for r in rep["shift_relations"]}
     assert shifts == {(2, 4): 2, (3, 5): 2}
+
+
+def test_oracle_sum_dispatches_to_the_slow_path_off_prime_residues(
+        monkeypatch):
+    # f = 2: oracle_sum itself must take _slow_sum, and its value must match
+    # the closed form, with ratio q^((c-1)/2) as on prime-residue fields
+    import localchar.oracle as om
+    T = make_tower(3, [Unramified(2)], 8)
+    psi = make_psi(T)
+    rng = random.Random(3)
+    chars = [random_char(T, c, rng) for c in (2, 3) for _ in range(2)]
+    slow_calls, values = [], []
+    slow = om._slow_sum
+    monkeypatch.setattr(om, "_slow_sum",
+                        lambda *a: slow_calls.append(1) or slow(*a))
+
+    def oracle_fn(chi, psi_, delta):
+        values.append(oracle_sum(chi, psi_, delta))
+        return values[-1]
+
+    rep = epsilon_oracle_consistency(chars, psi, oracle_fn)
+    assert len(slow_calls) == len(chars)
+    assert [c["conductor"] for c in rep["classes"]] == [2, 3]
+    assert all(c["ratio"] is not None for c in rep["classes"])
+    for chi, orc in zip(chars, values):
+        qpow = ScaledCyc(CycNumber.one(), chi.conductor() - 1, T.q)
+        assert epsilon_factor(chi, psi).value == orc * qpow
+
+
+@pytest.mark.parametrize("error, ratio_none", [(NotInvertible, True),
+                                               (ValueError, False)])
+def test_consistency_ratio_catches_only_not_invertible(F, monkeypatch, error,
+                                                       ratio_none):
+    def fail(self):
+        raise error("injected")
+
+    monkeypatch.setattr(ScaledCyc, "invert", fail)
+    chars = [random_char(F, 3, random.Random(9))]
+    if ratio_none:
+        rep = epsilon_oracle_consistency(chars, make_psi(F), oracle_sum)
+        assert rep["classes"][0]["ratio"] is None
+    else:
+        with pytest.raises(error):
+            epsilon_oracle_consistency(chars, make_psi(F), oracle_sum)
 
 
 def test_consistency_across_three_seeds(F):
