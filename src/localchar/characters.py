@@ -549,33 +549,34 @@ def howe_factorize(chi: MulChar, base: Subfield | None = None):
         f = work.conductor()
         if prev_cond is not None and f >= prev_cond:
             raise NotAdmissible("conductor chain failed to decrease")
-        if f < 2:
-            # factors are appended only for proper subfields (the full field
-            # returns below), so a tame stage means the chain never reached E
-            raise NotAdmissible(
-                "factorization tower did not reach the full field")
-        gm = work.standard_rep()
-        sub = _minimal_subfield_containing(E, [gm], prev)
-        if sub.S.degree == E.degree:
-            factors.append((self_subfield(E), work))
-            chi0 = MulChar(base.S, None, 0, None)
-            return chi0, factors
-        prev_cond = f
-        gam = sub.project(gm)
-        while True:
-            phi = MulChar(sub.S, None, 0, gam)
-            rest = work.mul(pullback(phi, E, sub.emb).inv())
-            fr = rest.conductor()
-            if fr < 2:
-                break
-            nxt = rest.standard_rep()
-            ok, pre = sub.in_image(nxt)
-            if not ok:
-                break
-            gam = gam + pre
-        factors.append((sub, phi))
-        work = rest
-        prev = sub
+        if f >= 2:
+            gm = work.standard_rep()
+            sub = _minimal_subfield_containing(E, [gm], prev)
+            if sub.S.degree == E.degree:
+                factors.append((self_subfield(E), work))
+                chi0 = MulChar(base.S, None, 0, None)
+                return chi0, factors
+            prev_cond = f
+            gam = sub.project(gm)
+            while True:
+                phi = MulChar(sub.S, None, 0, gam)
+                rest = work.mul(pullback(phi, E, sub.emb).inv())
+                fr = rest.conductor()
+                if fr < 2:
+                    break
+                nxt = rest.standard_rep()
+                ok, pre = sub.in_image(nxt)
+                if not ok:
+                    break
+                gam = gam + pre
+            factors.append((sub, phi))
+            work = rest
+            prev = sub
+            continue
+        # factors are appended only for proper subfields (the full field
+        # returns above), so a tame stage means the chain never reached E
+        raise NotAdmissible(
+            "factorization tower did not reach the full field")
 
 
 def _prime_handle(E: TowerField) -> Subfield:
