@@ -528,7 +528,7 @@ def _minimal_subfield_containing(E: TowerField, elems, lower: Subfield):
     raise ConfigError("no subfield contains the data (lattice incomplete?)")
 
 
-def howe_factorize(chi: MulChar, base: Subfield | None = None):
+def howe_factorize(chi: MulChar):
     """Factor an admissible character as chi0 * prod phi_k o N.
 
     Returns (chi0 on the prime field, [(Subfield handle F_k, phi_k)]) with
@@ -539,8 +539,7 @@ def howe_factorize(chi: MulChar, base: Subfield | None = None):
     and tame part.  NotAdmissible when the structure is violated.
     """
     E = chi.field
-    if base is None:
-        base = _prime_handle(E)
+    base = _prime_handle(E)
     work = chi
     factors = []
     prev = base
@@ -605,23 +604,3 @@ def random_char(field: TowerField, conductor: int, rng,
     digits += [(v, rng.randrange(q)) for v in range(2 - conductor, 0)]
     gamma = field.from_digits(digits)
     return MulChar(field, w, t, gamma)
-
-
-# ------------------------------------------------------------ verification
-
-
-def verify_c_rep(chi: MulChar, psi: AddChar, depth: int | None = None) -> bool:
-    """Check theta(1+x) = psi(c x) on every monomial of the layers
-    P^r .. P^(f-1) (and a few deeper), exactly."""
-    F = chi.field
-    f = chi.conductor()
-    r = (f + 1) // 2
-    c = chi.c_rep()
-    top = depth if depth is not None else min(f + 2, F.k)
-    one = F.one()
-    for j in range(r, top):
-        for a in range(1, F.q):
-            x = F.monomial(a, j)
-            if not (chi.eval(one + x) == psi.eval(c * x)):
-                return False
-    return True

@@ -124,17 +124,20 @@ def epsilon_factor(chi: MulChar, psi: AddChar, check_rep: bool = True) -> Epsilo
 
 def epsilon_factors(chars, psi: AddChar, check_rep: bool = True) -> list:
     """epsilon_factor of each character, for characters of one field that
-    share the conductor f >= 2 and the c-representative.
+    share the conductor f >= 2 and the c-representative: a twin pair, or
+    all twins of the rank-1 twists that share one (verify_rank_one_twists).
 
     Per representative the characters are evaluated together: one
     char_exponents call, one psi(c) and one psi row.  The perturbed
     representative c2 gets its own evaluation; theta(c2) is never derived
-    from theta(c).  ConductorMismatch when the conductors or the
+    from theta(c).  ConductorMismatch, naming the first conductor that
+    differs from the first character's, when the conductors or the
     c-representatives differ."""
     fs = [chi.conductor() for chi in chars]
     f = fs[0]
-    if len(set(fs)) > 1:
-        raise ConductorMismatch(f"conductors {' != '.join(map(str, fs))}")
+    g = next((g for g in fs if g != f), f)
+    if g != f:
+        raise ConductorMismatch(f"conductors {f} != {g}")
     if f < 2:
         raise ConductorTooSmall(
             "closed form needs conductor >= 2; use the oracle for f <= 1")

@@ -6,7 +6,8 @@ from itertools import islice
 import pytest
 
 from localchar.cyclotomic import CycNumber
-from localchar.errors import (ConfigError, InternalContradiction,
+from localchar.errors import (ConductorMismatch, ConductorTooSmall,
+                              ConfigError, InternalContradiction,
                               RangeViolation)
 from localchar.localfield import TameRamified, Unramified, make_tower
 from localchar.characters import (MulChar, _prime_handle, is_admissible,
@@ -324,6 +325,63 @@ def test_rank_one_epsilon_reports_match_recorded_digest(pair5):
     digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
     assert digest == (
         "16e1bedf9d3370826ff7f78422c24d11389942b03706d8707854e72be8accf07")
+
+
+def _rank_one_digest(pair, bound):
+    rep = verify_rank_one_twists(pair, bound)
+    return rep, hashlib.sha256(canonical_json(rep).encode()).hexdigest()
+
+
+def _with_phi2(pair, phi2):
+    return TwinPair(pair.cfg, pair.E, pair.phi1, phi2, pair.beta,
+                    pair.selector, pair.tower)
+
+
+def test_rank_one_reports_match_recorded_digests(pair5):
+    # recorded when every twist was evaluated on its own; the mutated pair
+    # passes at bound 2 and fails 1512 of 1764 twists at bound 3, in
+    # base_characters order
+    bad = _with_phi2(pair5, mutate_on_level_two(pair5.phi2))
+    clean2, d_clean2 = _rank_one_digest(pair5, 2)
+    _, d_bad2 = _rank_one_digest(bad, 2)
+    bad3, d_bad3 = _rank_one_digest(bad, 3)
+    assert clean2["pass"] and clean2["twists"] == 252
+    assert bad3["twists"] == 1764 and len(bad3["failures"]) == 1512
+    assert d_clean2 == d_bad2 == (
+        "f8927b95a95b68619c608f421cf57fd0f8d1fafd877a6d1dbb76059d6b75300b")
+    assert d_bad3 == (
+        "df912a6290909c92fe6fc910ed71fc6b7951f1e880dfd57956e2ef38bcc635d8")
+
+
+def test_rank_one_grouping_keeps_every_check(pair5, capsys):
+    E = pair5.E
+    f = pair5.phi1.conductor()
+    # a level inside the c window [1-f, 1-r) moves every th2's c-rep only
+    moved = MulChar(E, pair5.phi2.w, pair5.phi2.t,
+                    pair5.phi2.gamma + E.monomial(1, -6))
+    assert moved.conductor() == f
+    with pytest.raises(ConductorMismatch, match="c-representatives differ"):
+        verify_rank_one_twists(_with_phi2(pair5, moved), 2)
+    deeper = MulChar(E, pair5.phi2.w, pair5.phi2.t,
+                     pair5.phi2.gamma + E.monomial(1, -f))
+    with pytest.raises(ConductorMismatch, match=f"^conductors {f} != {f + 1}$"):
+        verify_rank_one_twists(_with_phi2(pair5, deeper), 2)
+    # a group's later twins are checked against its first, not pairwise
+    th = pair5.phi1
+    with pytest.raises(ConductorMismatch, match="c-representatives differ"):
+        epsilon_factors((th, th, th, th.mul(MulChar(E, None, 0,
+                                                    E.monomial(1, -6)))),
+                        make_psi(E))
+    # tame twins: the closed form refuses before any c-rep is formed
+    tame = MulChar(E, None, 1, None)
+    with pytest.raises(ConductorTooSmall, match="^closed form needs conductor"):
+        verify_rank_one_twists(TwinPair(pair5.cfg, E, tame, tame, pair5.beta,
+                                        pair5.selector, pair5.tower), 1)
+    capsys.readouterr()
+    rep = verify_rank_one_twists(pair5, 1, progress=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"  rank-1 twists: {k}/36" for k in range(1, 37)]
+    assert rep["twists"] == 36 and rep["pass"]
 
 
 def _alpha_case_pairs(pair, tws):
