@@ -28,7 +28,7 @@ from .errors import (
     PrecisionLoss,
 )
 from .embeddings import EmbeddingMap, Subfield, enumerate_subfields, self_subfield
-from .localfield import INF, TowerElement, TowerField
+from .localfield import TowerElement, TowerField
 
 
 class AddChar:
@@ -376,35 +376,6 @@ def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
     return MulChar(K, w_new, t_new, g_new)
 
 
-def restrict_to_base(chi: MulChar, base_handle: Subfield) -> MulChar:
-    """The restriction of chi to the prime subfield, as a character there.
-
-    Uses chi(p-element) for the uniformizer value, matching on the prime
-    Teichmuller generator for the tame part, and tr_{E/F}(gamma) as the
-    principal parameter (exact: tr(gamma * y) = y * tr(gamma) for y in F)."""
-    E = chi.field
-    F = base_handle.S
-    if F.degree != 1:
-        raise ConfigError("restriction targets the prime subfield")
-    w_F = char_exponents((chi,), base_handle.emb.apply(F.uniformizer()))[0]
-    gF = (F.p - _prime_gen(F.p)) % F.p
-    t_F = tame_exponent(chi, E.teichmuller(E.int_to_res(_prime_gen(F.p))),
-                        F.p - 1)
-    g = chi.gamma_full()
-    if g is None:
-        gamma_F = None
-    else:
-        pairs, window = E.trace_digits(g)
-        total = F.zero()
-        for m, c in pairs:
-            total = total + F.from_int(c).div_p(-m)
-        gamma_F = total.cap_window(min(0, window)) if window is not INF \
-            else total.cap_window(0)
-        if gamma_F.is_zero():
-            gamma_F = None
-    return MulChar(F, w_F, t_F, gamma_F)
-
-
 @lru_cache(maxsize=None)
 def _prime_gen(p: int) -> int:
     from .localfield import _primitive_poly
@@ -488,32 +459,6 @@ def is_admissible(chi: MulChar) -> bool:
     return True
 
 
-def is_generic(chi: MulChar) -> bool:
-    """Genericity over the prime field (Kutzko's two cases)."""
-    E = chi.field
-    f = chi.conductor()
-    subs = subfield_lattice(E)
-    if f > 1:
-        gm = chi.standard_rep()
-        for sub in subs:
-            if sub.S.degree == E.degree:
-                continue
-            if sub.in_image(gm)[0]:
-                return False
-        return True
-    if f == 1:
-        if E.e != 1:
-            return False
-        n = E.q - 1
-        for sub in subs:
-            if sub.S.degree == E.degree:
-                continue
-            if (chi.t * ((E.q - 1) // (sub.S.q - 1))) % n == 0:
-                return False
-        return True
-    return E.degree == 1
-
-
 # ----------------------------------------------------------- Howe factoring
 
 
@@ -588,12 +533,10 @@ def _prime_handle(E: TowerField) -> Subfield:
 # ----------------------------------------------------------------- randoms
 
 
-def random_char(field: TowerField, conductor: int, rng,
-                w_order: int | None = None) -> MulChar:
+def random_char(field: TowerField, conductor: int, rng) -> MulChar:
     """Random parametric character of the exact given conductor."""
     q = field.q
-    n = w_order if w_order is not None else q - 1
-    w = (rng.randrange(n), n)
+    w = (rng.randrange(q - 1), q - 1)
     if conductor == 0:
         return MulChar(field, w, 0, None)
     t = rng.randrange(q - 1)

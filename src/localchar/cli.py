@@ -49,7 +49,6 @@ def _parser():
     ap.add_argument("--ell", type=int)
     ap.add_argument("--precision", type=int)
     ap.add_argument("--conductor-bound", type=int, dest="conductor_bound")
-    ap.add_argument("--jobs", type=int)
     ap.add_argument("--seed", type=int)
     ap.add_argument("--out", help="write the JSON report here")
     ap.add_argument("--level", choices=["r1", "equ6", "all"])
@@ -83,14 +82,19 @@ def _read_config(path):
     return out
 
 
+# every configuration key; a config file naming any other key is an error
+_KEYS = ("p", "N", "ell", "precision", "conductor_bound", "seed", "level", "r",
+         "selector", "char_field", "char_w", "char_t", "char_gamma", "samples",
+         "oracle_budget", "mutate")
+
 # applied after the config file, so that an option left unset on the command
 # line takes the file's value
-_DEFAULTS = {"jobs": 1, "seed": 0, "level": "r1", "char_field": "F",
-             "char_w": 0, "char_t": 0, "char_gamma": "", "samples": 0,
+_DEFAULTS = {"seed": 0, "level": "r1", "char_field": "F", "char_w": 0,
+             "char_t": 0, "char_gamma": "", "samples": 0,
              "oracle_budget": 300_000_000, "mutate": False}
 
-_INT_KEYS = {"p", "N", "ell", "precision", "conductor_bound", "jobs", "seed",
-             "r", "selector", "char_w", "char_t", "samples", "oracle_budget"}
+_INT_KEYS = {"p", "N", "ell", "precision", "conductor_bound", "seed", "r",
+             "selector", "char_w", "char_t", "samples", "oracle_budget"}
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
@@ -112,12 +116,12 @@ def _config_value(key, val):
 def _merge(args) -> dict:
     cfg = {}
     if args.config:
-        for key, val in _read_config(args.config).items():
-            key = key.replace("-", "_").replace(".", "_")
+        for raw, val in _read_config(args.config).items():
+            key = raw.replace("-", "_").replace(".", "_")
+            if key not in _KEYS:
+                raise ConfigError(f"unknown config key {raw!r}")
             cfg[key] = _config_value(key, val)
-    for key in ("p", "N", "ell", "precision", "conductor_bound", "jobs",
-                "seed", "level", "r", "selector", "char_field", "char_w",
-                "char_t", "char_gamma", "samples", "oracle_budget", "mutate"):
+    for key in _KEYS:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
@@ -189,8 +193,7 @@ def cmd_epsilon(cfg):
                  for c in range(2, bound + 1) for _ in range(cfg["samples"])]
         rep = epsilon_oracle_consistency(chars, psi, lambda c_, p_, d_:
                                          oracle_sum(c_, p_, d_,
-                                                    budget=cfg["oracle_budget"],
-                                                    jobs=cfg.get("jobs") or 1))
+                                                    cfg["oracle_budget"]))
         results.append({"consistency": rep})
         verdict = True
     else:
@@ -201,8 +204,7 @@ def cmd_epsilon(cfg):
             eps = epsilon_factor(chi, psi)
             entry["closed_form"] = eps.serialize()
         delta = field.uniformizer() ** (1 - max(f, 1))
-        orc = oracle_sum(chi, psi, delta, budget=cfg["oracle_budget"],
-                         jobs=cfg.get("jobs") or 1)
+        orc = oracle_sum(chi, psi, delta, budget=cfg["oracle_budget"])
         entry["oracle"] = orc.serialize()
         results.append(entry)
         verdict = True

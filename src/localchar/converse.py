@@ -695,8 +695,7 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
 # ------------------------------------------------------------------- search
 
 
-def search_distinguisher(pair: TwinPair, r: int, bound: int,
-                         max_instances: int | None = None) -> dict:
+def search_distinguisher(pair: TwinPair, r: int, bound: int) -> dict:
     """Scan twisting pairs of degree r = floor(N/2) for one that separates
     the twins; a found distinguisher is re-verified by the direct route."""
     E = pair.E
@@ -707,8 +706,6 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int,
     scanned = 0
     found = None
     for tw in iter_twist_pairs(cfg.p, r, bound, cfg.k, skipped=skipped):
-        if max_instances and scanned >= max_instances:
-            break
         ctx = _context_for(E, cfg.N, tw)
         label, vb, va = classify_case(cfg.N, tw.L.e, tw.L.f, tw.m)
         e = ctx["K"].e // cfg.N

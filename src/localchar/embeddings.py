@@ -479,11 +479,3 @@ def _generator_images_res0(p: int, fp: int, T: TowerField):
     S0 = make_tower(p, (Unramified(fp),), 2)
     return T.res_of(_generator_images(S0, T)[0])
 
-
-def norm_via_conjugates(x: TowerElement, maps):
-    """Product of sigma(x) over a list of embeddings (ambient cross-check)."""
-    out = None
-    for m in maps:
-        y = m.apply(x)
-        out = y if out is None else out * y
-    return out

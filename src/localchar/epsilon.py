@@ -117,12 +117,12 @@ def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None, theta=None) -> ScaledCyc:
                         chi.field.q)
 
 
-def epsilon_factor(chi: MulChar, psi: AddChar, check_rep: bool = True) -> EpsilonValue:
+def epsilon_factor(chi: MulChar, psi: AddChar) -> EpsilonValue:
     """Closed-form epsilon at s = 0 for a character of conductor >= 2."""
-    return epsilon_factors((chi,), psi, check_rep)[0]
+    return epsilon_factors((chi,), psi)[0]
 
 
-def epsilon_factors(chars, psi: AddChar, check_rep: bool = True) -> list:
+def epsilon_factors(chars, psi: AddChar) -> list:
     """epsilon_factor of each character, for characters of one field that
     share the conductor f >= 2 and the c-representative: a twin pair, or
     all twins of the rank-1 twists that share one (verify_rank_one_twists).
@@ -147,12 +147,11 @@ def epsilon_factors(chars, psi: AddChar, check_rep: bool = True) -> list:
         raise ConductorMismatch("c-representatives differ at the shared truncation")
     thetas = [theta_row(chi, (f - 1) // 2) if f % 2 else None for chi in chars]
     vals, hists = _assemble(chars, psi, c, f, thetas)
-    if check_rep:
-        c2 = c + F.monomial(1, 1 - (f + 1) // 2)
-        vals2, _ = _assemble(chars, psi, c2, f, thetas)
-        if not all(v == v2 for v, v2 in zip(vals, vals2)):
-            raise InternalContradiction(
-                f"epsilon depends on the c-representative at conductor {f}")
+    c2 = c + F.monomial(1, 1 - (f + 1) // 2)
+    vals2, _ = _assemble(chars, psi, c2, f, thetas)
+    if not all(v == v2 for v, v2 in zip(vals, vals2)):
+        raise InternalContradiction(
+            f"epsilon depends on the c-representative at conductor {f}")
     parity = "odd" if f % 2 else "even"
     return [EpsilonValue(v, f, parity, "closed_form",
                          None if h is None else (*h, F.q))

@@ -22,13 +22,10 @@ keys.  The rows form one (q-1) x p^s count array, reduced by one
 CycNumber.from_counts.  All arithmetic is integer arithmetic modulo powers
 of p.  Only the psi side
 is cached, in the field's own caches under (conductor, delta), so a grid
-lives as long as its field; its blocks may be built across processes.
+lives as long as its field.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -38,11 +35,11 @@ from .characters import AddChar, MulChar, _add_exponents, char_exponents
 from .localfield import TowerField
 
 _SLOW_BUDGET = 500_000
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # units per block: bounds each block's int64 copy of its row
 
 
-def oracle_sum(chi: MulChar, psi: AddChar, delta, budget: int = 300_000_000,
-               jobs: int = 1) -> ScaledCyc:
+def oracle_sum(chi: MulChar, psi: AddChar, delta,
+               budget: int = 300_000_000) -> ScaledCyc:
     """Full unit-group character sum against delta; exact."""
     F = chi.field
     if delta.is_zero():
@@ -52,7 +49,7 @@ def oracle_sum(chi: MulChar, psi: AddChar, delta, budget: int = 300_000_000,
     if terms > budget:
         raise CapacityError(f"oracle sum has {terms} terms, budget {budget}")
     if F.f == 1 and F.explog_ok and not chi.is_factored():
-        total = _fast_sum(chi, psi, delta, c, jobs)
+        total = _fast_sum(chi, psi, delta, c)
     else:
         if terms > _SLOW_BUDGET:
             raise CapacityError(
@@ -126,7 +123,7 @@ class _Grid:
     `mult` holds the t_j mod psw, checked against psi(t_j delta pi^i) for
     every j and i."""
 
-    def __init__(self, F: TowerField, psi, c: int, delta, jobs: int):
+    def __init__(self, F: TowerField, psi, c: int, delta):
         p, e, q = F.p, F.e, F.q
         tame = [F.teichmuller(F.res_of(F.wpow(F.xi(), j)))
                 for j in range(q - 1)]
@@ -146,14 +143,8 @@ class _Grid:
         self.k, self.psw = k, psw
         wrap = p * F.U[0] % psw  # pi^e = p U
         weights = zip(*_level_rows(wexp[0], p, range(k + 1, c), wrap, psw, e))
-        block = partial(_level_rows, p=p, levels=range(1, k + 1), wrap=wrap,
-                        psw=psw, keep=1)
-        if jobs > 1 and k < c - 1:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                self.blocks = [row for row, in ex.map(block, weights)]
-        else:
-            self.blocks = [row for row, in map(block, weights)]
-
+        self.blocks = [_level_rows(w, p, range(1, k + 1), wrap, psw, 1)[0]
+                       for w in weights]
 
 def _level_rows(w, p, levels, wrap, psw, keep):
     """psi exponents of u pi^s x delta for s < keep, u over prod (1 + d_lev
@@ -187,14 +178,14 @@ def _digit_sums(t1, lo, hi):
     return out
 
 
-def _fast_sum(chi, psi, delta, c, jobs):
+def _fast_sum(chi, psi, delta, c):
     F = chi.field
     p, q = F.p, F.q
     grids = F._caches.setdefault("oracle_grids", {})
     key = (c, delta.v, tuple(tuple(w) for w in delta.core))
     grid = grids.get(key)
     if grid is None:
-        grid = grids[key] = _Grid(F, psi, c, delta, jobs)
+        grid = grids[key] = _Grid(F, psi, c, delta)
 
     # theta side: psi(-gamma log(1 + a pi^i)) digit tables, exact
     raw_t1 = {} if chi.gamma is None else {

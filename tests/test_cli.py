@@ -102,16 +102,30 @@ def test_unsupported_shape_is_a_configuration_error(capsys):
 def test_config_file_values_beat_parser_defaults(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("p = 7\nchar_t = 2\nchar_gamma = -2:3,-1:1\n"
-                       "jobs = 2\noracle_budget = 5\n")
+                       "seed = 2\noracle_budget = 5\n")
     # the file's budget applies: the conductor-3 oracle sum has 294 terms
     assert run(["epsilon", "--config", str(cfgfile)]) == 3
     out = tmp_path / "e.json"
     assert run(["epsilon", "--config", str(cfgfile), "--oracle-budget", "1000",
                 "--char-t", "0", "--out", str(out)]) == 0
     cfg = json.loads(out.read_text())["config"]
-    assert cfg["jobs"] == 2
+    assert cfg["seed"] == 2  # the file's value, not the default 0
     assert cfg["oracle_budget"] == 1000 and cfg["char_t"] == 0
-    assert cfg["seed"] == 0 and cfg["level"] == "r1" and cfg["mutate"] is False
+    assert cfg["level"] == "r1" and cfg["mutate"] is False
+
+
+def test_unknown_config_keys_are_configuration_errors(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    for line in ("jobs = 2", "jbos = 2"):  # a removed option and a typo
+        cfgfile.write_text(f"p = 7\n{line}\n")
+        capsys.readouterr()
+        assert run(["epsilon", "--config", str(cfgfile)]) == 2, line
+        key = line.split()[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: unknown config key {key!r}\n")
+    with pytest.raises(SystemExit) as usage:  # no --jobs flag either
+        run(["epsilon", "--p", "7", "--jobs", "2"])
+    assert usage.value.code == 2
 
 
 def test_config_file_mutate_is_a_boolean(tmp_path):

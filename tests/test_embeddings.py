@@ -8,7 +8,6 @@ from localchar.embeddings import (
     embeddings,
     enumerate_subfields,
     identity_embedding,
-    norm_via_conjugates,
     prime_subfield,
     verify_embedding,
     w_nth_root_oneunit,
@@ -134,6 +133,15 @@ def test_automorphisms_unramified_quadratic():
     frob = next(a for a in auts if not a.same_as(identity_embedding(L)))
     x = identity_embedding(L).x_img
     assert (frob.apply(frob.apply(x)) - x).is_zero()
+
+
+def norm_via_conjugates(x, maps):
+    """Product of sigma(x) over a list of embeddings (ambient cross-check)."""
+    out = None
+    for m in maps:
+        y = m.apply(x)
+        out = y if out is None else out * y
+    return out
 
 
 def test_norm_via_conjugates_cross_check(T6):

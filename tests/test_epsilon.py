@@ -232,11 +232,12 @@ def test_gauss_part_is_summed_when_first_read(E, monkeypatch):
     calls = []
     monkeypatch.setattr(CycNumber, "from_root_sum", staticmethod(
         lambda modulus, terms: calls.append(modulus) or orig(modulus, terms)))
-    eps = epsilon_factor(chi, psi, check_rep=False)
-    assert len(calls) == 1  # the value alone
+    eps = epsilon_factor(chi, psi)
+    n = len(calls)
+    assert n == 2  # the value at c and at the perturbed representative
     assert eps.gauss_part.serialize() == eager.serialize()
-    assert len(calls) == 2
-    assert eps.gauss_part is eps.gauss_part and len(calls) == 2
+    assert len(calls) == n + 1
+    assert eps.gauss_part is eps.gauss_part and len(calls) == n + 1
 
 
 def _sharing_c(field, f, rng):
@@ -411,22 +412,22 @@ def _reference_grid_rows(F, psi, c, delta, psw):
     return units @ np.array(w, dtype=np.int64) % psw
 
 
-@pytest.mark.parametrize("name, c, chunk, jobs", [
-    pytest.param("F", 3, None, 1, id="F-c3"),
+@pytest.mark.parametrize("name, c, chunk", [
+    pytest.param("F", 3, None, id="F-c3"),
     # 7 blocks of 49 units: nonzero theta offsets in the dense path
-    pytest.param("E", 4, 49, 1, id="E-c4-blocks"),
-    # 7 blocks of 7^4 units, built in two processes
-    pytest.param("E", 6, 7 ** 4, 2, id="E-c6-jobs2"),
+    pytest.param("E", 4, 49, id="E-c4-blocks"),
+    # 7 blocks of 7^4 units
+    pytest.param("E", 6, 7 ** 4, id="E-c6-blocks"),
 ])
-def test_oracle_grid_rows_match_the_coordinate_table(name, c, chunk, jobs,
-                                                     request, monkeypatch):
+def test_oracle_grid_rows_match_the_coordinate_table(name, c, chunk, request,
+                                                     monkeypatch):
     import localchar.oracle as om
     field = request.getfixturevalue(name)
     psi = make_psi(field)
     delta = field.uniformizer() ** (1 - c)
     if chunk:
         monkeypatch.setattr(om, "_CHUNK", chunk)
-    grid = om._Grid(field, psi, c, delta, jobs)
+    grid = om._Grid(field, psi, c, delta)
     assert len(grid.blocks) == (7 if chunk else 1)
     width = np.min_scalar_type(grid.psw - 1)
     assert all(row.dtype == width for row in grid.blocks)
@@ -441,10 +442,10 @@ def test_oracle_grid_build_memory_per_unit():
     import localchar.oracle as om
     T = TowerField(7, (TameRamified(5, 1),), 12)
     psi, delta = make_psi(T), T.uniformizer() ** (-5)
-    om._Grid(T, psi, 6, delta, 1)  # fill the field's caches first
+    om._Grid(T, psi, 6, delta)  # fill the field's caches first
     tracemalloc.start()
     try:
-        grid = om._Grid(T, psi, 6, delta, 1)
+        grid = om._Grid(T, psi, 6, delta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -558,22 +559,20 @@ def test_consistency_across_three_seeds(F):
         assert m0 * o == m * o0
 
 
-def test_oracle_parallel_chunks_match_serial(E):
-    from localchar.oracle import clear_oracle_cache
+def test_oracle_block_split_matches_one_block(E, monkeypatch):
+    import localchar.oracle as om
     psi = make_psi(E)
     chi = random_char(E, 6, random.Random(13))
     delta = E.uniformizer() ** (-5)
-    serial = oracle_sum(chi, psi, delta)
-    clear_oracle_cache(E)
-    import localchar.oracle as om
-    old = om._CHUNK
-    om._CHUNK = 1 << 14  # force several chunks
-    try:
-        parallel = oracle_sum(chi, psi, delta, jobs=2)
-    finally:
-        om._CHUNK = old
-        clear_oracle_cache(E)
-    assert serial == parallel
+    sums = []
+    for chunk, blocks in ((om._CHUNK, 1), (1 << 14, 7)):
+        monkeypatch.setattr(om, "_CHUNK", chunk)
+        om.clear_oracle_cache(E)
+        sums.append(oracle_sum(chi, psi, delta))
+        grid, = E._caches["oracle_grids"].values()
+        assert len(grid.blocks) == blocks
+    om.clear_oracle_cache(E)
+    assert sums[0] == sums[1]
 
 
 def test_consistency_across_precisions():
