@@ -376,12 +376,6 @@ def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
     return MulChar(K, w_new, t_new, g_new)
 
 
-@lru_cache(maxsize=None)
-def _prime_gen(p: int) -> int:
-    from .localfield import _primitive_poly
-    return (p - _primitive_poly(p, 1)[0]) % p
-
-
 # ----------------------------------------------------------------- lattices
 
 

@@ -82,10 +82,11 @@ def _read_config(path):
     return out
 
 
-# every configuration key; a config file naming any other key is an error
-_KEYS = ("p", "N", "ell", "precision", "conductor_bound", "seed", "level", "r",
-         "selector", "char_field", "char_w", "char_t", "char_gamma", "samples",
-         "oracle_budget", "mutate")
+# every configuration key, with the parser action that types and bounds it; a
+# config file naming any other key is an error
+_OPTIONS = {a.dest: a for a in _parser()._actions
+            if a.option_strings and a.dest not in ("help", "config", "out")}
+_KEYS = tuple(_OPTIONS)
 
 # applied after the config file, so that an option left unset on the command
 # line takes the file's value
@@ -93,23 +94,26 @@ _DEFAULTS = {"seed": 0, "level": "r1", "char_field": "F", "char_w": 0,
              "char_t": 0, "char_gamma": "", "samples": 0,
              "oracle_budget": 300_000_000, "mutate": False}
 
-_INT_KEYS = {"p", "N", "ell", "precision", "conductor_bound", "seed", "r",
-             "selector", "char_w", "char_t", "samples", "oracle_budget"}
-
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
 
 def _config_value(key, val):
-    if key in _INT_KEYS:
+    """A config file value, typed and checked as its command-line flag."""
+    action = _OPTIONS[key]
+    if action.type is int:
         try:
-            return int(val)
+            val = int(val)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {val!r}") from None
-    if key == "mutate":
+    elif action.nargs == 0:  # store_true
         if val.lower() not in _BOOL_WORDS:
-            raise ConfigError(f"mutate must be true/false/1/0/yes/no, got {val!r}")
-        return _BOOL_WORDS[val.lower()]
+            raise ConfigError(
+                f"{key} must be true/false/1/0/yes/no, got {val!r}")
+        val = _BOOL_WORDS[val.lower()]
+    if action.choices is not None and val not in action.choices:
+        raise ConfigError(
+            f"{key} must be one of {', '.join(action.choices)}, got {val!r}")
     return val
 
 

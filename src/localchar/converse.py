@@ -39,13 +39,13 @@ from .characters import (
     tame_exponent,
     truncate_to,
     _add_exponents,
-    _prime_gen,
     _prime_handle,
 )
 from .embeddings import (Subfield, automorphisms, find_embeddings,
                           identity_embedding)
 from .epsilon import epsilon_factors, gauss_sum
-from .localfield import TameRamified, TowerElement, TowerField, Unramified, make_tower
+from .localfield import (TameRamified, TowerElement, TowerField, Unramified,
+                         _prime_gen, make_tower)
 
 
 # --------------------------------------------------------------------- config
@@ -642,13 +642,15 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
 
     Twists whose twins share the conductor and th1's c-representative are
     evaluated together: one epsilon_factors call on all their twins (which
-    checks every twin's conductor and representative against the first)
-    and one char_exponents call on their quotients at that representative.
-    Verdicts and progress lines keep base_characters order."""
+    checks every twin's conductor and representative against the first).
+    Every quotient th2/th1 is phi2/phi1, so the quotient route is one value
+    per group: phi2/phi1 at the shared representative.  Verdicts and
+    progress lines keep base_characters order."""
     E = pair.E
     psiE = make_psi(E)
     primeE = _prime_handle(E)
     chars = base_characters(primeE.S, bound)
+    eta = pair.phi2.mul(pair.phi1.inv())
     all_ramified = True
     t0 = time.time()
     groups: dict = {}
@@ -669,11 +671,9 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
     for (f, *_), members in groups.items():
         twins = [th for _, th1, th2 in members for th in (th1, th2)]
         eps = epsilon_factors(twins, psiE)
-        # independent route: the quotient characters at the shared c-rep
-        quots = char_exponents([th2.mul(th1.inv()) for _, th1, th2 in members],
-                               twins[0].c_rep())
-        for (i, _, _), e1, e2, (z, m) in zip(members, eps[::2], eps[1::2],
-                                             quots):
+        # independent route: the quotient character at the shared c-rep
+        z, m = char_exponents((eta,), twins[0].c_rep())[0]
+        for (i, _, _), e1, e2 in zip(members, eps[::2], eps[1::2]):
             ok = (e1.value == e2.value)
             g_eq = f % 2 == 0 or e1.gauss_part.num == e2.gauss_part.num
             ok_ratio = z % m == 0 and g_eq

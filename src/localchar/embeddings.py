@@ -8,8 +8,7 @@ s by Newton's method (p divides no relevant degree, so both are exact).
 
 A Subfield bundles S with one embedding into T and provides decomposition
 over the basis {x_T^j pi_T^i}, multiplication matrices, and norm / trace /
-characteristic polynomial computed through them.  Conjugate-product norms
-live in ambient.py as an independent cross-check.
+characteristic polynomial computed through them.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 
 from .errors import (
-    AmbientTooSmall,
     CapacityError,
     ConfigError,
     DivisionByZero,
@@ -194,15 +192,6 @@ def find_embeddings(S: TowerField, T: TowerField):
             gw = T.wmul(T.wpow(T.xi(), l), s)
             pi_img = TowerElement(T, c, T.rfromw(gw), T.kint, T.kint)
             out.append(EmbeddingMap(S, T, x_img, pi_img))
-    return out
-
-
-def embeddings(S: TowerField, T: TowerField):
-    """Exactly [S : F] embeddings of S into T; AmbientTooSmall otherwise."""
-    out = find_embeddings(S, T)
-    if len(out) != S.degree:
-        raise AmbientTooSmall(
-            f"found {len(out)} embeddings of a degree-{S.degree} field")
     return out
 
 
@@ -410,12 +399,6 @@ def self_subfield(T: TowerField) -> Subfield:
     return Subfield(T, T, identity_embedding(T))
 
 
-def prime_subfield(T: TowerField, k_sub=None) -> Subfield:
-    F = make_tower(T.p, (), k_sub if k_sub is not None else max(T.a, 2))
-    emb = find_embeddings(F, T)[0]
-    return Subfield(F, T, emb)
-
-
 def enumerate_subfields(T: TowerField):
     """All intermediate fields F <= S <= T, each with a canonical embedding.
 
@@ -455,7 +438,7 @@ def enumerate_subfields(T: TowerField):
                     step = (T.q - 1) // (qs - 1)
                     if dglob % step:
                         continue
-                    rho0 = _generator_images_res0(p, fp, T)
+                    rho0 = T.res_of(T.subres_generator(fp))
                     d0 = T.dlog_res(rho0)
                     m = (dglob // step) * pow(d0 // step, -1, qs - 1) % (qs - 1)
                     steps = (Unramified(fp), TameRamified(ep, ("gen", m)))
@@ -472,10 +455,3 @@ def enumerate_subfields(T: TowerField):
                 out.append(Subfield(S, T, chosen))
     out.sort(key=lambda s: (s.S.degree, s.S.f, s.S.e))
     return out
-
-
-def _generator_images_res0(p: int, fp: int, T: TowerField):
-    """Residue of the canonical first root of the degree-fp polynomial in T."""
-    S0 = make_tower(p, (Unramified(fp),), 2)
-    return T.res_of(_generator_images(S0, T)[0])
-

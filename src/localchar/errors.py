@@ -29,10 +29,6 @@ class DivisionByZero(LocalCharError):
     """Inversion of zero, or of an element not certified to be nonzero."""
 
 
-class AmbientTooSmall(LocalCharError):
-    """The ambient field does not contain the required Galois closure."""
-
-
 class ConductorTooSmall(LocalCharError):
     """Operation needs conductor >= 2 (standard representative undefined)."""
 

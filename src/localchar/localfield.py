@@ -101,6 +101,11 @@ def _primitive_poly(p: int, f: int):
     raise ConfigError("no primitive polynomial found")
 
 
+def _prime_gen(p: int) -> int:
+    """The least primitive root mod p, the root of _primitive_poly(p, 1)."""
+    return (p - _primitive_poly(p, 1)[0]) % p
+
+
 def _vp(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -329,8 +334,7 @@ class TowerField:
         key = ("subgen", fp)
         if key not in self._caches:
             if fp == 1:
-                g = (self.p - _primitive_poly(self.p, 1)[0]) % self.p
-                self._caches[key] = self.wint(g)
+                self._caches[key] = self.wint(_prime_gen(self.p))
             elif self.f % fp:
                 raise ConfigError("residue degree does not divide")
             else:
@@ -433,8 +437,7 @@ class TowerField:
         """Canonical Teichmuller generator of the roots of unity mu_{q-1}."""
         if "xi" not in self._caches:
             if self.f == 1:
-                g = (self.p - _primitive_poly(self.p, 1)[0]) % self.p
-                self._caches["xi"] = self.teichmuller_w(self.wint(g))
+                self._caches["xi"] = self.teichmuller_w(self.subres_generator(1))
             else:
                 self._caches["xi"] = self.teichmuller_w((0, 1) + (0,) * (self.f - 2))
         return self._caches["xi"]

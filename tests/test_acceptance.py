@@ -12,7 +12,6 @@ import pytest
 
 from localchar.cyclotomic import ScaledCyc
 from localchar.localfield import TameRamified, Unramified, make_tower
-from localchar.embeddings import prime_subfield
 from localchar.characters import (
     MulChar,
     howe_factorize,
@@ -181,7 +180,7 @@ def test_criterion_07_even_N_construction():
     _report(7, f"even-N build + {r1['twists']} rank-1 twists", t0, 300)
 
 
-def test_criterion_08_property_suites():
+def test_criterion_08_property_suites(prime_subfield):
     t0 = time.time()
     E = make_tower(7, [TameRamified(5, 1)], 12)
     F = make_tower(7, (), 12)

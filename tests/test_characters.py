@@ -10,11 +10,11 @@ from localchar.errors import (
     NotAdmissible,
     PrecisionLoss,
 )
-from localchar.localfield import INF, TameRamified, TowerElement, make_tower
-from localchar.embeddings import Subfield, prime_subfield
+from localchar.localfield import (INF, TameRamified, TowerElement, _prime_gen,
+                                  make_tower)
+from localchar.embeddings import Subfield
 from localchar.characters import (
     MulChar,
-    _prime_gen,
     char_exponents,
     eval_many,
     howe_factorize,
@@ -70,7 +70,7 @@ def test_psi_level_one(E, F):
     assert not psiE.eval(E.one()).is_one()
 
 
-def test_psi_matches_independent_trace(E, F):
+def test_psi_matches_independent_trace(E, F, prime_subfield):
     psiE, psiF = make_psi(E), make_psi(F)
     sub = prime_subfield(E)
     rng = random.Random(0)
@@ -183,7 +183,7 @@ def test_c_rep_identity_spanning(E, F):
         assert verify_c_rep(chi, psiF)
 
 
-def test_inflation_preserves_gamma_and_scales_conductor(E):
+def test_inflation_preserves_gamma_and_scales_conductor(E, prime_subfield):
     # tame quadratic over E is out of reach here, use F -> E instead plus
     # an independent brute-force conductor scan of the pullback
     rng = random.Random(8)
@@ -206,7 +206,7 @@ def test_inflation_preserves_gamma_and_scales_conductor(E):
             assert d.is_zero() or d.valuation() >= 1 - rK
 
 
-def test_inflation_pointwise(E):
+def test_inflation_pointwise(E, prime_subfield):
     rng = random.Random(9)
     sub = prime_subfield(E)
     F = sub.S
@@ -253,7 +253,7 @@ def is_generic(chi):
                    if sub.S.degree != E.degree)
 
 
-def test_is_generic_examples(E):
+def test_is_generic_examples(E, prime_subfield):
     beta_char = MulChar(E, None, 0, E.uniformizer() ** (2 - 10))
     assert is_generic(beta_char)  # gcd(2N-2, N) = 1 for N = 5
     sub = prime_subfield(E)
@@ -264,7 +264,7 @@ def test_is_generic_examples(E):
     assert not is_generic(beta6)  # generates the degree-3 subfield only
 
 
-def test_is_admissible_examples(E):
+def test_is_admissible_examples(E, prime_subfield):
     beta_char = MulChar(E, None, 0, E.uniformizer() ** (2 - 10))
     assert is_admissible(beta_char)
     sub = prime_subfield(E)
@@ -380,7 +380,7 @@ def restrict_to_base(chi, base_handle):
     return MulChar(F, w_F, t_F, gamma_F)
 
 
-def test_restriction_to_base_agrees_for_twins(E):
+def test_restriction_to_base_agrees_for_twins(E, prime_subfield):
     from localchar.converse import TwinConfig, build_twin_characters
     pair = build_twin_characters(TwinConfig(p=7, N=5, precision=12))
     sub = prime_subfield(E)

@@ -96,7 +96,9 @@ def test_unsupported_shape_is_a_configuration_error(capsys):
     # ell = 5 at p = 11, N = 6 gives two double cosets: no compositum
     assert run(["search", "--p", "11", "--N", "6", "--ell", "5",
                 "--precision", "24", "--conductor-bound", "6"]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "configuration error: 2 double cosets; "
+        "compositum arithmetic unsupported\n")
 
 
 def test_config_file_values_beat_parser_defaults(tmp_path):
@@ -126,6 +128,26 @@ def test_unknown_config_keys_are_configuration_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as usage:  # no --jobs flag either
         run(["epsilon", "--p", "7", "--jobs", "2"])
     assert usage.value.code == 2
+
+
+def test_config_file_level_must_be_a_level_choice(tmp_path, capsys):
+    # "rl" for "r1" used to run only the case-one scan and exit 0
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 7\nN = 5\nprecision = 12\nlevel = rl\n")
+    capsys.readouterr()
+    assert run(["verify", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: level must be one of r1, equ6, all, got 'rl'\n")
+
+
+def test_config_file_char_field_must_be_a_field_choice(tmp_path, capsys):
+    # "G" used to run silently on F
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 7\nchar_field = G\n")
+    capsys.readouterr()
+    assert run(["epsilon", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: char_field must be one of F, E, got 'G'\n")
 
 
 def test_config_file_mutate_is_a_boolean(tmp_path):

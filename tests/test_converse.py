@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from itertools import islice
 
@@ -8,12 +9,12 @@ import pytest
 from localchar.cyclotomic import CycNumber
 from localchar.errors import (ConductorMismatch, ConductorTooSmall,
                               ConfigError, InternalContradiction,
-                              RangeViolation)
+                              RangeViolation, UnsupportedShape)
 from localchar.localfield import TameRamified, Unramified, make_tower
 from localchar.characters import (MulChar, _prime_handle, is_admissible,
                                   make_psi, pullback, random_char)
 from localchar import converse, embeddings
-from localchar.ambient import compositum_abstract, double_cosets
+from localchar.ambient import build_ambient, compositum_abstract
 from localchar.converse import (
     TwinConfig,
     TwinPair,
@@ -187,13 +188,39 @@ def test_a_exponent_values_and_guards():
 def test_double_cosets_trivial_and_quadratic(pair5):
     E = pair5.E
     F = make_tower(7, (), 12)
-    data = double_cosets(E, F)
-    assert len(data) == 1 and data[0].deg_K == 5 and data[0].e == 1
+    assert build_ambient(E, F) == (5, 1)  # deg K = 5, e(K/E) = 1
     L = make_tower(7, [Unramified(2)], 12)
-    data = double_cosets(E, L)
-    assert len(data) == 1 and data[0].orbit_size == 2
-    assert sum(d.deg_K for d in data) == 10  # Mackey dimension count
-    assert data[0].e2p == 1 and data[0].e2 * data[0].e2p == 5
+    e_K, f_K = build_ambient(E, L)
+    assert (e_K, f_K) == (5, 2) and e_K * f_K == 10  # Mackey dimension count
+
+
+# (p, N, U_E, L's steps, double cosets, (K.e, K.f) or None); the counts were
+# recorded with the metacyclic-ambient orbit count this closed form replaced
+_COMPOSITUM_SHAPES = [
+    (7, 5, 1, (), 1, (5, 1)),
+    (7, 5, 1, (Unramified(2),), 1, (5, 2)),
+    (7, 5, 1, (TameRamified(2, 1),), 1, (10, 1)),
+    (11, 6, 1, (TameRamified(3, 1),), 2, None),
+    (13, 6, 2, (TameRamified(4, 2),), 2, None),
+    (11, 5, 2, (Unramified(3),), 1, (5, 3)),
+]
+
+
+@pytest.mark.parametrize("p, N, uE, steps, cosets, ef", _COMPOSITUM_SHAPES,
+                         ids=["Q7-F", "Q7-unram2", "Q7-ram2", "Q11-ram3",
+                              "Q13-U2-ram4", "Q11-U2-unram3"])
+def test_compositum_coset_count_closed_form(p, N, uE, steps, cosets, ef):
+    E = make_tower(p, (TameRamified(N, uE),), 12)
+    L = make_tower(p, steps, 12)
+    if ef is None:
+        msg = f"{cosets} double cosets; compositum arithmetic unsupported"
+        with pytest.raises(UnsupportedShape, match=f"^{msg}$"):
+            compositum_abstract(E, L, 12)
+        return
+    t0 = time.perf_counter()
+    K, _, _ = compositum_abstract(E, L, 12)
+    assert time.perf_counter() - t0 < 1.0
+    assert build_ambient(E, L) == ef == (K.e, K.f)
 
 
 def test_compositum_shapes(pair5):

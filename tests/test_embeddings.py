@@ -2,17 +2,25 @@ import random
 
 import pytest
 
-from localchar.errors import AmbientTooSmall
 from localchar.embeddings import (
     automorphisms,
-    embeddings,
     enumerate_subfields,
+    find_embeddings,
     identity_embedding,
-    prime_subfield,
     verify_embedding,
     w_nth_root_oneunit,
 )
 from localchar.localfield import TameRamified, Unramified, make_tower
+
+
+def embeddings(S, T):
+    """Exactly [S : F] embeddings of S into T; ValueError when T lacks the
+    roots of unity or Kummer roots for some of them."""
+    out = find_embeddings(S, T)
+    if len(out) != S.degree:
+        raise ValueError(
+            f"found {len(out)} embeddings of a degree-{S.degree} field")
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +58,7 @@ def test_three_tame_quadratics_over_p11():
     assert pow(units[0] * units[1], 5, 11) == 10  # product is a non-residue
 
 
-def test_norm_trace_of_uniformizer(E):
+def test_norm_trace_of_uniformizer(E, prime_subfield):
     sub = prime_subfield(E)
     assert sub.norm(E.uniformizer()) == sub.S.from_int(7)
     assert sub.trace(E.uniformizer()).is_zero()
@@ -65,7 +73,7 @@ def test_norm_trace_of_uniformizer(E):
                 assert mat[i][j].is_zero()
 
 
-def test_norm_valuation_identity(E):
+def test_norm_valuation_identity(E, prime_subfield):
     # val_F(N(x)) = f(E/F) val_E(x); here f = 1
     sub = prime_subfield(E)
     rng = random.Random(0)
@@ -77,7 +85,7 @@ def test_norm_valuation_identity(E):
     assert (n ** E.e).valuation() == (sub.S.from_int(7) ** E.degree).valuation()
 
 
-def test_charpoly_of_uniformizer(E):
+def test_charpoly_of_uniformizer(E, prime_subfield):
     sub = prime_subfield(E)
     vec = sub.charpoly(E.uniformizer())
     # x^5 - p: monic, middle coefficients zero, constant -p
@@ -88,7 +96,7 @@ def test_charpoly_of_uniformizer(E):
     assert vec[5] == sub.S.from_int(-7)
 
 
-def test_norm_transitivity_three_step():
+def test_norm_transitivity_three_step(prime_subfield):
     T = make_tower(7, [Unramified(2), TameRamified(3, 1)], 10)
     subs = enumerate_subfields(T)
     mid = next(s for s in subs if s.S.degree == 2)
@@ -122,7 +130,8 @@ def test_embeddings_count_and_action(E):
 def test_embeddings_ambient_too_small(E):
     M = make_tower(7, [Unramified(2), TameRamified(5, 1)], 10)
     # mu_5 needs order-5 residue classes: 7^2 - 1 = 48 is not divisible by 5
-    with pytest.raises(AmbientTooSmall):
+    with pytest.raises(ValueError,
+                       match="^found 1 embeddings of a degree-5 field$"):
         embeddings(E, M)
 
 
@@ -158,7 +167,7 @@ def test_norm_via_conjugates_cross_check(T6):
         assert ok and (pre - n1).is_zero()
 
 
-def test_norm_layer_fact():
+def test_norm_layer_fact(prime_subfield):
     # N_{K/E}(1 + P_K^n) inside 1 + P_E^ceil(n/e) for a tame quadratic step
     K = make_tower(7, [TameRamified(2, 1)], 12)
     sub = prime_subfield(K)
@@ -171,7 +180,7 @@ def test_norm_layer_fact():
             assert d.is_zero() or d.valuation() >= -(-n // 2)
 
 
-def test_decompose_membership(E):
+def test_decompose_membership(E, prime_subfield):
     sub = prime_subfield(E)
     ok, pre = sub.in_image(E.from_int(21))
     assert ok and pre == sub.S.from_int(21)
