@@ -27,7 +27,7 @@ from operator import getitem
 
 from .cyclotomic import CycNumber
 from .errors import ConfigError, InternalContradiction, RangeViolation
-from .ambient import compositum_abstract
+from .ambient import build_ambient, compositum_abstract
 from .characters import (
     MulChar,
     char_exponents,
@@ -434,7 +434,7 @@ def _twist_context(E: TowerField, L: TowerField, kk: int, sw: int):
 
 
 def _context_for(pair_E: TowerField, N: int, tw: TwistPair):
-    e_K = math.lcm(N, tw.L.e)
+    e_K = build_ambient(pair_E, tw.L)[0]
     fmax = max((e_K // N) * (2 * N - 2),
                max(tw.m, 1) * (e_K // tw.L.e)) + 1
     # headroom: norms of elements down to valuation -(fmax-1) plus the

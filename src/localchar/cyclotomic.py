@@ -139,21 +139,28 @@ class CycNumber:
 
     @classmethod
     def from_counts(cls, modulus: int, counts) -> "CycNumber":
-        """Sum of counts[k] * zeta_M^k over an integer array of length M.
+        """Sum of counts[r, b] * zeta_m1^r zeta_m2^b over an integer table of
+        shape (m1, m2), m1 m2 = M, gcd(m1, m2) = 1; a 1-D array is m2 = 1.
 
         from_root_sum for dense histograms, vectorized over each prime-power
-        axis: the CRT split puts zeta_M^k at the tensor index
-        (k v mod l^a)_l, then each axis folds its top l^(a-1) slots by
-        zeta^(phi+t) = -sum_s zeta^(t + s l^(a-1)), as _reduce_exp does."""
+        axis: the CRT split puts zeta_M^(r m2 + b m1) at the tensor index
+        (r m2 v mod l^a)_l for l^a | m1 and (b m1 v mod l^a)_l for l^a | m2,
+        one index vector of length m1 or m2 per axis.  Each axis then folds
+        its top l^(a-1) slots by zeta^(phi+t) = -sum_s zeta^(t + s l^(a-1)),
+        as _reduce_exp does."""
         import numpy as np  # only the oracle sums counts, so import it here
+        counts = np.asarray(counts).reshape(len(counts), -1)
+        m1, m2 = counts.shape
+        if m1 * m2 != modulus or math.gcd(m1, m2) != 1:
+            raise ValueError(f"count table {m1} x {m2} does not split {modulus}")
         fact = _factorize(modulus)
-        k = np.arange(modulus)
-        flat = np.zeros(modulus, dtype=np.int64)
-        for la, _phi, v in _crt_units(modulus):
-            flat = flat * la + k * v % la
-        arr = np.zeros(modulus, dtype=np.int64)
-        arr[flat] = counts
-        arr = arr.reshape([la for _l, _a, la, _phi in fact])
+        if not fact:  # Z[zeta_1] = Z: no axis to index
+            return cls.integer(int(counts.sum()))
+        r, b = np.ogrid[:m1, :m2]
+        arr = np.zeros([la for _l, _a, la, _phi in fact], dtype=np.int64)
+        arr[tuple(r * (m2 * v % la) % la if m1 % la == 0 else
+                  b * (m1 * v % la) % la
+                  for la, _phi, v in _crt_units(modulus))] = counts
         for ax, (l, _a, _la, phi) in enumerate(fact):
             low, top = np.split(arr, [phi], axis=ax)
             arr = low - np.concatenate([top] * (l - 1), axis=ax)

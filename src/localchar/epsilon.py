@@ -143,7 +143,8 @@ def epsilon_factors(chars, psi: AddChar) -> list:
             "closed form needs conductor >= 2; use the oracle for f <= 1")
     F = chars[0].field
     c = chars[0].c_rep()
-    if any(not (chi.c_rep() - c).is_zero() for chi in chars[1:]):
+    if any((x.v, x.core) != (c.v, c.core) and not (x - c).is_zero()
+           for x in (chi.c_rep() for chi in chars[1:])):
         raise ConductorMismatch("c-representatives differ at the shared truncation")
     thetas = [theta_row(chi, (f - 1) // 2) if f % 2 else None for chi in chars]
     vals, hists = _assemble(chars, psi, c, f, thetas)

@@ -16,16 +16,19 @@ an outer sum of per-level digit tables psi(-gamma log(1 + a pi^i)) (log is
 additive over the digit factors; AddChar.log_row dots -gamma with the
 memoized trace forms of the field's logs) plus one offset per block.
 When the (psi, theta) key space is no larger than a block, each block gives
-one joint histogram, rolled by its offset, and each row j is the summed
-table's rows shifted by t_j a; otherwise each row is one bincount of the
-keys.  The rows form one (q-1) x p^s count array, reduced by one
-CycNumber.from_counts.  All arithmetic is integer arithmetic modulo powers
-of p.  Only the psi side
-is cached, in the field's own caches under (conductor, delta), so a grid
-lives as long as its field.
+one joint histogram of keys formed in the narrowest type that holds them,
+rolled by its offset, and each row j is the summed table's rows shifted by
+t_j a; otherwise each row is one bincount of the keys.  The rows form one
+(q-1) x p^s count table, which one CycNumber.from_counts reduces as it
+stands: it indexes the table's rows and columns separately, so no array of
+the full modulus (q-1) p^s is indexed.  All arithmetic is integer arithmetic
+modulo powers of p.  Only the psi side is cached, in the field's own caches
+under (conductor, delta), so a grid lives as long as its field.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -35,7 +38,9 @@ from .characters import AddChar, MulChar, _add_exponents, char_exponents
 from .localfield import TowerField
 
 _SLOW_BUDGET = 500_000
-_CHUNK = 1 << 20  # units per block: bounds each block's int64 copy of its row
+# units per block: bounds each block's key copy (narrow when dense, int64
+# when sparse) and bincount's intp cast of it
+_CHUNK = 1 << 20
 
 
 def oracle_sum(chi: MulChar, psi: AddChar, delta,
@@ -71,32 +76,11 @@ def _slow_sum(chi, psi, delta, c):
     total = CycNumber.zero()
     tame = [F.teichmuller(F.res_of(F.wpow(F.xi(), j))) for j in range(F.q - 1)]
     one = F.one()
-    levels = list(range(1, c))
-    digits = [0] * len(levels)
-
-    def principal_units():
-        if not levels:
-            yield one
-            return
-        stack = [one]
-        while True:
-            while len(stack) <= len(levels):
-                i = len(stack) - 1
-                u = stack[-1]
-                if digits[i]:
-                    u = u * (one + F.monomial(digits[i], levels[i]))
-                stack.append(u)
-            yield stack[-1]
-            j = len(levels) - 1
-            while j >= 0 and digits[j] == F.q - 1:
-                digits[j] = 0
-                j -= 1
-            if j < 0:
-                return
-            digits[j] += 1
-            del stack[j + 1:]
-
-    for u1 in principal_units():
+    for digits in product(range(F.q), repeat=c - 1):  # u1 = prod (1 + d pi^lev)
+        u1 = one
+        for lev, d in enumerate(digits, 1):
+            if d:
+                u1 = u1 * (one + F.monomial(d, lev))
         for tj in tame:
             x = tj * u1 * delta
             zc, mc = char_exponents((chi,), x)[0]
@@ -202,14 +186,17 @@ def _fast_sum(chi, psi, delta, c):
     rows = [(-chi.t * j) % (q - 1) for j in range(q - 1)]
     hists = np.zeros((q - 1, ps), dtype=np.int64)
     dense, joint = psw * ps <= len(tlow), 0
+    if dense:  # keys pexp ps + tlow < psw ps fit the narrowest type
+        tlow = tlow.astype(np.min_scalar_type(psw * ps - 1))
     for off, pexp in zip(_digit_sums(t1, grid.k + 1, c), grid.blocks):
-        pexp = pexp.astype(np.int64)  # a narrow row overflows in products
         if dense:  # one joint (psi, theta) histogram per block, rolled by off
-            pexp *= ps  # keys in place: one int64 copy of the row per block
-            pexp += tlow
-            table = np.bincount(pexp, minlength=psw * ps)
+            keys = pexp.astype(tlow.dtype)  # in place: one narrow copy
+            keys *= ps
+            keys += tlow
+            table = np.bincount(keys, minlength=psw * ps)
             joint = joint + np.roll(table.reshape(psw, ps), off, axis=1)
             continue
+        pexp = pexp.astype(np.int64)  # a narrow row overflows in products
         texp = (tlow + off) % ps
         for r, t in zip(rows, mult):
             hists[r] += np.bincount((t * pexp % psw * scale_w + texp) % ps,
@@ -219,9 +206,5 @@ def _fast_sum(chi, psi, delta, c):
         for r, t in zip(rows, mult):
             cols = (np.arange(ps) - t * a % psw * scale_w) % ps
             hists[r] += np.take_along_axis(joint, cols, 1).sum(0)
-    m_all = (q - 1) * ps  # zeta_{q-1}^r zeta_ps^b = zeta_M^(r ps + b (q-1))
-    r, b = np.ogrid[:q - 1, :ps]
-    counts = np.zeros(m_all, dtype=np.int64)
-    counts[(r * ps + b * (q - 1)) % m_all] = hists
     z, m = char_exponents((chi,), delta)[0]
-    return CycNumber.root(m, -z) * CycNumber.from_counts(m_all, counts)
+    return CycNumber.root(m, -z) * CycNumber.from_counts((q - 1) * ps, hists)

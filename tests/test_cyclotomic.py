@@ -188,3 +188,35 @@ def test_from_counts_matches_from_root_sum(mc):
     dense = CycNumber.from_counts(m, counts)
     assert dense.modulus == m
     assert dense.terms == CycNumber.from_root_sum(m, enumerate(counts.tolist())).terms
+
+
+@st.composite
+def count_tables(draw):
+    """A coprime split m1 x m2 of the modulus, in both orders, and a sparse
+    count table whose entry [r, b] counts zeta_m1^r zeta_m2^b: the oracle's
+    (q - 1) x p^s tables on Q_7 and two splits with the roles turned."""
+    m1, m2 = draw(st.sampled_from([(6, 7**3), (6, 7**5), (7**3, 6), (8, 9)]))
+    nonzero = draw(st.dictionaries(
+        st.tuples(st.integers(0, m1 - 1), st.integers(0, m2 - 1)),
+        st.integers(-9, 9), min_size=1, max_size=40))
+    table = np.zeros((m1, m2), dtype=np.int64)
+    for rb, c in nonzero.items():
+        table[rb] = c
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_tables())
+def test_from_counts_table_matches_from_root_sum(table):
+    m1, m2 = table.shape
+    dense = CycNumber.from_counts(m1 * m2, table)
+    pairs = [(r * m2 + b * m1, int(table[r, b])) for r, b in np.argwhere(table)]
+    assert dense.modulus == m1 * m2
+    assert dense.terms == CycNumber.from_root_sum(m1 * m2, pairs).terms
+
+
+def test_from_counts_rejects_a_table_that_does_not_split_the_modulus():
+    with pytest.raises(ValueError, match="count table 6 x 6 does not split 36"):
+        CycNumber.from_counts(36, np.zeros((6, 6), dtype=np.int64))
+    with pytest.raises(ValueError, match="count table 6 x 7 does not split 84"):
+        CycNumber.from_counts(84, np.zeros((6, 7), dtype=np.int64))

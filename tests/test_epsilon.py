@@ -360,6 +360,8 @@ def test_epsilon_transport_invariance():
     pytest.param("F", 2, None, False, id="F-c2"),
     # psw ps >= 7^3 7^3 > 49 units: one bincount per Teichmuller row
     pytest.param("F", 3, None, False, id="F-c3-sparse"),
+    # 2,058 terms over 343 units: a 6 x 2,401 count table, one bincount per row
+    pytest.param("F", 4, None, False, id="F-c4-sparse"),
     # _CHUNK = p^2 on E: 7 blocks of 49 units, level 3 is a high digit;
     # psw ps = 7 * 7 <= 49: one joint histogram per block
     pytest.param("E", 4, 49, True, id="E-c4-blocks"),
