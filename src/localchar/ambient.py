@@ -30,7 +30,9 @@ def build_ambient(E: TowerField, L: TowerField):
     for zeta of order g(p-1) with zeta^g = xi and j in Z/g; Frobenius maps
     a + j(p-1) to p a + p j (p-1) = a + (a + p j)(p-1).  So the irreducible
     factors of Z^g - c, and with them the double cosets, are the orbits of
-    j -> p j + a on Z/g.  perfbench/tracing.py reads its cache by this name."""
+    j -> p j + a on Z/g.  e_K = lcm(e_E, e_L) here is the definition that
+    converse.classify_case copies.  perfbench/tracing.py reads its cache by
+    this name."""
     if E.f != 1 or (L.f != 1 and L.e != 1):
         raise UnsupportedShape("unsupported residue/ramification mix")
     p = E.p

@@ -327,7 +327,11 @@ def eval_many(chars, x: TowerElement) -> list:
 def tame_exponent(chi: MulChar, u: TowerElement, n: int) -> int:
     """t with chi(u) = zeta_n^t for a unit u, read from its unit exponent;
     ConfigError when chi(u) is not an n-th root of unity."""
-    z, m = char_exponents((chi,), u)[0]
+    return _nth_root_index(*char_exponents((chi,), u)[0], n)
+
+
+def _nth_root_index(z: int, m: int, n: int) -> int:
+    """t with zeta_m^z = zeta_n^t, or ConfigError."""
     if z * n % m:
         raise ConfigError("value is not a root of unity of the expected order")
     return z * n // m % n
@@ -360,20 +364,42 @@ def pullback(chi: MulChar, K: TowerField, emb: EmbeddingMap) -> MulChar:
 
     Returns a parametric character when K supports exp/log (the parameter is
     the embedded parameter of chi: gamma is preserved), otherwise the
-    factored form."""
-    S = chi.field
-    if emb.src is not S or emb.dst is not K:
+    factored form.  The one-character case of pullbacks."""
+    return pullbacks((chi,), K, emb)[0]
+
+
+def pullbacks(chars, K: TowerField, emb: EmbeddingMap) -> list:
+    """[pullback(chi, K, emb) for chi in chars] (a sequence), by one shared
+    evaluation: the parametric characters read their uniformizer exponents
+    from one char_exponents call at N(pi_K), their tame exponents (t != 0
+    only) from one at N(tau(xi_K)), and embed each distinct parameter once.
+    Factored characters, and every character when K lacks exp/log, come out
+    factored as in pullback."""
+    if emb.dst is not K or any(chi.field is not emb.src for chi in chars):
         raise ConfigError("embedding does not match the inflation")
-    if chi.parts is not None:
-        return MulChar(K, parts=tuple(
-            (Subfield(h.S, K, h.emb.compose(emb)), c) for h, c in chi.parts))
-    if not K.explog_ok:
-        return MulChar(K, parts=((Subfield(S, K, emb), chi),))
-    npi, ngen = emb.generator_norms()
-    w_new = char_exponents((chi,), npi)[0]
-    t_new = tame_exponent(chi, ngen, K.q - 1) if chi.t else 0
-    g_new = None if chi.gamma is None else emb.apply(chi.gamma)
-    return MulChar(K, w_new, t_new, g_new)
+    par = [chi for chi in chars if chi.parts is None] if K.explog_ok else []
+    if par:
+        npi, ngen = emb.generator_norms()
+        ws = iter(char_exponents(par, npi))
+        ts = iter(char_exponents([chi for chi in par if chi.t], ngen))
+    images = {}
+    out = []
+    for chi in chars:
+        if chi.parts is not None:
+            out.append(MulChar(K, parts=tuple(
+                (Subfield(h.S, K, h.emb.compose(emb)), c) for h, c in chi.parts)))
+        elif not K.explog_ok:
+            out.append(MulChar(K, parts=((Subfield(emb.src, K, emb), chi),)))
+        else:
+            t = _nth_root_index(*next(ts), K.q - 1) if chi.t else 0
+            g = chi.gamma
+            if g is not None:
+                key = (g.v, g.core, g.prec)
+                if key not in images:
+                    images[key] = emb.apply(g)
+                g = images[key]
+            out.append(MulChar(K, next(ws), t, g))
+    return out
 
 
 # ----------------------------------------------------------------- lattices

@@ -20,7 +20,6 @@ from .errors import (CapacityError, ConfigError, LocalCharError, PrecisionLoss,
 from .localfield import TameRamified, make_tower
 from .characters import MulChar, howe_factorize, is_admissible, make_psi, random_char
 from .epsilon import epsilon_factor, epsilon_oracle_consistency
-from .oracle import oracle_sum
 from .converse import (
     TwinConfig,
     TwinPair,
@@ -187,6 +186,7 @@ def _char_field(cfg):
 
 
 def cmd_epsilon(cfg):
+    from .oracle import oracle_sum  # numpy loads only for the oracle
     field = _char_field(cfg)
     psi = make_psi(field)
     results = []
@@ -285,6 +285,7 @@ def cmd_search(cfg):
 
 
 def cmd_selftest(cfg):
+    from .oracle import oracle_sum  # numpy loads only for the oracle
     p = cfg.get("p") or 7
     seed = cfg.get("seed") or 0
     rng = random.Random(seed)
@@ -338,7 +339,7 @@ _COMMANDS = {
 }
 
 
-def _summaries(command, results):
+def _summaries(results):
     rows = []
     for entry in results:
         for key, val in entry.items():
@@ -364,7 +365,7 @@ def main(argv=None) -> int:
                           results, verdict, time.time() - t0)
         if args.out:
             write_report(report, args.out)
-        print(_summaries(args.command, results))
+        print(_summaries(results))
         print(f"verdict: {report['verdict']}  ({report['timing']}s)")
         if args.out:
             print(f"report written to {args.out}")

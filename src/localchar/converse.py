@@ -34,6 +34,7 @@ from .characters import (
     is_admissible,
     make_psi,
     pullback,
+    pullbacks,
     same_root,
     subfield_lattice,
     tame_exponent,
@@ -345,12 +346,14 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
 # ------------------------------------------------------------- case analysis
 
 
-def classify_case(N: int, e_L: int, f_L: int, m: int, r: int | None = None):
+def classify_case(N: int, e_L: int, m: int, r: int | None = None):
     """Valuation comparison of beta and alpha in the compositum.
 
     Returns (label, val_beta, val_alpha) with label in {"beta", "alpha"}.
     The equal-valuation case would force N | 2 e_L; when r < (N-1)/2 that is
-    impossible and hitting it raises InternalContradiction."""
+    impossible and hitting it raises InternalContradiction.  e_K =
+    lcm(N, e_L) copies ambient.build_ambient's e_K, the definition, so that
+    case_one_scan's abstract shapes need no field."""
     e_K = math.lcm(N, e_L)
     e = e_K // N
     Nprime = e_K // e_L
@@ -410,7 +413,7 @@ def case_one_scan(Ns=(5, 6, 7), m_bound: int = 12) -> dict:
                 if (2 * ep) % N == 0:
                     raise InternalContradiction("N divides 2 e_L in range")
                 for m in range(1, m_bound + 1):
-                    label, vb, va = classify_case(N, ep, fp, m, r=r)
+                    label, vb, va = classify_case(N, ep, m, r=r)
                     if label == "equal":
                         raise InternalContradiction("equal valuations in scan")
                     e2p = math.gcd(ep, N)
@@ -483,7 +486,7 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
     ctx = _context_for(E, N, tw)
     K = ctx["K"]
     phi1, phi2 = pair.phi1, pair.phi2
-    label, vb, va = classify_case(N, tw.L.e, tw.L.f, tw.m)
+    label, vb, va = classify_case(N, tw.L.e, tw.m)
 
     # Route A: the norm of the full representative
     yE, nrm_alpha = _route_a_norms(pair, tw, ctx, label)
@@ -522,7 +525,7 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
                and route_b["agrees_with_route_a"])
     extra = {}
     if deep:
-        extra = _deep_checks(pair, tw, ctx, label)
+        extra = _deep_checks(pair, tw, ctx)
         verdict = verdict and extra.get("pass", False)
     return VerificationReport(
         config=pair.cfg.echo(), pair_id=tw.label(), case=label,
@@ -573,7 +576,7 @@ def _symmetric_argument(E: TowerField, ctx, es, b):
     return acc
 
 
-def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, label) -> dict:
+def _deep_checks(pair: TwinPair, tw: TwistPair, ctx) -> dict:
     """Per-instance invariants: conductor formula, c-data agreement, the
     middle-layer agreement criterion, exact Gauss-sum equality, and the
     epsilon-ratio route."""
@@ -581,8 +584,9 @@ def _deep_checks(pair: TwinPair, tw: TwistPair, ctx, label) -> dict:
     N = pair.cfg.N
     K = ctx["K"]
     psiK = make_psi(K)
-    th1 = pullback(pair.phi1, K, ctx["iE"]).mul(pullback(tw.lam, K, ctx["iL"]))
-    th2 = pullback(pair.phi2, K, ctx["iE"]).mul(pullback(tw.lam, K, ctx["iL"]))
+    lamK = pullback(tw.lam, K, ctx["iL"])
+    th1, th2 = (phK.mul(lamK) for phK in
+                pullbacks((pair.phi1, pair.phi2), K, ctx["iE"]))
     e_K = K.e
     e = e_K // N
     Nprime = e_K // tw.L.e
@@ -654,8 +658,7 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
     all_ramified = True
     t0 = time.time()
     groups: dict = {}
-    for i, chi in enumerate(chars):
-        chiE = pullback(chi, E, primeE.emb)
+    for i, chiE in enumerate(pullbacks(chars, E, primeE.emb)):
         th1 = pair.phi1.mul(chiE)
         th2 = pair.phi2.mul(chiE)
         f = th1.conductor()
@@ -707,7 +710,7 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int) -> dict:
     found = None
     for tw in iter_twist_pairs(cfg.p, r, bound, cfg.k, skipped=skipped):
         ctx = _context_for(E, cfg.N, tw)
-        label, vb, va = classify_case(cfg.N, tw.L.e, tw.L.f, tw.m)
+        label, vb, va = classify_case(cfg.N, tw.L.e, tw.m)
         e = ctx["K"].e // cfg.N
         f_pred = max(e * (2 * cfg.N - 2),
                      (tw.m * (ctx["K"].e // tw.L.e)) if tw.m else 0) + 1

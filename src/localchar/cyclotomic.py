@@ -8,13 +8,16 @@ Internally an element is stored over the tensor basis of Z[zeta_M] =
 (x) Z[zeta_{l^a}] over the prime powers l^a || M, with the power basis
 {zeta_{l^a}^j : 0 <= j < phi(l^a)} in each factor.  This basis is canonical,
 so equality is dictionary equality after lifting to a common modulus, and
-reducing a single monomial costs at most l-1 terms per prime factor.
+reducing a single monomial costs at most l-1 terms per prime factor.  The
+expansion of each root zeta_M^k is memoized, at most 1024 (M, k) entries
+with the least recently used evicted; root and from_root_sum share it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, neg
 
 import mpmath
 
@@ -57,37 +60,29 @@ def _crt_units(m: int):
     return tuple(out)
 
 
-def _reduce_exp(j, l, a, la, phi):
-    """Express zeta_{l^a}^j (0 <= j < l^a) over the basis exponents [0, phi).
-
-    Returns a list of (exponent, sign).  Uses zeta^phi = -(1 + zeta^{l^{a-1}}
-    + ... + zeta^{l^{a-1}(l-2)}); the offset t = j - phi is < l^{a-1}, so one
-    step suffices.
-    """
-    if j < phi:
-        return [(j, 1)]
-    t = j - phi
-    step = la // l
-    return [(t + s * step, -1) for s in range(l - 1)]
-
-
-def _mono_mul_keys(k1, k2, fact):
-    """Product of two basis monomials as a list of (key, sign)."""
+def _expand(js, fact):
+    """The monomial with per-axis exponents js (any integers, read mod l^a)
+    over the tensor basis, as a list of (key, sign): the one expansion behind
+    products, conjugates and roots.  An axis exponent j >= phi(l^a) takes
+    one step of zeta^(phi+t) = -sum_{s<l-1} zeta^(t + s l^(a-1)), as
+    t = j - phi < l^(a-1)."""
     out = [((), 1)]
-    for (j1, j2, (l, a, la, phi)) in zip(k1, k2, fact):
-        red = _reduce_exp((j1 + j2) % la, l, a, la, phi)
+    for j, (l, _a, la, phi) in zip(js, fact):
+        j %= la
+        red = ([(j, 1)] if j < phi else
+               [(j - phi + s * (la // l), -1) for s in range(l - 1)])
         out = [(key + (jj,), c * s) for (key, c) in out for (jj, s) in red]
     return out
 
 
+@lru_cache(maxsize=1024)
 def _root_key_terms(m: int, k: int):
-    """zeta_m^k expanded over the tensor basis, as a list of (key, sign)."""
-    out = [((), 1)]
-    for (l, a, la, phi), (_la, _phi, v) in zip(_factorize(m), _crt_units(m)):
-        j = (k * v) % la
-        red = _reduce_exp(j, l, a, la, phi)
-        out = [(key + (jj,), c * s) for (key, c) in out for (jj, s) in red]
-    return out
+    """zeta_m^k (0 <= k < m) over the tensor basis, as a tuple of distinct
+    (key, sign).  Bounded at 1024 entries: one rank-1 scan reads 28 (M, k)
+    pairs and one coset-product scan 91; the oracle's slow path, which reads
+    one per unit, evicts."""
+    return tuple(_expand([k * v for _la, _phi, v in _crt_units(m)],
+                         _factorize(m)))
 
 
 class CycNumber:
@@ -117,10 +112,7 @@ class CycNumber:
     @classmethod
     def root(cls, modulus: int, k: int = 1) -> "CycNumber":
         """Canonical representation of zeta_M^k."""
-        terms: dict = {}
-        for key, s in _root_key_terms(modulus, k % modulus):
-            terms[key] = terms.get(key, 0) + s
-        return cls(modulus, {k2: c for k2, c in terms.items() if c})
+        return cls(modulus, dict(_root_key_terms(modulus, k % modulus)))
 
     @classmethod
     def from_root_sum(cls, modulus: int, items) -> "CycNumber":
@@ -147,7 +139,7 @@ class CycNumber:
         (r m2 v mod l^a)_l for l^a | m1 and (b m1 v mod l^a)_l for l^a | m2,
         one index vector of length m1 or m2 per axis.  Each axis then folds
         its top l^(a-1) slots by zeta^(phi+t) = -sum_s zeta^(t + s l^(a-1)),
-        as _reduce_exp does."""
+        as _expand does."""
         import numpy as np  # only the oracle sums counts, so import it here
         counts = np.asarray(counts).reshape(len(counts), -1)
         m1, m2 = counts.shape
@@ -238,7 +230,7 @@ class CycNumber:
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
                 c = c1 * c2
-                for key, s in _mono_mul_keys(k1, k2, fact):
+                for key, s in _expand(map(add, k1, k2), fact):
                     nc = terms.get(key, 0) + c * s
                     if nc:
                         terms[key] = nc
@@ -253,11 +245,7 @@ class CycNumber:
         fact = _factorize(self.modulus)
         terms: dict = {}
         for key, c in self.terms.items():
-            out = [((), 1)]
-            for j, (l, a, la, phi) in zip(key, fact):
-                red = _reduce_exp((-j) % la, l, a, la, phi)
-                out = [(k2 + (jj,), cc * s) for (k2, cc) in out for (jj, s) in red]
-            for k2, s in out:
+            for k2, s in _expand(map(neg, key), fact):
                 nc = terms.get(k2, 0) + c * s
                 if nc:
                     terms[k2] = nc
@@ -269,9 +257,6 @@ class CycNumber:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.as_int() == 1
 
     def as_int(self):
         """The value as a plain integer, or None if it is not rational."""

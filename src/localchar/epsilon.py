@@ -187,25 +187,6 @@ def _assemble(chars, psi, c, f, thetas):
     return vals, hists
 
 
-def epsilon_ratio(chi1: MulChar, chi2: MulChar, psi: AddChar) -> ScaledCyc:
-    """epsilon(chi1)/epsilon(chi2) for characters sharing conductor and
-    c-representative data.
-
-    When the Gauss sums agree exactly (automatic whenever the two characters
-    agree on the middle layer) the ratio reduces to the character quotient
-    (chi2 chi1^{-1}) at the shared representative; both computations are
-    performed and must coincide."""
-    e1, e2 = epsilon_factors((chi1, chi2), psi)
-    ratio = e1.value / e2.value
-    if e1.conductor % 2 == 1 and e1.gauss_part.num == e2.gauss_part.num:
-        (z1, m1), (z2, m2) = char_exponents((chi1, chi2), chi1.c_rep())
-        z, m = _add_exponents(z2, m2, -z1, m1)
-        if not (ratio == ScaledCyc(CycNumber.root(m, z), 0, psi.field.q)):
-            raise InternalContradiction(
-                "epsilon ratio disagrees with the character quotient")
-    return ratio
-
-
 def epsilon_oracle_consistency(chars, psi: AddChar, oracle_fn):
     """Ratio protocol between the closed form and the brute-force oracle.
 

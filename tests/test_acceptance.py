@@ -21,7 +21,7 @@ from localchar.characters import (
     random_char,
     subfield_lattice,
 )
-from localchar.epsilon import epsilon_oracle_consistency, epsilon_ratio, gauss_sum
+from localchar.epsilon import epsilon_oracle_consistency, gauss_sum
 from localchar.oracle import oracle_sum
 from localchar.reporting import canonical_json
 from localchar.converse import (
@@ -147,7 +147,7 @@ def test_criterion_06_congruence_ledger():
                 e2p = math.gcd(e_L, N)
                 e1 = e_L // e2p
                 for m in range(1, 13):
-                    label, _vb, _va = classify_case(N, e_L, r // e_L, m, r=r)
+                    label, _vb, _va = classify_case(N, e_L, m, r=r)
                     for i in range(1, r + 1):
                         a = a_exponent(i, N, m, e1, e2p, s=r, r=r,
                                        mirror=(label == "alpha"))
@@ -180,7 +180,7 @@ def test_criterion_07_even_N_construction():
     _report(7, f"even-N build + {r1['twists']} rank-1 twists", t0, 300)
 
 
-def test_criterion_08_property_suites(prime_subfield):
+def test_criterion_08_property_suites(prime_subfield, epsilon_ratio):
     t0 = time.time()
     E = make_tower(7, [TameRamified(5, 1)], 12)
     F = make_tower(7, (), 12)

@@ -12,7 +12,7 @@ from localchar.errors import (
 )
 from localchar.localfield import (INF, TameRamified, TowerElement, _prime_gen,
                                   make_tower)
-from localchar.embeddings import Subfield
+from localchar.embeddings import Subfield, self_subfield
 from localchar.characters import (
     MulChar,
     char_exponents,
@@ -21,6 +21,7 @@ from localchar.characters import (
     is_admissible,
     make_psi,
     pullback,
+    pullbacks,
     random_char,
     subfield_lattice,
     tame_exponent,
@@ -44,13 +45,13 @@ def conductor_scan(chi, depth):
     c = 0
     for j in range(depth, 0, -1):
         nontrivial = any(
-            not chi.eval(one + T.monomial(a, j)).is_one()
+            chi.eval(one + T.monomial(a, j)) != 1
             for a in range(1, T.q))
         if nontrivial:
             c = j + 1
             break
     if c == 0:
-        tame = any(not chi.eval(T.teichmuller(a)).is_one()
+        tame = any(chi.eval(T.teichmuller(a)) != 1
                    for a in range(1, T.q))
         c = 1 if tame else 0
     return c
@@ -61,13 +62,13 @@ def conductor_scan(chi, depth):
 
 def test_psi_level_one(E, F):
     psiF = make_psi(F)
-    assert psiF.eval(F.from_int(7)).is_one()
-    assert psiF.eval(F.zero()).is_one()
+    assert psiF.eval(F.from_int(7)) == 1
+    assert psiF.eval(F.zero()) == 1
     vals = {tuple(psiF.eval(F.from_int(n)).to_pairs()) for n in range(7)}
     assert len(vals) == 7  # nontrivial character of O/P
     psiE = make_psi(E)
-    assert psiE.eval(E.uniformizer()).is_one()
-    assert not psiE.eval(E.one()).is_one()
+    assert psiE.eval(E.uniformizer()) == 1
+    assert psiE.eval(E.one()) != 1
 
 
 def test_psi_matches_independent_trace(E, F, prime_subfield):
@@ -110,7 +111,7 @@ def test_psi_precision_guard(E):
 def test_mulchar_basics(E):
     rng = random.Random(3)
     chi = random_char(E, 4, rng)
-    assert chi.eval(E.one()).is_one()
+    assert chi.eval(E.one()) == 1
     assert chi.eval(E.uniformizer()) == CycNumber.root(chi.w[1], chi.w[0])
     for _ in range(200):
         x = E.random_element(rng, -2, 3)
@@ -484,7 +485,7 @@ def test_uniformizer_exponent_survives_mul_inv_and_equals(E):
     assert a.mul(b).w == (5, 6)
     assert a.mul(b).eval(pi) == a.eval(pi) * b.eval(pi)
     assert a.inv().w == (5, 6)
-    assert (a.inv().eval(pi) * a.eval(pi)).is_one()
+    assert a.inv().eval(pi) * a.eval(pi) == 1
     assert a.mul(a.inv()).is_trivial_params()
     assert MulChar(E, (7, 6)).w == (1, 6)
     assert MulChar(E, (1, 3)).equals(MulChar(E, (2, 6)))
@@ -526,3 +527,62 @@ def test_tame_exponent_reads_the_unit_exponent(E):
                 tame_exponent(chi, u, n)
             raised += 1
     assert raised
+
+
+def _check_pullbacks(chars, K, sub, points):
+    """pullbacks(chars) is pullback per character: exact equality for
+    parametric results, values for factored ones, conductors for both; and
+    every result is chi o N at the points."""
+    batch = pullbacks(chars, K, sub.emb)
+    assert len(batch) == len(chars)
+    for chi, b in zip(chars, batch):
+        o = pullback(chi, K, sub.emb)
+        assert b.conductor() == o.conductor()
+        assert b.is_factored() == o.is_factored()
+        if not o.is_factored():
+            assert b.equals(o)
+        for x in points:
+            assert b.eval(x) == o.eval(x) == chi.eval(sub.norm(x))
+    return batch
+
+
+def _mixed_chars(S, rng):
+    """t = 0 and t != 0, gamma None, one gamma object shared, an equal one
+    built apart and another of the same valuation, random parameters and a
+    factored character."""
+    g = S.from_digits([(-1, 3)])
+    return [MulChar(S, (1, 6), 0, None), MulChar(S, (2, 6), 3, g),
+            MulChar(S, (0, 1), 0, g), MulChar(S, (5, 6), 2, S.from_digits(
+                [(-1, 3)])), MulChar(S, (1, 6), 4, S.from_digits([(-1, 5)])),
+            random_char(S, 3, rng), random_char(S, 1, rng),
+            MulChar(S, parts=((self_subfield(S), random_char(S, 2, rng)),)),
+            random_char(S, 0, rng)]
+
+
+def test_pullbacks_is_pullback_per_character(E):
+    sub = _handle_for(E, 1)
+    rng = random.Random(41)
+    points = [E.random_unit(rng) for _ in range(3)] + [E.uniformizer()]
+    _check_pullbacks(_mixed_chars(sub.S, rng), E, sub, points)
+    assert pullbacks([], E, sub.emb) == []
+
+
+def test_pullbacks_into_a_field_without_exp_log(prime_subfield):
+    T = make_tower(7, [TameRamified(6, 1)], 24)
+    sub = prime_subfield(T, 4)
+    rng = random.Random(42)
+    points = [T.random_unit(rng) for _ in range(3)] + [T.uniformizer()]
+    batch = _check_pullbacks(_mixed_chars(sub.S, rng), T, sub, points)
+    assert all(chi.is_factored() for chi in batch)
+
+
+def test_pullbacks_mismatched_embedding_raises_as_pullback(E, F):
+    sub = _handle_for(E, 1)
+    chars = _mixed_chars(sub.S, random.Random(43))
+    msg = "^embedding does not match the inflation$"
+    for bad in ((chars, F, sub.emb), (chars + [MulChar(E, (1, 6))], E,
+                                       sub.emb)):
+        with pytest.raises(ConfigError, match=msg):
+            pullbacks(*bad)
+    with pytest.raises(ConfigError, match=msg):
+        pullback(chars[0], F, sub.emb)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import localchar
 from localchar import cli
 from localchar.cli import main
 from localchar.reporting import canonical_json
@@ -179,3 +184,14 @@ def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,
     capsys.readouterr()
     assert run(["selftest"]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: unexpected\n"
+
+
+@pytest.mark.parametrize("module", ["localchar.cli", "localchar.converse"])
+def test_import_leaves_numpy_unloaded(module):
+    # only the oracle needs numpy; cmd_epsilon and cmd_selftest import it
+    src = str(Path(localchar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 from collections import Counter
@@ -164,9 +165,9 @@ def test_digit_tables_match_the_field_action():
 
 
 def test_classify_case_examples():
-    label, vb, va = classify_case(5, 1, 1, 1, r=1)
+    label, vb, va = classify_case(5, 1, 1, r=1)
     assert (label, vb, va) == ("beta", -8, -5)
-    label, vb, va = classify_case(7, 1, 2, 2)
+    label, vb, va = classify_case(7, 1, 2)
     assert label == "alpha" and vb == -12 and va == -14
 
 
@@ -221,6 +222,18 @@ def test_compositum_coset_count_closed_form(p, N, uE, steps, cosets, ef):
     K, _, _ = compositum_abstract(E, L, 12)
     assert time.perf_counter() - t0 < 1.0
     assert build_ambient(E, L) == ef == (K.e, K.f)
+
+
+@pytest.mark.parametrize("p, N, uE, steps, cosets, ef", [
+    s for s in _COMPOSITUM_SHAPES if s[-1] is not None])
+def test_classify_case_e_K_is_build_ambient_e_K(p, N, uE, steps, cosets, ef):
+    # classify_case's lcm(N, e_L) is a copy of build_ambient's e_K
+    E = make_tower(p, (TameRamified(N, uE),), 12)
+    L = make_tower(p, steps, 12)
+    e_K = build_ambient(E, L)[0]
+    assert math.lcm(N, L.e) == e_K
+    assert classify_case(N, L.e, 0) == ("beta", -(e_K // N) * (2 * N - 2),
+                                        None)
 
 
 def test_compositum_shapes(pair5):
@@ -414,7 +427,7 @@ def test_rank_one_grouping_keeps_every_check(pair5, capsys):
 def _alpha_case_pairs(pair, tws):
     N = pair.cfg.N
     return [tw for tw in tws if tw.alpha is not None
-            and classify_case(N, tw.L.e, tw.L.f, tw.m)[0] == "alpha"]
+            and classify_case(N, tw.L.e, tw.m)[0] == "alpha"]
 
 
 def test_one_matrix_norms_match_the_matrix_route(pair5, pair7):
@@ -449,7 +462,7 @@ def test_coset_verification_work_counts(pair7, monkeypatch):
     pairs = list(iter_twist_pairs(11, 2, 3, 16))
     alpha_tw = _alpha_case_pairs(pair7, pairs)[0]
     beta_tw = next(tw for tw in pairs if tw.alpha is not None
-                   and classify_case(7, tw.L.e, tw.L.f, tw.m)[0] == "beta")
+                   and classify_case(7, tw.L.e, tw.m)[0] == "beta")
     for tw in (alpha_tw, beta_tw):
         verify_coset_products(pair7, tw)  # warm every cache and context
     counts = Counter()

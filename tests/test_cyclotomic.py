@@ -1,10 +1,11 @@
+import cmath
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localchar.cyclotomic import CycNumber, ScaledCyc
+from localchar.cyclotomic import CycNumber, ScaledCyc, _root_key_terms
 from localchar.errors import NotInvertible
 
 
@@ -220,3 +221,59 @@ def test_from_counts_rejects_a_table_that_does_not_split_the_modulus():
         CycNumber.from_counts(36, np.zeros((6, 6), dtype=np.int64))
     with pytest.raises(ValueError, match="count table 6 x 7 does not split 84"):
         CycNumber.from_counts(84, np.zeros((6, 7), dtype=np.int64))
+
+
+# M = 1, prime powers, 7, 42, 294 (the rank-1 moduli) and three-prime moduli
+root_moduli = st.sampled_from([1, 2, 4, 8, 9, 27, 25, 49, 343, 7, 42, 294,
+                               30, 105])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cached_roots_match_the_uncached_expansion(data):
+    m = data.draw(root_moduli)
+    items = data.draw(st.lists(st.tuples(st.integers(-2 * m, 2 * m),
+                                         st.integers(-3, 3)), max_size=5))
+    for k, _ in items:
+        uncached = dict(_root_key_terms.__wrapped__(m, k % m))
+        root = CycNumber.root(m, k)
+        assert root.terms == uncached
+        assert abs(root.approx() - cmath.exp(2j * cmath.pi * k / m)) < 1e-9
+    total = CycNumber.zero(m)
+    for k, c in items:
+        total = total + CycNumber(m, dict(_root_key_terms.__wrapped__(
+            m, k % m))) * c
+    assert CycNumber.from_root_sum(m, items).terms == total.terms
+
+
+def test_from_root_sum_leaves_cached_expansions_unchanged():
+    before = _root_key_terms(42, 5)
+    assert isinstance(before, tuple)
+    snapshot = list(before)
+    # a zero coefficient, then a pair that cancels (47 = 5 mod 42)
+    assert CycNumber.from_root_sum(42, [(5, 0), (5, 3), (47, -3)]).is_zero()
+    assert list(_root_key_terms(42, 5)) == snapshot
+    assert CycNumber.root(42, 5).terms == dict(snapshot)
+    assert CycNumber.from_root_sum(42, [(5, 2)]).terms == {
+        key: 2 * s for key, s in snapshot}
+
+
+def test_root_cache_stays_within_its_stated_bound():
+    bound = _root_key_terms.cache_info().maxsize
+    assert bound is not None and str(bound) in _root_key_terms.__doc__
+    m = 2 * 3 * 5 * 7 * 11
+    for k in range(bound + 100):
+        CycNumber.root(m, k)
+    assert _root_key_terms.cache_info().currsize <= bound
+    assert CycNumber.root(m, 0) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 4, 9, 12, 42, 105, 294]), st.data())
+def test_conj_is_the_sum_of_inverse_roots(m, data):
+    x = CycNumber.from_root_sum(m, data.draw(st.lists(st.tuples(
+        st.integers(0, m - 1), st.integers(-4, 4)), max_size=6)))
+    expected = CycNumber.zero(m)
+    for k, c in x.to_pairs():
+        expected = expected + CycNumber.root(m, -k) * c
+    assert x.conj().terms == expected.terms

@@ -19,7 +19,6 @@ from localchar.epsilon import (
     epsilon_factor,
     epsilon_factors,
     epsilon_oracle_consistency,
-    epsilon_ratio,
     gauss_sum,
     theta_row,
 )
@@ -594,7 +593,7 @@ def test_consistency_across_precisions():
         assert m1 == m2 and o1 == o2
 
 
-def test_epsilon_ratio_identity_and_twist(E):
+def test_epsilon_ratio_identity_and_twist(E, epsilon_ratio):
     psi = make_psi(E)
     rng = random.Random(10)
     chi = random_char(E, 7, rng)
@@ -612,14 +611,14 @@ def test_epsilon_ratio_identity_and_twist(E):
     assert o1 == o2 * expected  # same ratio through the brute-force route
 
 
-def test_epsilon_ratio_conductor_guard(E):
+def test_epsilon_ratio_conductor_guard(E, epsilon_ratio):
     psi = make_psi(E)
     rng = random.Random(11)
     with pytest.raises(ConductorMismatch):
         epsilon_ratio(random_char(E, 5, rng), random_char(E, 7, rng), psi)
 
 
-def test_epsilon_ratio_cocycle(E):
+def test_epsilon_ratio_cocycle(E, epsilon_ratio):
     psi = make_psi(E)
     rng = random.Random(12)
     done = 0

@@ -113,6 +113,25 @@ def test_no_assert_statements_in_package():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+def test_no_unused_parameters_in_package():
+    # a parameter no body reads is dead API; self, cls and _names are exempt
+    unused = []
+    for path in sorted(Path(localchar.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg,
+                                                              a.kwarg]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unused += [f"{path.name}:{fn.lineno} {fn.name}({p.arg})"
+                       for p in params if p and p.arg not in read
+                       and p.arg not in ("self", "cls")
+                       and not p.arg.startswith("_")]
+    assert not unused, unused
+
+
 def test_exp_log_inverse_pair(E):
     rng = random.Random(3)
     one = E.one()
