@@ -1,4 +1,4 @@
-"""Closed-form epsilon factors, Gauss sums, ratios, and consistency scans.
+"""Closed-form epsilon factors, Gauss sums, and oracle consistency scans.
 
 The closed form for a ramified character theta with canonical c-representative
 c is theta^{-1}(c) psi(c) q^{(f-1)/2}, times the Gauss sum
