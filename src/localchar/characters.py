@@ -75,10 +75,17 @@ class AddChar:
             form += [e * F.trace_w(F.wmul(w, b)) % F.pa for b in basis]
         return m, tuple(form)
 
+    def _form_exponent(self, x: TowerElement, mform, yv: int, ywindow, ys):
+        """exponent(x y): mform = trace_form(x, yv) dotted with the core ints
+        ys of y (valuation yv, window ywindow), checked as exponent checks."""
+        lo = x.prec if x.v is None else x.v  # v(x), or a zero's bound
+        _needs_p1(min(x.window() + yv, ywindow + lo))  # x y's window
+        return self.digit_exponent(mform[0], sum(map(mul, mform[1], ys)))
+
     def log_row(self, y: TowerElement, n: int, window, teich: bool = True):
-        """[exponent(y lg) for lg in principal_logs(n, window, teich)], from
-        lg's trace forms at v(y), memoized in the field's caches: one entry
-        per (n, window, teich, v(y)), q - 1 (m, form) pairs of e f ints."""
+        """[exponent(y lg) for lg in principal_logs(n, window, teich)]: y's
+        core dotted with each lg's trace form at v(y), memoized in the field's
+        caches (per (n, window, teich, v(y)), q - 1 forms of e f ints)."""
         F = self.field
         logs = F.principal_logs(n, window, teich)
         memo = F._caches.setdefault("plog_forms", {})
@@ -86,12 +93,8 @@ class AddChar:
         if key not in memo:
             memo[key] = tuple(self.trace_form(lg, y.v) for lg in logs)
         ys = [c for w in y.core for c in w]
-        out = []
-        for lg, (m, form) in zip(logs, memo[key]):
-            lo = lg.prec if lg.v is None else lg.v  # v(lg), or a zero's bound
-            _needs_p1(min(lg.window() + y.v, y.window() + lo))  # y lg's window
-            out.append(self.digit_exponent(m, sum(map(mul, form, ys))))
-        return out
+        return [self._form_exponent(lg, mform, y.v, y.window(), ys)
+                for lg, mform in zip(logs, memo[key])]
 
     def eval(self, x: TowerElement) -> CycNumber:
         z, mod = self.exponent(x)
@@ -119,13 +122,13 @@ class MulChar:
     the character.
     """
 
-    __slots__ = ("field", "w", "t", "gamma", "parts", "_gamma_cache")
+    __slots__ = ("field", "w", "t", "gamma", "parts", "_gamma_cache", "_crep")
 
     def __init__(self, field: TowerField, w=None, t: int = 0, gamma=None,
                  parts=None):
         self.field = field
         self.parts = parts
-        self._gamma_cache = None
+        self._gamma_cache = self._crep = None
         if parts is not None:
             self.w = None
             self.t = 0
@@ -200,12 +203,13 @@ class MulChar:
     def c_rep(self) -> TowerElement:
         """Canonical exact representative of c_theta: the parameter truncated
         to the window [1-f, 1-r), r = floor((f+1)/2).  theta(1+x) = psi(c x)
-        for x in P^r."""
-        f = self.conductor()
-        if f < 2:
-            raise ConductorTooSmall("c_theta needs conductor >= 2")
-        r = (f + 1) // 2
-        return truncate_to(self.gamma_full(), 1 - r)
+        for x in P^r.  Formed once per character (its fields never change)."""
+        if self._crep is None:
+            f = self.conductor()
+            if f < 2:
+                raise ConductorTooSmall("c_theta needs conductor >= 2")
+            self._crep = truncate_to(self.gamma_full(), 1 - (f + 1) // 2)
+        return self._crep
 
     # ------------------------------------------------------------- group ops
 
@@ -268,10 +272,11 @@ def char_exponents(chars, x: TowerElement):
     """(z, m) per character of x's field, with chi(x) = zeta_m^z.
 
     The shared evaluation.  With x = pi^v u, parametric characters share one
-    principal_split of the unit u = tau(r) u1 and one log_principal(u1) per
-    window max(conductor, 1) (its own window, as AddChar.exponent's modulus
-    reads digits above it; twins share theirs); each adds its principal and
-    tame exponents and, when v != 0, v times its uniformizer exponent w.  A
+    principal_split of the unit u = tau(r) u1 and one trace form per window
+    c = max(conductor, 1): lg = log_principal(u1) at window c (its own, as
+    psi's modulus reads digits above it) read at valuation 1 - c = v(gamma).
+    Each character is a dot product, psi(gamma lg) = form . coords(gamma),
+    plus its tame exponent and, when v != 0, v times its uniformizer one.  A
     factored character adds its parts' exponents at the norms of u and, when
     v != 0, v times their exponents at the norms of pi, so the norms see
     only units.  m is the modulus of the value's CycNumber: it takes the lcm
@@ -283,7 +288,8 @@ def char_exponents(chars, x: TowerElement):
     v = x.v
     unit = TowerElement(F, 0, x.core, x.prec, x.store) if v else x
     split = None
-    logs = {}
+    psi = make_psi(F)
+    forms = {}
     out = []
     for chi in chars:
         if chi.parts is not None:
@@ -305,10 +311,13 @@ def char_exponents(chars, x: TowerElement):
             raise PrecisionLoss(
                 f"need the argument mod P^{c} relative; have {u1.prec}")
         z, m = 0, 1
-        if chi.gamma is not None:
-            if c not in logs:
-                logs[c] = F.log_principal(u1, window=c)
-            z, m = make_psi(F).exponent(chi.gamma * logs[c])
+        g = chi.gamma
+        if g is not None:  # v(g) = 1 - c
+            if c not in forms:
+                lg = F.log_principal(u1, window=c)
+                forms[c] = lg, psi.trace_form(lg, 1 - c)
+            z, m = psi._form_exponent(*forms[c], g.v, g.window(),
+                                      [d for w in g.core for d in w])
         if chi.t:
             z, m = _add_exponents(z, m, chi.t * F.dlog_res(r), F.q - 1)
         if v:

@@ -27,7 +27,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 from .cyclotomic import CycNumber, ScaledCyc
 from .errors import (
@@ -37,8 +36,8 @@ from .errors import (
     InternalContradiction,
     NotInvertible,
 )
-from .characters import (AddChar, MulChar, _add_exponents, _needs_p1,
-                         char_exponents, make_psi)
+from .characters import (AddChar, MulChar, _add_exponents, char_exponents,
+                         make_psi)
 
 
 @dataclass
@@ -82,10 +81,10 @@ def _psi_row(psi: AddChar, c, n: int):
     """psi(c tau(a) pi^n) for a = 1..q-1, as (z, m) exponent pairs: tau(a)
     is the one nonzero slot of the core, so the form needs only that slot."""
     F = psi.field
-    m, form = psi.trace_form(c, n, slots=1)
-    _needs_p1(c.v + n + min(c.prec, F.kint))  # the window of c tau(a) pi^n
-    return [psi.digit_exponent(m, sum(map(mul, form, F.teichmuller_w(
-        F.int_to_res(a))))) for a in range(1, F.q)]
+    mform = psi.trace_form(c, n, slots=1)
+    return [psi._form_exponent(c, mform, n, n + F.kint,
+                               F.teichmuller_w(F.int_to_res(a)))
+            for a in range(1, F.q)]
 
 
 def _gauss_histogram(theta, psi_row):

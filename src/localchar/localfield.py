@@ -640,10 +640,6 @@ class TowerField:
         digits += [(v, rng.randrange(self.q)) for v in range(1, top)]
         return self.from_digits(digits)
 
-    def random_element(self, rng, vmin: int, vmax: int) -> "TowerElement":
-        v = rng.randrange(vmin, vmax + 1)
-        return self.random_unit(rng).shift(v)
-
     # ---------------------------------------------------------------- exp/log
 
     def exp_principal(self, x: "TowerElement", window=None) -> "TowerElement":

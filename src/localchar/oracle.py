@@ -63,11 +63,6 @@ def oracle_sum(chi: MulChar, psi: AddChar, delta,
     return ScaledCyc(total, -c, F.q)
 
 
-def clear_oracle_cache(F: TowerField):
-    """Drop the oracle grids cached on the field F."""
-    F._caches.pop("oracle_grids", None)
-
-
 # --------------------------------------------------------------- slow path
 
 

@@ -42,3 +42,24 @@ def _epsilon_ratio(chi1, chi2, psi):
 @pytest.fixture(scope="session")
 def epsilon_ratio():
     return _epsilon_ratio
+
+
+def _random_element(F, rng, vmin, vmax):
+    """A random unit of F times pi^v, v uniform in [vmin, vmax]."""
+    v = rng.randrange(vmin, vmax + 1)
+    return F.random_unit(rng).shift(v)
+
+
+@pytest.fixture(scope="session")
+def random_element():
+    return _random_element
+
+
+def _clear_oracle_cache(F):
+    """Drop the oracle grids cached on the field F."""
+    F._caches.pop("oracle_grids", None)
+
+
+@pytest.fixture(scope="session")
+def clear_oracle_cache():
+    return _clear_oracle_cache

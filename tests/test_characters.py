@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localchar.ambient import compositum_abstract
 from localchar.cyclotomic import CycNumber
@@ -15,6 +16,7 @@ from localchar.localfield import (INF, TameRamified, TowerElement, _prime_gen,
 from localchar.embeddings import Subfield, self_subfield
 from localchar.characters import (
     MulChar,
+    _add_exponents,
     char_exponents,
     eval_many,
     howe_factorize,
@@ -71,21 +73,21 @@ def test_psi_level_one(E, F):
     assert psiE.eval(E.one()) != 1
 
 
-def test_psi_matches_independent_trace(E, F, prime_subfield):
+def test_psi_matches_independent_trace(E, F, prime_subfield, random_element):
     psiE, psiF = make_psi(E), make_psi(F)
     sub = prime_subfield(E)
     rng = random.Random(0)
     for _ in range(300):
-        x = E.random_element(rng, -3, 6)
+        x = random_element(E, rng, -3, 6)
         assert psiE.eval(x) == psiF.eval(sub.trace(x))
 
 
-def test_psi_additivity(E):
+def test_psi_additivity(E, random_element):
     psi = make_psi(E)
     rng = random.Random(1)
     for _ in range(500):
-        x = E.random_element(rng, -4, 6)
-        y = E.random_element(rng, -4, 6)
+        x = random_element(E, rng, -4, 6)
+        y = random_element(E, rng, -4, 6)
         assert psi.eval(x + y) == psi.eval(x) * psi.eval(y)
 
 
@@ -108,14 +110,14 @@ def test_psi_precision_guard(E):
 # ------------------------------------------------------- multiplicative side
 
 
-def test_mulchar_basics(E):
+def test_mulchar_basics(E, random_element):
     rng = random.Random(3)
     chi = random_char(E, 4, rng)
     assert chi.eval(E.one()) == 1
     assert chi.eval(E.uniformizer()) == CycNumber.root(chi.w[1], chi.w[0])
     for _ in range(200):
-        x = E.random_element(rng, -2, 3)
-        y = E.random_element(rng, -2, 3)
+        x = random_element(E, rng, -2, 3)
+        y = random_element(E, rng, -2, 3)
         assert chi.eval(x * y) == chi.eval(x) * chi.eval(y)
 
 
@@ -207,14 +209,14 @@ def test_inflation_preserves_gamma_and_scales_conductor(E, prime_subfield):
             assert d.is_zero() or d.valuation() >= 1 - rK
 
 
-def test_inflation_pointwise(E, prime_subfield):
+def test_inflation_pointwise(E, prime_subfield, random_element):
     rng = random.Random(9)
     sub = prime_subfield(E)
     F = sub.S
     chi = random_char(F, 3, rng)
     chiE = pullback(chi, E, sub.emb)
     for _ in range(300):
-        x = E.random_element(rng, -2, 4)
+        x = random_element(E, rng, -2, 4)
         assert chiE.eval(x) == chi.eval(sub.norm(x))
     triv = MulChar(F, None, 0, None)
     trivE = pullback(triv, E, sub.emb)
@@ -381,7 +383,8 @@ def restrict_to_base(chi, base_handle):
     return MulChar(F, w_F, t_F, gamma_F)
 
 
-def test_restriction_to_base_agrees_for_twins(E, prime_subfield):
+def test_restriction_to_base_agrees_for_twins(E, prime_subfield,
+                                              random_element):
     from localchar.converse import TwinConfig, build_twin_characters
     pair = build_twin_characters(TwinConfig(p=7, N=5, precision=12))
     sub = prime_subfield(E)
@@ -391,7 +394,7 @@ def test_restriction_to_base_agrees_for_twins(E, prime_subfield):
     # and the restriction is computed faithfully: sample on F
     rng = random.Random(15)
     for _ in range(50):
-        x = sub.S.random_element(rng, 0, 3)
+        x = random_element(sub.S, rng, 0, 3)
         assert r1.eval(x) == pair.phi1.eval(sub.emb.apply(x))
 
 
@@ -399,21 +402,21 @@ def _value_bytes(v):
     return v.modulus, v.to_pairs()
 
 
-def test_eval_many_matches_one_character_at_a_time(E):
+def test_eval_many_matches_one_character_at_a_time(E, random_element):
     rng = random.Random(21)
     chars = [random_char(E, c, rng) for c in (0, 1, 2, 3, 3, 5, 7)]
     assert any(chi.t and chi.w[0] and chi.gamma is not None
                for chi in chars)
     seen_v = set()
     for _ in range(60):
-        x = E.random_element(rng, -3, 4)
+        x = random_element(E, rng, -3, 4)
         seen_v.add(x.v != 0)
         got = [_value_bytes(v) for v in eval_many(chars, x)]
         assert got == [_value_bytes(chi.eval(x)) for chi in chars]
     assert seen_v == {False, True}
 
 
-def test_eval_many_factored_characters_on_a_compositum():
+def test_eval_many_factored_characters_on_a_compositum(random_element):
     # the construction of test_epsilon's factored case: K has e = 10, so
     # these characters are carried as products of pullbacks
     E7 = make_tower(7, [TameRamified(5, 1)], 24)
@@ -428,19 +431,19 @@ def test_eval_many_factored_characters_on_a_compositum():
     assert all(chi.is_factored() for chi in chars)
     rng = random.Random(23)
     for _ in range(4):
-        x = K.random_element(rng, -2, 3)
+        x = random_element(K, rng, -2, 3)
         got = [_value_bytes(v) for v in eval_many(chars, x)]
         assert got == [_value_bytes(chi.eval(x)) for chi in chars]
 
 
-def test_char_exponents_are_the_unit_value_times_w_to_the_v(E):
+def test_char_exponents_are_the_unit_value_times_w_to_the_v(E, random_element):
     # chi(x) = chi(pi^-v x) w^v as cyclotomic numbers, the modulus included:
     # it takes the lcm with w's modulus exactly when v(x) != 0
     rng = random.Random(26)
     chars = [random_char(E, c, rng) for c in (0, 1, 2, 3, 5, 7)]
     seen_v = set()
     for _ in range(60):
-        x = E.random_element(rng, -3, 4)
+        x = random_element(E, rng, -3, 4)
         seen_v.add(x.v != 0)
         unit = TowerElement(E, 0, x.core, x.prec, x.store)
         for chi, (z, m) in zip(chars, char_exponents(chars, x)):
@@ -456,7 +459,82 @@ def test_char_exponents_are_the_unit_value_times_w_to_the_v(E):
     assert char_exponents((unram,), E.one()) == [(0, 1)]
 
 
-def test_factored_char_exponents_match_the_norm_route():
+_EXPONENT_FIELDS = {
+    "Q7": lambda: make_tower(7, (), 12),
+    "Q7(7^1/5)": lambda: make_tower(7, [TameRamified(5, 1)], 12),
+    "Q11(11^1/7)": lambda: make_tower(11, [TameRamified(7, 1)], 16),
+}
+
+
+def _exponents_by_products(chars, x):
+    """char_exponents of parametric characters, each principal part read by
+    AddChar.exponent from the product gamma * log_principal(u1, window=c)."""
+    F = x.field
+    psi = make_psi(F)
+    r, u1 = TowerElement(F, 0, x.core, x.prec, x.store).principal_split()
+    out = []
+    for chi in chars:
+        z, m = 0, 1
+        if chi.gamma is not None:
+            c = chi.conductor()
+            z, m = psi.exponent(chi.gamma * F.log_principal(u1, window=c))
+        if chi.t:
+            z, m = _add_exponents(z, m, chi.t * F.dlog_res(r), F.q - 1)
+        if x.v:
+            z, m = _add_exponents(z, m, chi.w[0] * x.v, chi.w[1])
+        out.append((z, m))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_EXPONENT_FIELDS)), st.integers(0, 2**32),
+       st.lists(st.integers(0, 7), min_size=1, max_size=6),
+       st.integers(-3, 3), st.integers(1, 8))
+def test_char_exponents_match_the_product_reference(name, seed, conductors,
+                                                    v, n):
+    """One trace form per window gives the exponents the products give: mixed
+    conductors (twins sharing a window among them), t = 0 and t != 0, gamma
+    None, x of any valuation, and x = pi^v (1 + a pi^n), whose log is a
+    certified zero in every window c <= n."""
+    F = _EXPONENT_FIELDS[name]()
+    rng = random.Random(seed)
+    chars = []
+    for c in conductors + [1]:
+        chi = random_char(F, c, rng)
+        chars += [chi, MulChar(F, chi.w, 0, chi.gamma)]
+    assert any(chi.gamma is None for chi in chars)
+    xs = [F.random_unit(rng).shift(v),
+          (F.one() + F.monomial(rng.randrange(1, F.q), n)).shift(v),
+          F.one().shift(v)]
+    for x in xs:
+        assert char_exponents(chars, x) == _exponents_by_products(chars, x)
+    short = [chi for chi in chars if chi.conductor() > n]
+    for chi in short:  # x = 1 + a pi^n is certified to 1 + a pi^n + O(P^n)
+        with pytest.raises(PrecisionLoss,
+                           match=rf"need the argument mod P\^{chi.conductor()} "):
+            char_exponents((chi,), xs[0].cap_window(v + n))
+
+
+def test_char_exponents_certify_the_product_window():
+    # gamma known only to pi^-2 meets log(1 + a pi^j) in a product certified
+    # to j - 2: psi reads it for j >= 3 and raises PrecisionLoss below
+    F = make_tower(7, [TameRamified(5, 1)], 12)
+    psi = make_psi(F)
+    chi = MulChar(F, None, 0, F.monomial(2, -4).cap_window(-2))
+    assert chi.gamma.window() == -2
+    for j in range(1, 6):
+        x = F.one() + F.monomial(3, j)
+        ref = F.log_principal(x, window=5)
+        if j < 3:
+            with pytest.raises(PrecisionLoss):
+                psi.exponent(chi.gamma * ref)
+            with pytest.raises(PrecisionLoss):
+                char_exponents((chi,), x)
+        else:
+            assert char_exponents((chi,), x) == [psi.exponent(chi.gamma * ref)]
+
+
+def test_factored_char_exponents_match_the_norm_route(random_element):
     # the norms of x itself, as the parts were evaluated before the unit
     # split; K carries enough precision for norms of valuation -4 elements
     E7 = make_tower(7, [TameRamified(5, 1)], 24)
@@ -468,7 +546,7 @@ def test_factored_char_exponents_match_the_norm_route():
     assert chi.is_factored()
     rng = random.Random(27)
     seen_v = set()
-    xs = [K.random_element(rng, -4, 3) for _ in range(6)]
+    xs = [random_element(K, rng, -4, 3) for _ in range(6)]
     for x in xs + [K.random_unit(rng) for _ in range(2)]:
         seen_v.add(x.v != 0)
         ref = CycNumber.one()

@@ -73,12 +73,12 @@ def test_norm_trace_of_uniformizer(E, prime_subfield):
                 assert mat[i][j].is_zero()
 
 
-def test_norm_valuation_identity(E, prime_subfield):
+def test_norm_valuation_identity(E, prime_subfield, random_element):
     # val_F(N(x)) = f(E/F) val_E(x); here f = 1
     sub = prime_subfield(E)
     rng = random.Random(0)
     for _ in range(100):
-        x = E.random_element(rng, -3, 6)
+        x = random_element(E, rng, -3, 6)
         assert sub.norm(x).valuation() == x.valuation()
     # N(pi_E)^e and p^[E:F] have equal valuation
     n = sub.norm(E.uniformizer())

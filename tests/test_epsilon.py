@@ -136,7 +136,8 @@ _ROW_FIELDS = {
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_ROW_FIELDS)), st.sampled_from([3, 5, 7]),
        st.integers(0, 2**32), st.integers(0, 3), st.integers(-9, 2))
-def test_trace_form_rows_match_the_product_reference(name, f, seed, n, vc):
+def test_trace_form_rows_match_the_product_reference(random_element, name, f,
+                                                     seed, n, vc):
     """theta_row, _psi_row and the oracle's theta digit table give the
     (z, m) pairs of the inline products, moduli included."""
     F = _ROW_FIELDS[name]()
@@ -144,7 +145,7 @@ def test_trace_form_rows_match_the_product_reference(name, f, seed, n, vc):
     rng = random.Random(seed)
     # the form itself, on a y with every slot set (the rows' y are not);
     # x y is certified to v(x) + v(y) + k >= 1
-    x, y = F.random_element(rng, vc, vc), F.random_element(rng, n, n)
+    x, y = random_element(F, rng, vc, vc), random_element(F, rng, n, n)
     m, form = psi.trace_form(x, y.v)
     digit = sum(a * b for a, b in zip(form, (c for w in y.core for c in w)))
     assert psi.digit_exponent(m, digit) == psi.exponent(x * y)
@@ -157,7 +158,7 @@ def test_trace_form_rows_match_the_product_reference(name, f, seed, n, vc):
     assert theta_row(chi, h) == ref
     assert ref == [char_exponents((chi,), F.one() + F.monomial(a, h))[0]
                    for a in range(1, F.q)]
-    for c in (chi.c_rep(), F.random_element(rng, vc, vc)):
+    for c in (chi.c_rep(), random_element(F, rng, vc, vc)):
         assert _psi_row(psi, c, n) == [psi.exponent(c * F.monomial(a, n))
                                        for a in range(1, F.q)]
     if F.f == 1:  # the oracle's digits: psi(-gamma log(1 + a pi^i))
@@ -287,8 +288,7 @@ def test_epsilon_factors_raise_on_differing_c_representatives(E):
         epsilon_factors((chi, random_char(E, 5, random.Random(41))), psi)
 
 
-def test_oracle_grids_belong_to_their_field():
-    from localchar.oracle import clear_oracle_cache
+def test_oracle_grids_belong_to_their_field(clear_oracle_cache):
     rng = random.Random(42)
     # fields built directly, not shared through make_tower's memo
     T, fresh = TowerField(7, (), 12), TowerField(7, (), 12)
@@ -366,7 +366,7 @@ def test_epsilon_transport_invariance():
     pytest.param("E", 4, 49, True, id="E-c4-blocks"),
 ])
 def test_oracle_term_count_and_slow_agreement(name, c, chunk, dense, request,
-                                              monkeypatch):
+                                              monkeypatch, clear_oracle_cache):
     import numpy as np
     import localchar.oracle as om
     field = request.getfixturevalue(name)
@@ -379,11 +379,11 @@ def test_oracle_term_count_and_slow_agreement(name, c, chunk, dense, request,
     take = np.take_along_axis
     monkeypatch.setattr(np, "take_along_axis",
                         lambda *a: shifts.append(1) or take(*a))
-    om.clear_oracle_cache(field)
+    clear_oracle_cache(field)
     try:
         fast = oracle_sum(chi, psi, delta)
     finally:
-        om.clear_oracle_cache(field)
+        clear_oracle_cache(field)
     assert bool(shifts) == dense  # the dense side shifts the joint table
     slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, 7)
     assert not fast.is_zero()
@@ -560,7 +560,7 @@ def test_consistency_across_three_seeds(F):
         assert m0 * o == m * o0
 
 
-def test_oracle_block_split_matches_one_block(E, monkeypatch):
+def test_oracle_block_split_matches_one_block(E, monkeypatch, clear_oracle_cache):
     import localchar.oracle as om
     psi = make_psi(E)
     chi = random_char(E, 6, random.Random(13))
@@ -568,11 +568,11 @@ def test_oracle_block_split_matches_one_block(E, monkeypatch):
     sums = []
     for chunk, blocks in ((om._CHUNK, 1), (1 << 14, 7)):
         monkeypatch.setattr(om, "_CHUNK", chunk)
-        om.clear_oracle_cache(E)
+        clear_oracle_cache(E)
         sums.append(oracle_sum(chi, psi, delta))
         grid, = E._caches["oracle_grids"].values()
         assert len(grid.blocks) == blocks
-    om.clear_oracle_cache(E)
+    clear_oracle_cache(E)
     assert sums[0] == sums[1]
 
 
