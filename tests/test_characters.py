@@ -178,6 +178,11 @@ def test_c_rep_identity_spanning(E, F):
     chi2 = random_char(E, 2, rng)
     # f = 2: c is gamma modulo O, one layer only
     assert (chi2.c_rep() - chi2.gamma).is_zero()
+    assert chi2.c_rep() is chi2.c_rep()  # formed once per character
+    tame = random_char(E, 1, rng)
+    for _ in range(2):  # a refused representative is refused every time
+        with pytest.raises(ConductorTooSmall):
+            tame.c_rep()
     for f in range(2, 10):
         chi = random_char(E, f, rng)
         assert verify_c_rep(chi, psiE)
@@ -508,11 +513,10 @@ def test_char_exponents_match_the_product_reference(name, seed, conductors,
           F.one().shift(v)]
     for x in xs:
         assert char_exponents(chars, x) == _exponents_by_products(chars, x)
-    short = [chi for chi in chars if chi.conductor() > n]
-    for chi in short:  # x = 1 + a pi^n is certified to 1 + a pi^n + O(P^n)
-        with pytest.raises(PrecisionLoss,
-                           match=rf"need the argument mod P\^{chi.conductor()} "):
-            char_exponents((chi,), xs[0].cap_window(v + n))
+    for chi in chars:  # a unit known mod P^n only, for conductors above n
+        if chi.conductor() > n:
+            with pytest.raises(PrecisionLoss, match=rf"mod P\^{chi.conductor()} "):
+                char_exponents((chi,), xs[0].cap_window(v + n))
 
 
 def test_char_exponents_certify_the_product_window():
