@@ -66,7 +66,7 @@ class AddChar:
             return 1, (0,) * (slots * f)
         i0 = -(x.v + v) % e
         m = (x.v + v + i0) // e
-        um = F.wpow(F.U, m) if m >= 0 else F.wpow(F.Uinv, -m)
+        um = F.upow(m)
         basis = [tuple(int(i == l) for i in range(f)) for l in range(f)]
         form = []
         for k in range(slots):  # slot k of y meets slot i0 - k of x
@@ -238,10 +238,6 @@ class MulChar:
     def __mul__(self, other):
         return self.mul(other)
 
-    def is_trivial_params(self) -> bool:
-        return (self.parts is None and self.w[0] == 0 and
-                self.t % (self.field.q - 1) == 0 and self.gamma is None)
-
     def equals(self, other: "MulChar") -> bool:
         """Exact equality of parametric characters."""
         if self.parts is not None or other.parts is not None:
@@ -287,7 +283,7 @@ def char_exponents(chars, x: TowerElement):
     F = x.field
     v = x.v
     unit = TowerElement(F, 0, x.core, x.prec, x.store) if v else x
-    split = None
+    split = dlog = None
     psi = make_psi(F)
     forms = {}
     out = []
@@ -305,7 +301,8 @@ def char_exponents(chars, x: TowerElement):
             continue
         if split is None:
             split = unit.principal_split()
-        r, u1 = split
+            dlog = F.dlog_res(split[0])
+        u1 = split[1]
         c = max(chi.conductor(), 1)
         if u1.prec < c:
             raise PrecisionLoss(
@@ -319,7 +316,7 @@ def char_exponents(chars, x: TowerElement):
             z, m = psi._form_exponent(*forms[c], g.v, g.window(),
                                       [d for w in g.core for d in w])
         if chi.t:
-            z, m = _add_exponents(z, m, chi.t * F.dlog_res(r), F.q - 1)
+            z, m = _add_exponents(z, m, chi.t * dlog, F.q - 1)
         if v:
             zw, mw = chi.w
             z, m = _add_exponents(z, m, zw * v, mw)
@@ -503,20 +500,21 @@ def _minimal_subfield_containing(E: TowerField, elems, lower: Subfield):
 
 
 def howe_factorize(chi: MulChar):
-    """Factor an admissible character as chi0 * prod phi_k o N.
+    """Factor an admissible character as prod phi_k o N.
 
-    Returns (chi0 on the prime field, [(Subfield handle F_k, phi_k)]) with
-    the tower strictly increasing, inflation conductors strictly decreasing,
-    each phi_k generic relative to the previous field, and the product of
-    the pullbacks equal to the input exactly.  Representatives are
-    normalized: every phi_k except the last has trivial uniformizer value
-    and tame part.  NotAdmissible when the structure is violated.
+    Returns [(Subfield handle F_k, phi_k)] with the tower strictly
+    increasing, inflation conductors strictly decreasing, each phi_k generic
+    relative to the previous field, and the product of the pullbacks equal
+    to the input exactly: the last factor, on E itself, takes what the
+    others leave, so no prime-field character is left over.
+    Representatives are normalized: every phi_k except the last has trivial
+    uniformizer value and tame part.  NotAdmissible when the structure is
+    violated.
     """
     E = chi.field
-    base = _prime_handle(E)
     work = chi
     factors = []
-    prev = base
+    prev = _prime_handle(E)
     prev_cond = None
     while True:
         f = work.conductor()
@@ -527,8 +525,7 @@ def howe_factorize(chi: MulChar):
             sub = _minimal_subfield_containing(E, [gm], prev)
             if sub.S.degree == E.degree:
                 factors.append((self_subfield(E), work))
-                chi0 = MulChar(base.S, None, 0, None)
-                return chi0, factors
+                return factors
             prev_cond = f
             gam = sub.project(gm)
             while True:

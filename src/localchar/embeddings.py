@@ -14,6 +14,7 @@ characteristic polynomial computed through them.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import (
     CapacityError,
@@ -65,7 +66,7 @@ def _generator_images(S: TowerField, T: TowerField):
 class EmbeddingMap:
     """Ring embedding src -> dst fixing the prime field."""
 
-    __slots__ = ("src", "dst", "x_img", "pi_img", "_table", "_pi_inv",
+    __slots__ = ("src", "dst", "x_img", "pi_img", "_table", "_pi_pows",
                  "_gen_norms")
 
     def __init__(self, src: TowerField, dst: TowerField,
@@ -75,7 +76,7 @@ class EmbeddingMap:
         self.x_img = x_img
         self.pi_img = pi_img
         self._table = None
-        self._pi_inv = None
+        self._pi_pows = {}
         self._gen_norms = None
 
     def _basis_table(self):
@@ -106,13 +107,18 @@ class EmbeddingMap:
                 if c:
                     acc = acc + tab[i][j]._scal(c)
         if x.v:
-            if x.v > 0:
-                acc = acc * self.pi_img**x.v
-            else:
-                if self._pi_inv is None:
-                    self._pi_inv = self.pi_img.inv()
-                acc = acc * self._pi_inv ** (-x.v)
+            acc = acc * self._pi_pow(x.v)
         return acc.cap_window(rho * x.window())
+
+    def _pi_pow(self, v: int) -> TowerElement:
+        """pi_img^v, kept per valuation for |v| <= src.kint, so at most
+        2 kint + 1 entries; farther valuations are powered on each call."""
+        out = self._pi_pows.get(v)
+        if out is None:
+            out = self.pi_img**v
+            if abs(v) <= self.src.kint:
+                self._pi_pows[v] = out
+        return out
 
     def generator_norms(self):
         """(N(pi_dst), N(tau(xi_dst))) down to src, computed once: they fix a
@@ -148,17 +154,6 @@ def identity_embedding(T: TowerField) -> EmbeddingMap:
     return EmbeddingMap(T, T, x_img, T.uniformizer())
 
 
-def _unit_image_w(S: TowerField, T: TowerField, xr):
-    """Image of S's compiled unit in W_T through the generator image xr."""
-    out = T.wzero()
-    acc = T.wone()
-    for c in S.U:
-        if c:
-            out = T.wadd(out, T.wscal(acc, c))
-        acc = T.wmul(acc, xr)
-    return out
-
-
 def find_embeddings(S: TowerField, T: TowerField):
     """All embeddings S -> T over the prime field (possibly fewer than
     [S : F] when T lacks the roots of unity or Kummer roots)."""
@@ -174,7 +169,7 @@ def find_embeddings(S: TowerField, T: TowerField):
         if S.e == 1:
             out.append(EmbeddingMap(S, T, x_img, T.from_int(T.p)))
             continue
-        uimg = _unit_image_w(S, T, xr)
+        uimg = T.subst_gen(S.U, xr)  # S's compiled unit, through xr
         d = T.wmul(uimg, T.winv(T.U))  # solve g^{e_S} = d
         r_teich = T.teichmuller_w(d)
         v_unit = T.wmul(d, T.winv(r_teich))
@@ -189,7 +184,7 @@ def find_embeddings(S: TowerField, T: TowerField):
         l0 = (dr // g) * pow(S.e // g, -1, n // g) % (n // g)
         for j in range(g):
             l = l0 + j * (n // g)
-            gw = T.wmul(T.wpow(T.xi(), l), s)
+            gw = T.wmul(T.xi_pow(l), s)
             pi_img = TowerElement(T, c, T.rfromw(gw), T.kint, T.kint)
             out.append(EmbeddingMap(S, T, x_img, pi_img))
     return out
@@ -284,8 +279,7 @@ class Subfield:
         if x.v < 0:
             raise ConfigError("decompose needs an integral element")
         coords = self._coords(x)
-        y = [sum(m * c for m, c in zip(row, coords)) % T.pa
-             for row in self._minv]
+        y = [sum(map(mul, row, coords)) % T.pa for row in self._minv]
         sprec = S.e * (int(min(x.window(), T.kint)) // T.e)
         sstore = S.e * min(T.a, S.a)
         out = []
@@ -424,9 +418,7 @@ def enumerate_subfields(T: TowerField):
                 continue
             ncl = (T.q - 1) // (qs - 1)
             for j in range(ncl):
-                tbar = T.res_of(T.wpow(T.xi(), j))
-                dd = T.wmul(T.wpow(T.teichmuller_w(
-                    tuple(c % T.pa for c in tbar)), ep), T.U)
+                dd = T.wmul(T.xi_pow(j * ep), T.U)
                 dres = T.res_of(dd)
                 if T.res_of(T.frob_w(T.wfromres(dres), fp)) != dres:
                     continue

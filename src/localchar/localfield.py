@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import _factorize
 from .errors import (
@@ -125,12 +126,9 @@ class TowerField:
         f = 1
         e = 1
         for s in steps:
-            if isinstance(s, Unramified):
-                deg = s.degree
-            elif isinstance(s, TameRamified):
-                deg = s.degree
-            else:
+            if not isinstance(s, (Unramified, TameRamified)):
                 raise ConfigError(f"unknown step {s!r}")
+            deg = s.degree
             if deg < 1:
                 raise ConfigError("step degree must be >= 1")
             if deg % p == 0:
@@ -165,6 +163,13 @@ class TowerField:
             raise ConfigError("compiled uniformizer unit is not a unit")
         self.Upw = self.wscal(self.U, p)
         self.Uinv = self.winv(self.U)
+        ups, downs, pws = ([self.wone()] for _ in range(3))
+        for _ in range(self.a):
+            ups.append(self.wmul(ups[-1], self.U))
+            downs.append(self.wmul(downs[-1], self.Uinv))
+            pws.append(self.wmul(pws[-1], self.Upw))
+        self._upows = tuple(downs[:0:-1] + ups)  # U^-a .. U^a
+        self._upwpows = tuple(pws)  # (pU)^0 .. (pU)^a, zero from a on
 
     def __repr__(self):
         return f"Tower(p={self.p}, f={self.f}, e={self.e}, k={self.k})"
@@ -202,10 +207,6 @@ class TowerField:
         pa = self.pa
         return tuple((a - b) % pa for a, b in zip(x, y))
 
-    def wneg(self, x):
-        pa = self.pa
-        return tuple((-a) % pa for a in x)
-
     def wscal(self, x, c: int):
         pa = self.pa
         return tuple((a * c) % pa for a in x)
@@ -240,6 +241,14 @@ class TowerField:
                 base = self.wmul(base, base)
         return res
 
+    def upow(self, n: int):
+        """U^n for any integer n, from the field's table of U^-a .. U^a
+        (2a + 1 entries, built with the field).  |n| > a takes a valuation
+        past the precision and is powered on each call."""
+        if -self.a <= n <= self.a:
+            return self._upows[n + self.a]
+        return self.wpow(self.U, n) if n > 0 else self.wpow(self.Uinv, -n)
+
     def _wval(self, x) -> int:
         best = self.a
         for c in x:
@@ -267,12 +276,19 @@ class TowerField:
         return y
 
     def teichmuller_w(self, x):
-        """Root of unity (or 0) congruent to x; memoized, as it depends on x mod p."""
+        """Root of unity (or 0) congruent to x: xi^dlog(x mod p)."""
+        if not any(c % self.p for c in x):
+            return self.wzero()
+        return self.xi_pow(self.dlog_res(x))
+
+    def xi_pow(self, n: int):
+        """xi^n, the Teichmuller lift of xi's residue to the n: memoized by
+        n mod (q - 1), so at most q - 1 entries."""
         memo = self._caches.setdefault("teich", {})
-        key = tuple(c % self.p for c in x)
-        if key not in memo:
-            memo[key] = self.wpow(x, self.q ** (self.a + 1))
-        return memo[key]
+        n %= self.q - 1
+        if n not in memo:
+            memo[n] = self.wpow(self.xi(), n)
+        return memo[n]
 
     def _weval_poly(self, coeffs, x):
         res = self.wzero()
@@ -372,24 +388,18 @@ class TowerField:
         mats = self._caches.setdefault("frobmats", {})
         if power not in mats:
             g = self.frobenius_gen()
-            gp = self.wone()
             img = g
             for _ in range(power - 1):
-                img = self._subst_gen(img, g)
+                img = self.subst_gen(img, g)
             cols = []
             cur = self.wone()
             for _ in range(self.f):
                 cols.append(cur)
                 cur = self.wmul(cur, img)
-            mats[power] = cols
-        cols = mats[power]
-        out = self.wzero()
-        for j, c in enumerate(x):
-            if c:
-                out = self.wadd(out, self.wscal(cols[j], c))
-        return out
+            mats[power] = tuple(zip(*cols))
+        return tuple(sum(map(mul, x, row)) % self.pa for row in mats[power])
 
-    def _subst_gen(self, w, g):
+    def subst_gen(self, w, g):
         """Evaluate the coordinate polynomial of w at g (apply x -> g)."""
         out = self.wzero()
         cur = self.wone()
@@ -428,55 +438,39 @@ class TowerField:
             n //= self.p
         return tuple(out)
 
-    def res_inv(self, r):
-        hbar = [c % self.p for c in self.h]
-        inv = _poly_pow_mod(list(r), self.q - 2, hbar, self.p)
-        return tuple(inv) + (0,) * (self.f - len(inv))
-
     def xi(self):
-        """Canonical Teichmuller generator of the roots of unity mu_{q-1}."""
+        """Canonical Teichmuller generator of the roots of unity mu_{q-1}:
+        the generator's lift g^(q^(a+1)), the one such power a field takes."""
         if "xi" not in self._caches:
-            if self.f == 1:
-                self._caches["xi"] = self.teichmuller_w(self.subres_generator(1))
-            else:
-                self._caches["xi"] = self.teichmuller_w((0, 1) + (0,) * (self.f - 2))
+            g = (0, 1) + (0,) * (self.f - 2) if self.f > 1 else self.subres_generator(1)
+            self._caches["xi"] = self.wpow(g, self.q ** (self.a + 1))
         return self._caches["xi"]
 
     def dlog_res(self, r) -> int:
-        """Discrete log of a nonzero residue to base the residue of xi."""
+        """Discrete log of a nonzero residue to base the residue of xi: baby
+        steps xi^j, j < m, then giant steps by xi^-m.  m = q - 1 up to
+        q = 4096, so one table lookup; isqrt(q - 1) + 1 above."""
         r = tuple(c % self.p for c in r)
-        if all(c == 0 for c in r):
+        if not any(r):
             raise DivisionByZero("dlog of zero residue")
-        hbar = [c % self.p for c in self.h]
-        if self.q <= 4096:
-            table = self._caches.get("dlogtable")
-            if table is None:
-                table = {}
-                cur = [1] + [0] * (self.f - 1)
-                xibar = list(self.res_of(self.xi()))
-                for idx in range(self.q - 1):
-                    table[tuple(cur)] = idx
-                    cur = _poly_mul_mod(cur, xibar, hbar, self.p)
-                self._caches["dlogtable"] = table
-            return table[r]
         n = self.q - 1
-        mstep = int(math.isqrt(n)) + 1
+        hbar = [c % self.p for c in self.h]
         if "dlogbaby" not in self._caches:
-            baby = {}
+            m = n if self.q <= 4096 else math.isqrt(n) + 1
             xibar = list(self.res_of(self.xi()))
-            cur = [1] + [0] * (self.f - 1)
-            for j in range(mstep):
-                baby.setdefault(tuple(cur), j)
+            baby, cur = {}, [1] + [0] * (self.f - 1)
+            for j in range(m):
+                baby[tuple(cur)] = j
                 cur = _poly_mul_mod(cur, xibar, hbar, self.p)
             self._caches["dlogbaby"] = baby
-            self._caches["dloggiant"] = _poly_pow_mod(xibar, n - (mstep % n), hbar, self.p)
-        baby = self._caches["dlogbaby"]
-        giant = self._caches["dloggiant"]
+            self._caches["dloggiant"] = _poly_pow_mod(xibar, n - m % n, hbar, self.p)
+        baby, giant = self._caches["dlogbaby"], self._caches["dloggiant"]
+        m = len(baby)
         cur = list(r)
-        for i in range(mstep + 1):
+        for i in range(n // m + 1):
             j = baby.get(tuple(cur))
             if j is not None:
-                return (i * mstep + j) % n
+                return (i * m + j) % n
             cur = _poly_mul_mod(cur, giant, hbar, self.p)
         raise DivisionByZero("dlog failed")
 
@@ -492,19 +486,23 @@ class TowerField:
         return (w,) + (self.wzero(),) * (self.e - 1)
 
     def radd(self, x, y):
-        return tuple(self.wadd(a, b) for a, b in zip(x, y))
+        pa = self.pa
+        return tuple(tuple((c + d) % pa for c, d in zip(a, b)) for a, b in zip(x, y))
 
     def rsub(self, x, y):
-        return tuple(self.wsub(a, b) for a, b in zip(x, y))
+        pa = self.pa
+        return tuple(tuple((c - d) % pa for c, d in zip(a, b)) for a, b in zip(x, y))
 
     def rneg(self, x):
-        return tuple(self.wneg(a) for a in x)
+        pa = self.pa
+        return tuple(tuple(-c % pa for c in a) for a in x)
 
     def rscal(self, x, c: int):
-        return tuple(self.wscal(a, c) for a in x)
+        pa = self.pa
+        return tuple(tuple(d * c % pa for d in a) for a in x)
 
     def rwscal(self, x, w):
-        return tuple(self.wmul(a, w) for a in x)
+        return tuple(self.wmul(a, w) if any(a) else a for a in x)
 
     def rmul(self, x, y):
         e = self.e
@@ -526,42 +524,47 @@ class TowerField:
                 acc[d] = self.wadd(acc[d], w)
         return tuple(acc)
 
-    def rval(self, x, limit=None):
-        best = None
+    def rval(self, x, limit=INF):
+        """Least position i + e v(x_i) of a nonzero digit, or None when there
+        is none below limit.  Slot i sits at position i or later, so the
+        scan stops at the first slot at or past the best position."""
+        best, e, a = limit, self.e, self.a
         for i, w in enumerate(x):
+            if i >= best:
+                break
             v = self._wval(w)
-            if v < self.a:
-                pos = i + self.e * v
-                if best is None or pos < best:
-                    best = pos
-        if best is not None and limit is not None and best >= limit:
-            return None
-        return best
+            if v < a and i + e * v < best:
+                best = i + e * v
+        return None if best == limit else best
 
     def rshift_up(self, x, s: int):
+        """Multiplication by pi^s, s >= 0: slot i moves to i + s, and each
+        wrap past pi^e multiplies it by pU."""
         if s == 0:
             return x
         e = self.e
         qq, r = divmod(s, e)
+        pws = self._upwpows
+        lo, hi = x[: e - r], x[e - r:]
         if qq:
-            x = self.rwscal(x, self.wpow(self.Upw, qq))
-        for _ in range(r):
-            x = (self.wmul(x[e - 1], self.Upw),) + x[: e - 1]
-        return x
+            lo = self.rwscal(lo, pws[min(qq, self.a)])
+        return self.rwscal(hi, pws[min(qq + 1, self.a)]) + lo
 
     def rshift_out(self, x, s: int):
-        """Exact division by pi^s when every digit below s vanishes."""
+        """Exact division by pi^s when every digit below s vanishes.  The
+        integer divisions by p come before the products by U^-1, in this
+        order, as they fix the stored digits above the precision."""
         if s == 0:
             return x
         e = self.e
         qq, r = divmod(s, e)
         if qq:
             pq = self.p**qq
-            x = tuple(tuple(c // pq for c in w) for w in x)
-            x = self.rwscal(x, self.wpow(self.Uinv, qq))
-        for _ in range(r):
-            w0 = tuple(c // self.p for c in x[0])
-            x = x[1:] + (self.wmul(w0, self.Uinv),)
+            x = self.rwscal(tuple(tuple(c // pq for c in w) for w in x), self.upow(-qq))
+        if r:
+            p = self.p
+            x = x[r:] + self.rwscal(tuple(tuple(c // p for c in w) for w in x[:r]),
+                                    self.Uinv)
         return x
 
     def rinv(self, x):
@@ -605,7 +608,7 @@ class TowerField:
         while n % self.p == 0:
             n //= self.p
             v += 1
-        core = self.rwscal(self.rint(n), self.wpow(self.Uinv, v))
+        core = self.rwscal(self.rint(n), self.upow(-v))
         return TowerElement(self, v * self.e, core, self.kint, self.kint)
 
     def uniformizer(self) -> "TowerElement":
@@ -614,24 +617,19 @@ class TowerField:
     def teichmuller(self, res) -> "TowerElement":
         if isinstance(res, int):
             res = self.int_to_res(res)
-        w = self.teichmuller_w(tuple(c % self.pa for c in res))
-        if self._wval(w) != 0:
-            raise DivisionByZero("Teichmuller lift of zero residue")
+        w = self.xi_pow(self.dlog_res(res))  # DivisionByZero if res is 0
         return TowerElement(self, 0, self.rfromw(w), self.kint, self.kint)
 
     def monomial(self, res, v: int) -> "TowerElement":
-        t = self.teichmuller(res)
-        return TowerElement(self, v, t.core, self.kint, self.kint)
+        return self.teichmuller(res).shift(v)
 
     def from_digits(self, digits) -> "TowerElement":
         out = self.zero()
         for v, res in digits:
             if isinstance(res, int):
-                if res % self.q == 0:
-                    continue
-            elif not any(c % self.p for c in res):
-                continue
-            out = out + self.monomial(res, v)
+                res = self.int_to_res(res)
+            if any(c % self.p for c in res):
+                out = out + self.monomial(res, v)
         return out
 
     def random_unit(self, rng, depth=None) -> "TowerElement":
@@ -734,8 +732,7 @@ class TowerField:
             if pos % self.e:
                 continue
             m = pos // self.e
-            um = self.wpow(self.U, m) if m >= 0 else self.wpow(self.Uinv, -m)
-            c = (self.e * self.trace_w(self.wmul(x.core[i], um))) % self.pa
+            c = (self.e * self.trace_w(self.wmul(x.core[i], self.upow(m)))) % self.pa
             if c:
                 out.append((m, c))
         return out, -(-window_abs // self.e)
@@ -797,7 +794,9 @@ class TowerElement:
             return other
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sub: bool):
+        """self - other if sub, else self + other: the cores aligned at the
+        lower valuation, then one rsub or radd."""
         other = self._promote(other)
         if other is None:
             return NotImplemented
@@ -805,7 +804,7 @@ class TowerElement:
         if self.is_zero() and other.is_zero():
             return F.zero_bounded(min(self.prec, other.prec))
         if self.is_zero():
-            return other.cap_window(self.prec)
+            return (-other if sub else other).cap_window(self.prec)
         if other.is_zero():
             return self.cap_window(other.prec)
         window = min(self.window(), other.window())
@@ -815,7 +814,10 @@ class TowerElement:
         a = F.rshift_up(self.core, d1)
         b = F.rshift_up(other.core, d2)
         store = min(min(self.store + d1, F.kint), min(other.store + d2, F.kint))
-        return F.make(v0, F.radd(a, b), window - v0, store)
+        return F.make(v0, F.rsub(a, b) if sub else F.radd(a, b), window - v0, store)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -826,10 +828,7 @@ class TowerElement:
                             self.prec, self.store)
 
     def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -903,8 +902,7 @@ class TowerElement:
         F = self.field
         if self.is_zero():
             return F.zero_bounded(self.prec - s * F.e)
-        scale = F.wpow(F.U, s) if s >= 0 else F.wpow(F.Uinv, -s)
-        core = F.rwscal(self.core, scale)
+        core = F.rwscal(self.core, F.upow(s))
         return TowerElement(F, self.v - s * F.e, core,
                             self.prec, self.store - max(s, 0) * F.e)
 
@@ -916,13 +914,14 @@ class TowerElement:
         return self.field.res_of(self.core[0])
 
     def principal_split(self):
-        """For a unit u: (residue r, u * tau(r)^{-1} in 1 + P)."""
+        """For a unit u: (residue r, u * tau(r)^{-1} in 1 + P), with
+        tau(r)^{-1} = xi^(-dlog r)."""
         if self.is_zero() or self.v != 0:
             raise ConfigError("principal split needs a unit (valuation 0)")
         F = self.field
         r = self.residue()
-        tinv = F.teichmuller(F.res_inv(r))
-        return r, self * tinv
+        tinv = F.rfromw(F.xi_pow(-F.dlog_res(r)))
+        return r, self * TowerElement(F, 0, tinv, F.kint, F.kint)
 
     def eq_mod(self, other, m: int) -> bool:
         """Equality modulo pi^m; raises PrecisionLoss if undecidable."""
@@ -952,6 +951,8 @@ class TowerElement:
         return "Elem(" + " + ".join(parts) + f" + O(pi^{self.window()}))"
 
     def serialize(self):
+        """The unit's stored ints as kept, digits above the certified window
+        and above `store` included, so the bytes follow how x was computed."""
         if self.is_zero():
             return {"zero_mod": None if self.prec is INF else self.prec}
         return {"valuation": self.v, "unit": [list(w) for w in self.core],

@@ -66,7 +66,15 @@ def test_factorize_command(tmp_path):
                 "--char-gamma=-8:1", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
-    assert rep["results"][0]["tower_degrees"] == [5]
+    # howe_factorize returns only the factors; the report keeps its key
+    assert canonical_json(rep["results"]) == (
+        '[\n {\n  "base_character_trivial": true,\n  "conductors": [\n   9\n'
+        '  ],\n  "tower_degrees": [\n   5\n  ]\n }\n]')
+    assert run(["factorize", "--p", "11", "--N", "6", "--char-field", "E",
+                "--char-gamma=-10:1,-5:1", "--out", str(out)]) == 0
+    assert canonical_json(json.loads(out.read_text())["results"]) == (
+        '[\n {\n  "base_character_trivial": true,\n  "conductors": [\n   6,\n'
+        '   6\n  ],\n  "tower_degrees": [\n   3,\n   6\n  ]\n }\n]')
     # inadmissible input is a structured configuration error
     assert run(["factorize", "--p", "7", "--N", "5", "--char-field", "E",
                 "--char-gamma=-5:1"]) == 2

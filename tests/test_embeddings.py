@@ -199,3 +199,38 @@ def test_one_unit_root_is_the_one_unit_with_that_power(T6):
             w = T6.wadd(T6.wone(), T6.wscal(dw, T6.p))
             z = w_nth_root_oneunit(T6, w, n)
             assert T6.res_of(z) == one and T6.wpow(z, n) == w
+
+
+def _state(x):
+    return (x.v, x.core, x.prec, x.store)
+
+
+def test_apply_matches_uncached_pi_powers(E, T6):
+    rng = random.Random(4)
+    maps = [s.emb for s in enumerate_subfields(T6)] + automorphisms(E)
+    for emb in maps:
+        S = emb.src
+        tab = emb._basis_table()
+        seen = []
+        for v in range(-12, 13):
+            x = S.random_unit(rng).shift(v)
+            # apply as it reads without the per-valuation cache
+            acc = emb.dst.zero()
+            for i, w in enumerate(x.core):
+                for j, c in enumerate(w):
+                    if c:
+                        acc = acc + tab[i][j]._scal(c)
+            if v:
+                acc = acc * emb.pi_img**v
+            want = acc.cap_window(emb.dst.e // S.e * x.window())
+            assert _state(emb.apply(x)) == _state(emb.apply(x)) == _state(want)
+            assert _state(emb._pi_pow(v)) == _state(emb.pi_img**v)
+            seen.append((x, want))
+        # every valuation again, now that all of them are cached
+        for x, want in seen:
+            assert _state(emb.apply(x)) == _state(want)
+        far = S.kint + 1
+        assert _state(emb._pi_pow(far)) == _state(emb.pi_img**far)
+        assert _state(emb._pi_pow(-far)) == _state(emb.pi_img**-far)
+        assert far not in emb._pi_pows and -far not in emb._pi_pows
+        assert len(emb._pi_pows) <= 2 * S.kint + 1

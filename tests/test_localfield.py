@@ -90,19 +90,177 @@ def test_teichmuller(E):
     assert t.residue() == (3,)
 
 
-def test_teichmuller_memo_matches_direct_lift():
-    T = make_tower(11, (Unramified(2),), 16)
-    fresh = TowerField(11, (Unramified(2),), 16)  # not shared with make_tower
-    for n in range(1, T.q):
+@pytest.mark.parametrize("p, steps, k, count", [
+    (11, (Unramified(2),), 16, None),
+    (11, (), 12, None),
+    # q = 4489 > 4096: dlog_res takes the baby-step giant-step path
+    (67, (Unramified(2),), 4, 60),
+])
+def test_teichmuller_memo_matches_direct_lift(p, steps, k, count):
+    T = make_tower(p, steps, k)
+    fresh = TowerField(p, steps, k)  # not shared with make_tower
+    rng = random.Random(p)
+    ns = range(1, T.q) if count is None else rng.sample(range(1, T.q), count)
+    for n in ns:
         r = T.int_to_res(n)
         x = T.wfromres(r)
         # fill the memo from a representative other than x itself
-        lifted = T.teichmuller_w(T.wadd(x, T.wscal((n, 3 * n + 1), T.p)))
-        direct = x
-        for _ in range(fresh.a + 1):
-            direct = fresh.wpow(direct, fresh.q)
+        noise = tuple(3 * n + i for i in range(1, T.f + 1))
+        lifted = T.teichmuller_w(T.wadd(x, T.wscal(noise, T.p)))
+        direct = fresh.wpow(x, fresh.q ** (fresh.a + 1))
         assert T.teichmuller_w(x) == lifted == direct
         assert T.teichmuller(r) ** (T.q - 1) == T.one()
+        # tau(r)^-1 = xi^(-dlog r), as principal_split takes it
+        tinv = T.xi_pow(-T.dlog_res(r))
+        assert T.wmul(direct, tinv) == T.wone()
+    assert T.teichmuller_w(T.wscal(T.wone(), T.p)) == T.wzero()
+    assert len(T._caches["teich"]) <= T.q - 1
+
+
+# Fields for the core tests, as (p, steps, k) with (e, f) = (1, 1), (1, 2),
+# (2, 1), (7, 1), (7, 2) and (14, 1).
+CORE_FIELDS = [
+    (11, (), 6),
+    (11, (Unramified(2),), 6),
+    (11, (TameRamified(2, 1),), 6),
+    (11, (TameRamified(7, 2),), 12),
+    (11, (Unramified(2), TameRamified(7, ("gen", 1))), 12),
+    (11, (TameRamified(14, 1),), 12),
+]
+
+
+# Per-slot references: the W/R core as each slot was once built by W calls.
+
+def _ref_radd(F, x, y):
+    return tuple(F.wadd(a, b) for a, b in zip(x, y))
+
+
+def _ref_rsub(F, x, y):
+    return tuple(F.wsub(a, b) for a, b in zip(x, y))
+
+
+def _ref_rneg(F, x):
+    return tuple(tuple((-c) % F.pa for c in a) for a in x)
+
+
+def _ref_rscal(F, x, c):
+    return tuple(F.wscal(a, c) for a in x)
+
+
+def _ref_rwscal(F, x, w):
+    return tuple(F.wmul(a, w) for a in x)
+
+
+def _ref_rval(F, x, limit=None):
+    best = None
+    for i, w in enumerate(x):
+        v = F._wval(w)
+        if v < F.a:
+            pos = i + F.e * v
+            if best is None or pos < best:
+                best = pos
+    if best is not None and limit is not None and best >= limit:
+        return None
+    return best
+
+
+def _ref_rshift_up(F, x, s):
+    e = F.e
+    qq, r = divmod(s, e)
+    if qq:
+        x = _ref_rwscal(F, x, F.wpow(F.Upw, qq))
+    for _ in range(r):
+        x = (F.wmul(x[e - 1], F.Upw),) + x[: e - 1]
+    return x
+
+
+def _ref_rshift_out(F, x, s):
+    e = F.e
+    qq, r = divmod(s, e)
+    if qq:
+        pq = F.p**qq
+        x = tuple(tuple(c // pq for c in w) for w in x)
+        x = _ref_rwscal(F, x, F.wpow(F.Uinv, qq))
+    for _ in range(r):
+        w0 = tuple(c // F.p for c in x[0])
+        x = x[1:] + (F.wmul(w0, F.Uinv),)
+    return x
+
+
+@st.composite
+def _slots(draw, F):
+    """A W element: zero, a unit-ish vector, a multiple of p^j, or one
+    nonzero coordinate; zero most often, as cores are sparse."""
+    kind = draw(st.sampled_from(["zero", "zero", "dense", "pdiv", "sparse"]))
+    if kind == "zero":
+        return (0,) * F.f
+    if kind == "sparse":
+        i = draw(st.integers(0, F.f - 1))
+        c = draw(st.integers(1, F.pa - 1))
+        return tuple(c if j == i else 0 for j in range(F.f))
+    pj = F.p ** draw(st.integers(1, F.a)) if kind == "pdiv" else 1
+    return tuple(draw(st.integers(0, F.pa - 1)) * pj % F.pa for _ in range(F.f))
+
+
+@st.composite
+def _cores(draw, F):
+    return tuple(draw(_slots(F)) for _ in range(F.e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(CORE_FIELDS))
+def test_r_ops_match_per_slot_reference(data, shape):
+    F = make_tower(*shape)
+    x, y = data.draw(_cores(F)), data.draw(_cores(F))
+    w = data.draw(_slots(F))
+    c = data.draw(st.integers(-F.pa, F.pa))
+    assert F.radd(x, y) == _ref_radd(F, x, y)
+    assert F.rsub(x, y) == _ref_rsub(F, x, y)
+    assert F.rneg(x) == _ref_rneg(F, x)
+    assert F.rscal(x, c) == _ref_rscal(F, x, c)
+    assert F.rwscal(x, w) == _ref_rwscal(F, x, w)
+    assert F.rval(x) == _ref_rval(F, x)
+    limit = data.draw(st.integers(0, F.kint + 2))
+    assert F.rval(x, limit) == _ref_rval(F, x, limit)
+    s = data.draw(st.integers(0, 3 * F.e + 2))
+    assert F.rshift_up(x, s) == _ref_rshift_up(F, x, s)
+    rv = F.rval(x)
+    if rv is not None:
+        s = data.draw(st.integers(0, rv))
+        assert F.rshift_out(x, s) == _ref_rshift_out(F, x, s)
+    n = data.draw(st.integers(-F.a - 3, F.a + 3))
+    assert F.upow(n) == (F.wpow(F.U, n) if n >= 0 else F.wpow(F.Uinv, -n))
+
+
+@st.composite
+def _elements(draw, F):
+    kind = draw(st.sampled_from(["exact zero", "bounded zero", "int", "element",
+                                 "element"]))
+    if kind == "exact zero":
+        return F.zero()
+    if kind == "bounded zero":
+        return F.zero_bounded(draw(st.integers(-4, F.kint)))
+    if kind == "int":
+        return draw(st.integers(-3 * F.p**2, 3 * F.p**2))
+    prec, store = draw(st.integers(1, F.kint)), draw(st.integers(1, F.kint))
+    return F.make(draw(st.integers(-4, 6)), draw(_cores(F)), prec, store)
+
+
+def _state(x):
+    return (x.v, x.core, x.prec, x.store)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(CORE_FIELDS))
+def test_sub_matches_add_of_negation(data, shape):
+    F = make_tower(*shape)
+    a = data.draw(_elements(F))
+    if isinstance(a, int):
+        a = F.from_int(a)
+    b = data.draw(_elements(F))
+    assert _state(a - b) == _state(a + (-b))
+    if not isinstance(b, int):
+        assert _state(b - a) == _state(b + (-a))
 
 
 def test_no_assert_statements_in_package():
