@@ -187,9 +187,7 @@ class MulChar:
         return 1 if self.t % (self.field.q - 1) else 0
 
     def _factored_tame_nontrivial(self) -> bool:
-        F = self.field
-        gen = F.teichmuller(F.res_of(F.xi()))
-        z, m = char_exponents((self,), gen)[0]
+        z, m = char_exponents((self,), self.field.tau(1))[0]
         return z % m != 0
 
     def standard_rep(self) -> TowerElement:
@@ -268,22 +266,23 @@ def char_exponents(chars, x: TowerElement):
     """(z, m) per character of x's field, with chi(x) = zeta_m^z.
 
     The shared evaluation.  With x = pi^v u, parametric characters share one
-    principal_split of the unit u = tau(r) u1 and one trace form per window
+    principal_split of the unit u = tau(n) u1 and one trace form per window
     c = max(conductor, 1): lg = log_principal(u1) at window c (its own, as
     psi's modulus reads digits above it) read at valuation 1 - c = v(gamma).
     Each character is a dot product, psi(gamma lg) = form . coords(gamma),
-    plus its tame exponent and, when v != 0, v times its uniformizer one.  A
-    factored character adds its parts' exponents at the norms of u and, when
-    v != 0, v times their exponents at the norms of pi, so the norms see
-    only units.  m is the modulus of the value's CycNumber: it takes the lcm
-    with the uniformizer exponent's modulus exactly when v != 0.
-    PrecisionLoss when u1 is certified below a conductor."""
+    plus its tame exponent t n, with n read from the split, and, when
+    v != 0, v times its uniformizer one.  A factored character adds its
+    parts' exponents at the norms of u and, when v != 0, v times their
+    exponents at the norms of pi, so the norms see only units.  m is the
+    modulus of the value's CycNumber: it takes the lcm with the uniformizer
+    exponent's modulus exactly when v != 0.  PrecisionLoss when u1 is
+    certified below a conductor."""
     if x.is_zero():
         raise ConfigError("character of zero")
     F = x.field
     v = x.v
     unit = TowerElement(F, 0, x.core, x.prec, x.store) if v else x
-    split = dlog = None
+    split = None
     psi = make_psi(F)
     forms = {}
     out = []
@@ -301,8 +300,7 @@ def char_exponents(chars, x: TowerElement):
             continue
         if split is None:
             split = unit.principal_split()
-            dlog = F.dlog_res(split[0])
-        u1 = split[1]
+        dlog, u1 = split
         c = max(chi.conductor(), 1)
         if u1.prec < c:
             raise PrecisionLoss(
@@ -453,11 +451,7 @@ def _principal_factors_through(chi: MulChar, sub: Subfield) -> bool:
     g = chi.gamma_full()
     if g is None:
         return True
-    m = 0
-    y = g
-    if g.v < 0:
-        m = (-g.v + chi.field.e - 1) // chi.field.e
-        y = g.div_p(-m)
+    y, m = sub._scaled(g)
     coeffs = sub.decompose(y)
     proj = sub.emb.apply(coeffs[0]).div_p(m)
     diff = (g - proj).cap_window(0)
@@ -514,7 +508,7 @@ def howe_factorize(chi: MulChar):
     E = chi.field
     work = chi
     factors = []
-    prev = _prime_handle(E)
+    prev = _subfield_handle(E, 1)
     prev_cond = None
     while True:
         f = work.conductor()
@@ -549,11 +543,12 @@ def howe_factorize(chi: MulChar):
             "factorization tower did not reach the full field")
 
 
-def _prime_handle(E: TowerField) -> Subfield:
+def _subfield_handle(E: TowerField, degree: int) -> Subfield:
+    """The first subfield of E of the given degree in lattice order."""
     for sub in subfield_lattice(E):
-        if sub.S.degree == 1:
+        if sub.S.degree == degree:
             return sub
-    raise ConfigError("missing prime subfield")
+    raise ConfigError(f"missing degree-{degree} subfield")
 
 
 # ----------------------------------------------------------------- randoms

@@ -36,11 +36,10 @@ from .characters import (
     pullback,
     pullbacks,
     same_root,
-    subfield_lattice,
     tame_exponent,
     truncate_to,
     _add_exponents,
-    _prime_handle,
+    _subfield_handle,
 )
 from .embeddings import (Subfield, automorphisms, find_embeddings,
                           identity_embedding)
@@ -135,7 +134,7 @@ def build_twin_characters(cfg: TwinConfig) -> TwinPair:
     if N % 2 == 1:
         base_gamma = beta
     else:
-        e1sub = _even_subfield(E, N)
+        e1sub = _subfield_handle(E, N // 2)
         E1 = e1sub.S
         phi_inner = MulChar(E1, None, 0, E1.uniformizer() ** (1 - N))
         infl = pullback(phi_inner, E, e1sub.emb)
@@ -158,13 +157,6 @@ def build_twin_characters(cfg: TwinConfig) -> TwinPair:
     return TwinPair(cfg, E, phi1, phi2, beta, dsel, tower)
 
 
-def _even_subfield(E: TowerField, N: int) -> Subfield:
-    for sub in subfield_lattice(E):
-        if sub.S.degree == N // 2:
-            return sub
-    raise ConfigError("missing index-2 subfield")
-
-
 def _with_level_one(E: TowerField, gamma, d: int):
     if d == 0:
         return gamma
@@ -183,7 +175,7 @@ def verify_twin_pair(pair: TwinPair) -> dict:
         return same_root(*char_exponents((phi1, phi2), x))
 
     out["uniformizer_value"] = agree(E.uniformizer())
-    out["tame_part"] = all(agree(E.teichmuller(a)) for a in range(1, E.q))
+    out["tame_part"] = all(agree(E.tau(n)) for n in range(E.q - 1))
     deep = True
     one = E.one()
     for j in range(2, E.k):
@@ -213,8 +205,7 @@ def transport_char(chi: MulChar, sigma, auts) -> MulChar:
     if inv is None:
         raise ConfigError("automorphism inverse not found")
     w_new = char_exponents((chi,), sigma.apply(pi))[0]
-    gen = E.teichmuller(E.res_of(E.xi()))
-    t_new = tame_exponent(chi, sigma.apply(gen), E.q - 1)
+    t_new = tame_exponent(chi, sigma.apply(E.tau(1)), E.q - 1)
     g_new = None if chi.gamma is None else inv.apply(chi.gamma)
     return MulChar(E, w_new, t_new, g_new)
 
@@ -287,15 +278,15 @@ def _digit_tables(L: TowerField, sigmas, positions):
     mod P, in dlog coordinates; both images must be exact Teichmuller lifts."""
     def dlog(x):
         w = x.core[0] if x.v == 0 and x.prec >= L.kint else None
-        if w is None or any(map(any, x.core[1:])) or L.teichmuller_w(w) != w:
+        k = None if w is None or any(map(any, x.core[1:])) else L.dlog_res(w)
+        if k is None or L.xi_pow(k) != w:
             raise InternalContradiction(
                 "automorphism image is not an exact Teichmuller lift")
-        return L.dlog_res(w)
+        return k
     n = L.q - 1
     logs = [L.dlog_res(L.int_to_res(d)) for d in range(1, L.q)]
     digit = sorted(range(1, L.q), key=lambda d: logs[d - 1])
-    gen = L.teichmuller(L.res_of(L.xi()))
-    acts = [(dlog(s.pi_img.shift(-1)), dlog(s.apply(gen))) for s in sigmas]
+    acts = [(dlog(s.pi_img.shift(-1)), dlog(s.apply(L.tau(1)))) for s in sigmas]
     # (kz, kx) fixes sigma, and (0, 1) is the identity
     return [{i: (0,) + tuple(digit[(k * kx + i * kz) % n] for k in logs)
              for i in positions} for kz, kx in acts if (kz, kx) != (0, 1)]
@@ -431,15 +422,21 @@ def case_one_scan(Ns=(5, 6, 7), m_bound: int = 12) -> dict:
 @lru_cache(maxsize=None)
 def _twist_context(E: TowerField, L: TowerField, kk: int, sw: int):
     K, iE, iL = compositum_abstract(E, L, kk, sw)
-    handleF = _prime_handle(L)
+    handleF = _subfield_handle(L, 1)
     return {"K": K, "iE": iE, "iL": iL, "handleE": Subfield(E, K, iE),
             "handleF": handleF, "embF": find_embeddings(handleF.S, E)[0]}
 
 
+def _twisted_conductor(N: int, tw: TwistPair) -> int:
+    """1 - min(v_K(beta), v_K(alpha)), from classify_case's valuations: the
+    conductor of the twins' pullbacks to K = E L twisted by lambda."""
+    _label, vb, va = classify_case(N, tw.L.e, tw.m)
+    return 1 - (vb if va is None else min(vb, va))
+
+
 def _context_for(pair_E: TowerField, N: int, tw: TwistPair):
     e_K = build_ambient(pair_E, tw.L)[0]
-    fmax = max((e_K // N) * (2 * N - 2),
-               max(tw.m, 1) * (e_K // tw.L.e)) + 1
+    fmax = _twisted_conductor(N, tw)
     # headroom: norms of elements down to valuation -(fmax-1) plus the
     # p-divisions the scaling burns, on top of the evaluation window
     kk = 4 * fmax + 2 * e_K
@@ -589,10 +586,8 @@ def _deep_checks(pair: TwinPair, tw: TwistPair, ctx) -> dict:
     lamK = pullback(tw.lam, K, ctx["iL"])
     th1, th2 = (phK.mul(lamK) for phK in
                 pullbacks((pair.phi1, pair.phi2), K, ctx["iE"]))
-    e_K = K.e
-    e = e_K // N
-    Nprime = e_K // tw.L.e
-    f_pred = max(e * (2 * N - 2), tw.m * Nprime if tw.m else 0) + 1
+    e = K.e // N
+    f_pred = _twisted_conductor(N, tw)
     out = {}
     f1, f2 = th1.conductor(), th2.conductor()
     out["conductor_formula"] = (f1 == f2 == f_pred)
@@ -654,7 +649,7 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
     progress lines keep base_characters order."""
     E = pair.E
     psiE = make_psi(E)
-    primeE = _prime_handle(E)
+    primeE = _subfield_handle(E, 1)
     chars = base_characters(primeE.S, bound)
     eta = pair.phi2.mul(pair.phi1.inv())
     all_ramified = True
@@ -714,9 +709,7 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int) -> dict:
         ctx = _context_for(E, cfg.N, tw)
         label, vb, va = classify_case(cfg.N, tw.L.e, tw.m)
         e = ctx["K"].e // cfg.N
-        f_pred = max(e * (2 * cfg.N - 2),
-                     (tw.m * (ctx["K"].e // tw.L.e)) if tw.m else 0) + 1
-        n = (f_pred - 1) // 2
+        n = (_twisted_conductor(cfg.N, tw) - 1) // 2
         cert = -(-n // e) >= 2  # norms of the middle layer land in 1 + P_E^2
         yE = _route_a_norms(pair, tw, ctx, label)[0]
         ratio = char_exponents((eta,), yE)[0]

@@ -389,13 +389,14 @@ class ScaledCyc:
         raise TypeError("ScaledCyc is not hashable")
 
     def invert(self) -> "ScaledCyc":
-        """Exact inverse, licensed by |num|^2 being a plain power of q."""
+        """Exact inverse, licensed by |num|^2 being a plain power of q (so 1
+        when q = 1)."""
         nn = self.num * self.num.conj()
         c = nn.as_int()
         if c is None or c <= 0:
             raise NotInvertible("numerator modulus squared is not a q-power")
         m = 0
-        while c % self.q == 0 and c > 1:
+        while c >= self.q > 1 and c % self.q == 0:
             c //= self.q
             m += 1
         if c != 1:

@@ -19,7 +19,6 @@ from operator import mul
 from .errors import (
     CapacityError,
     ConfigError,
-    DivisionByZero,
     InternalContradiction,
     PrecisionLoss,
 )
@@ -126,8 +125,7 @@ class EmbeddingMap:
         if self._gen_norms is None:
             T = self.dst
             handle = Subfield(self.src, T, self)
-            gen = T.teichmuller(T.res_of(T.xi()))
-            self._gen_norms = (handle.norm(T.uniformizer()), handle.norm(gen))
+            self._gen_norms = (handle.norm(T.uniformizer()), handle.norm(T.tau(1)))
         return self._gen_norms
 
     def compose(self, outer: "EmbeddingMap") -> "EmbeddingMap":
@@ -169,15 +167,11 @@ def find_embeddings(S: TowerField, T: TowerField):
         if S.e == 1:
             out.append(EmbeddingMap(S, T, x_img, T.from_int(T.p)))
             continue
-        uimg = T.subst_gen(S.U, xr)  # S's compiled unit, through xr
-        d = T.wmul(uimg, T.winv(T.U))  # solve g^{e_S} = d
-        r_teich = T.teichmuller_w(d)
-        v_unit = T.wmul(d, T.winv(r_teich))
-        s = w_nth_root_oneunit(T, v_unit, S.e)
-        try:
-            dr = T.dlog_res(T.res_of(r_teich))
-        except DivisionByZero:
-            continue
+        # solve g^{e_S} = d, d = S's compiled unit through xr over U_T:
+        # d = xi^dr times a one-unit, whose e_S-th root is s
+        d = T.wmul(T.subst_gen(S.U, xr), T.Uinv)
+        dr = T.dlog_res(d)
+        s = w_nth_root_oneunit(T, T.wmul(d, T.xi_pow(-dr)), S.e)
         g = math.gcd(S.e, n)
         if dr % g:
             continue
@@ -304,11 +298,7 @@ class Subfield:
                 return True, self.S.zero()
             return True, self.S.zero_bounded(
                 self.S.e * (int(x.prec) // self.T.e))
-        m = 0
-        y = x
-        if x.v < 0:
-            m = (-x.v + self.T.e - 1) // self.T.e
-            y = x.div_p(-m)
+        y, m = self._scaled(x)
         coeffs = self.decompose(y)
         if not all(c.is_zero() for c in coeffs[1:]):
             return False, None
@@ -398,10 +388,14 @@ def enumerate_subfields(T: TowerField):
 
     A subfield is a divisor pair (f', e') of (f, e) together with the coset
     of the Teichmuller twist t on the uniformizer modulo mu_{q'-1}, subject
-    to t^{e'} U_T having residue in the degree-f' residue subfield.
+    to t^{e'} U_T having residue in the degree-f' residue subfield.  With
+    t = xi^j that residue is xi^(j e' + dlog U_T), and a residue lies in
+    F_{q'} exactly when (q-1)/(q'-1) divides its dlog.
     """
     out = []
     p = T.p
+    n = T.q - 1
+    dU = T.dlog_res(T.U) if T.e > 1 else None
     for fp in [d for d in range(1, T.f + 1) if T.f % d == 0]:
         qs = p**fp
         for ep in [d for d in range(1, T.e + 1) if T.e % d == 0]:
@@ -416,23 +410,16 @@ def enumerate_subfields(T: TowerField):
                     raise ConfigError("missing unramified subfield")
                 out.append(Subfield(S, T, embs[0]))
                 continue
-            ncl = (T.q - 1) // (qs - 1)
+            ncl = n // (qs - 1)
             for j in range(ncl):
-                dd = T.wmul(T.xi_pow(j * ep), T.U)
-                dres = T.res_of(dd)
-                if T.res_of(T.frob_w(T.wfromres(dres), fp)) != dres:
+                dglob = (j * ep + dU) % n
+                if dglob % ncl:
                     continue
                 if fp == 1:
-                    spec = T.res_to_int(dres) % p
-                    steps = (TameRamified(ep, spec),)
+                    steps = (TameRamified(ep, T.xi_pow(dglob)[0] % p),)
                 else:
-                    dglob = T.dlog_res(dres)
-                    step = (T.q - 1) // (qs - 1)
-                    if dglob % step:
-                        continue
-                    rho0 = T.res_of(T.subres_generator(fp))
-                    d0 = T.dlog_res(rho0)
-                    m = (dglob // step) * pow(d0 // step, -1, qs - 1) % (qs - 1)
+                    d0 = T.dlog_res(T.subres_generator(fp))
+                    m = (dglob // ncl) * pow(d0 // ncl, -1, qs - 1) % (qs - 1)
                     steps = (Unramified(fp), TameRamified(ep, ("gen", m)))
                 S = make_tower(p, steps, T.k)
                 chosen = None

@@ -321,26 +321,15 @@ class TowerField:
     def residue_roots(self, poly, count: int):
         """The first count roots in W of a primitive degree-d polynomial over
         F_p, d | f: its residue roots generate F_{p^d}^x, so they are among
-        the powers of xi^((q-1)/(p^d-1)), searched in order and lifted."""
-        d = len(poly) - 1
-        hbar = [c % self.p for c in poly]
-        tbar = [c % self.p for c in self.h]
-        base = _poly_pow_mod(list(self.res_of(self.xi())),
-                             (self.q - 1) // (self.p**d - 1), tbar, self.p)
+        the xi^(j (q-1)/(p^d-1)), 0 < j < p^d, searched in order and lifted."""
+        qd = self.p ** (len(poly) - 1)
         roots = []
-        cur = list(base)
-        for _ in range(self.p**d - 1):
-            val = [0] * self.f
-            acc = [1] + [0] * (self.f - 1)
-            for c in hbar:
-                if c:
-                    val = [(x + c * y) % self.p for x, y in zip(val, acc)]
-                acc = _poly_mul_mod(acc, cur, tbar, self.p)
-            if not any(val):
-                roots.append(self.hensel_root(poly, tuple(cur)))
+        for j in range(1, qd):
+            x = self.xi_pow(j * ((self.q - 1) // (qd - 1)))
+            if not any(c % self.p for c in self._weval_poly(poly, x)):
+                roots.append(self.hensel_root(poly, x))
                 if len(roots) == count:
                     break
-            cur = _poly_mul_mod(cur, base, tbar, self.p)
         return roots
 
     def subres_generator(self, fp: int):
@@ -614,11 +603,14 @@ class TowerField:
     def uniformizer(self) -> "TowerElement":
         return TowerElement(self, 1, self.rone(), self.kint, self.kint)
 
+    def tau(self, n: int) -> "TowerElement":
+        """The exact unit xi^n: Teichmuller units are named by exponent."""
+        return TowerElement(self, 0, self.rfromw(self.xi_pow(n)), self.kint, self.kint)
+
     def teichmuller(self, res) -> "TowerElement":
         if isinstance(res, int):
             res = self.int_to_res(res)
-        w = self.xi_pow(self.dlog_res(res))  # DivisionByZero if res is 0
-        return TowerElement(self, 0, self.rfromw(w), self.kint, self.kint)
+        return self.tau(self.dlog_res(res))  # DivisionByZero if res is 0
 
     def monomial(self, res, v: int) -> "TowerElement":
         return self.teichmuller(res).shift(v)
@@ -914,14 +906,12 @@ class TowerElement:
         return self.field.res_of(self.core[0])
 
     def principal_split(self):
-        """For a unit u: (residue r, u * tau(r)^{-1} in 1 + P), with
-        tau(r)^{-1} = xi^(-dlog r)."""
+        """For a unit u: (n, u1) with u = tau(n) u1 and u1 in 1 + P, where
+        n is the dlog of u's residue, so u1 = u * xi^(-n)."""
         if self.is_zero() or self.v != 0:
             raise ConfigError("principal split needs a unit (valuation 0)")
-        F = self.field
-        r = self.residue()
-        tinv = F.rfromw(F.xi_pow(-F.dlog_res(r)))
-        return r, self * TowerElement(F, 0, tinv, F.kint, F.kint)
+        n = self.field.dlog_res(self.residue())
+        return n, self * self.field.tau(-n)
 
     def eq_mod(self, other, m: int) -> bool:
         """Equality modulo pi^m; raises PrecisionLoss if undecidable."""

@@ -69,7 +69,7 @@ def oracle_sum(chi: MulChar, psi: AddChar, delta,
 def _slow_sum(chi, psi, delta, c):
     F = chi.field
     total = CycNumber.zero()
-    tame = [F.teichmuller(F.res_of(F.wpow(F.xi(), j))) for j in range(F.q - 1)]
+    tame = [F.tau(j) for j in range(F.q - 1)]
     one = F.one()
     for digits in product(range(F.q), repeat=c - 1):  # u1 = prod (1 + d pi^lev)
         u1 = one
@@ -104,8 +104,7 @@ class _Grid:
 
     def __init__(self, F: TowerField, psi, c: int, delta):
         p, e, q = F.p, F.e, F.q
-        tame = [F.teichmuller(F.res_of(F.wpow(F.xi(), j)))
-                for j in range(q - 1)]
+        tame = [F.tau(j) for j in range(q - 1)]
         raw_w = {(j, i): psi.exponent((t * delta).shift(i))
                  for j, t in enumerate(tame) for i in range(e)}
         psw = max([p] + [m2 for _z, m2 in raw_w.values()])

@@ -481,7 +481,9 @@ def _exponents_by_products(chars, x):
     AddChar.exponent from the product gamma * log_principal(u1, window=c)."""
     F = x.field
     psi = make_psi(F)
-    r, u1 = TowerElement(F, 0, x.core, x.prec, x.store).principal_split()
+    u = TowerElement(F, 0, x.core, x.prec, x.store)
+    r = u.residue()
+    u1 = u.principal_split()[1]
     out = []
     for chi in chars:
         z, m = 0, 1

@@ -12,7 +12,7 @@ from localchar.errors import (ConductorMismatch, ConductorTooSmall,
                               ConfigError, InternalContradiction,
                               RangeViolation, UnsupportedShape)
 from localchar.localfield import TameRamified, Unramified, make_tower
-from localchar.characters import (MulChar, _prime_handle, is_admissible,
+from localchar.characters import (MulChar, _subfield_handle, is_admissible,
                                   make_psi, pullback, random_char)
 from localchar import converse, embeddings
 from localchar.ambient import build_ambient, compositum_abstract
@@ -141,6 +141,11 @@ def test_digit_tables_reject_an_inexact_uniformizer_image(monkeypatch):
                                   L.uniformizer() * (L.one() + L.uniformizer()))
     with pytest.raises(InternalContradiction, match="Teichmuller"):
         converse._digit_tables(L, [bad], range(-3, 0))
+    # sigma(pi) = pi (1 + p): a unit of W, xi^dlog(1) = 1 but not 1 + p
+    near = embeddings.EmbeddingMap(L, L, ident.x_img,
+                                   L.uniformizer() * L.from_int(1 + L.p))
+    with pytest.raises(InternalContradiction, match="Teichmuller"):
+        converse._digit_tables(L, [near], range(-3, 0))
     # the catalog builds its tables before any candidate is formed
     monkeypatch.setattr(converse, "automorphisms", lambda T: [ident, bad])
     with pytest.raises(InternalContradiction):
@@ -354,7 +359,7 @@ def test_rank_one_epsilon_reports_match_recorded_digest(pair5):
     # multiplied into the Gauss sum as a cyclotomic number
     E = pair5.E
     psi = make_psi(E)
-    prime = _prime_handle(E)
+    prime = _subfield_handle(E, 1)
     rows = []
     for chi in base_characters(prime.S, 2):
         chiE = pullback(chi, E, prime.emb)

@@ -153,6 +153,15 @@ def test_scaledcyc_inversion_requires_unit_modulus():
         ScaledCyc(g + CycNumber.one(7), 0, 7).invert()
 
 
+def test_scaledcyc_inversion_with_default_q():
+    # q = 1: only a root of unity has |num|^2 a power of q
+    with pytest.raises(NotInvertible):
+        ScaledCyc(CycNumber.integer(2)).invert()
+    u = ScaledCyc(CycNumber.root(5, 2))
+    assert u.invert().num == CycNumber.root(5, 3)
+    assert u * u.invert() == ScaledCyc.one()
+
+
 def test_mul_adds_qhalf():
     a = ScaledCyc(CycNumber.root(3, 1), 1, 7)
     b = ScaledCyc(CycNumber.root(3, 2), 3, 7)

@@ -234,3 +234,50 @@ def test_apply_matches_uncached_pi_powers(E, T6):
         assert _state(emb._pi_pow(-far)) == _state(emb.pi_img**-far)
         assert far not in emb._pi_pows and -far not in emb._pi_pows
         assert len(emb._pi_pows) <= 2 * S.kint + 1
+
+
+def _ramified_subfields_by_frobenius(T):
+    """enumerate_subfields' proper ramified subfields as (steps, embedding),
+    with "the residue of xi^(j e') U_T lies in F_{q'}" decided by the
+    Frobenius matrix, as the lattice scan once did."""
+    out = []
+    p = T.p
+    for fp in [d for d in range(1, T.f + 1) if T.f % d == 0]:
+        qs = p**fp
+        for ep in [d for d in range(2, T.e + 1) if T.e % d == 0]:
+            if (fp, ep) == (T.f, T.e):
+                continue
+            ncl = (T.q - 1) // (qs - 1)
+            for j in range(ncl):
+                dres = T.res_of(T.wmul(T.xi_pow(j * ep), T.U))
+                if T.res_of(T.frob_w(T.wfromres(dres), fp)) != dres:
+                    continue
+                if fp == 1:
+                    steps = (TameRamified(ep, dres[0]),)
+                else:
+                    d0 = T.dlog_res(T.subres_generator(fp))
+                    m = (T.dlog_res(dres) // ncl) * pow(d0 // ncl, -1, qs - 1)
+                    steps = (Unramified(fp), TameRamified(ep, ("gen", m % (qs - 1))))
+                S = make_tower(p, steps, T.k)
+                emb = next(e for e in find_embeddings(S, T)
+                           if T.dlog_res(e.pi_img.residue()) % ncl == j)
+                out.append((S, emb))
+    out.sort(key=lambda t: (t[0].degree, t[0].f, t[0].e))
+    return [(S.steps, emb.x_img.serialize(), emb.pi_img.serialize())
+            for S, emb in out]
+
+
+@pytest.mark.parametrize("p, steps, k", [
+    (7, (Unramified(2), TameRamified(3, 1)), 10),
+    (11, (Unramified(2), TameRamified(2, 1)), 8),
+    (7, (Unramified(2), TameRamified(3, ("gen", 1))), 6),
+    (5, (Unramified(2), TameRamified(6, 2)), 6),
+    (3, (Unramified(4), TameRamified(2, ("gen", 2))), 4),
+    (5, (Unramified(3), TameRamified(4, ("gen", 4))), 4),
+])
+def test_subfield_scan_matches_frobenius_membership(p, steps, k):
+    T = make_tower(p, steps, k)
+    got = [(s.S.steps, s.emb.x_img.serialize(), s.emb.pi_img.serialize())
+           for s in enumerate_subfields(T) if 1 < s.S.e and s.S is not T]
+    assert got == _ramified_subfields_by_frobenius(T)
+    assert got

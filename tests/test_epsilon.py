@@ -459,10 +459,10 @@ def test_oracle_rejects_a_teichmuller_lift_outside_z_p(monkeypatch):
     lift t_j + pi is not in Z_p, so psi is not t_j-linear on it."""
     from localchar.errors import InternalContradiction
     T = TowerField(7, (TameRamified(5, 1),), 12)
-    lift = T.teichmuller
-    monkeypatch.setattr(T, "teichmuller", lambda r: lift(r) + T.uniformizer())
+    lift = T.tau
+    monkeypatch.setattr(T, "tau", lambda n: lift(n) + T.uniformizer())
     chi = random_char(T, 4, random.Random(5))
-    with pytest.raises(InternalContradiction):
+    with pytest.raises(InternalContradiction, match="not t_j psi"):
         oracle_sum(chi, make_psi(T), T.uniformizer() ** (-3))
 
 

@@ -13,7 +13,15 @@ from localchar.errors import (
     PrecisionLoss,
     WildRamification,
 )
-from localchar.localfield import TameRamified, TowerField, Unramified, make_tower
+from localchar.localfield import (
+    TameRamified,
+    TowerField,
+    Unramified,
+    _poly_mul_mod,
+    _poly_pow_mod,
+    _primitive_poly,
+    make_tower,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +121,54 @@ def _check_teichmuller_lifts(p, steps, k, count):
         lifted = T.teichmuller_w(T.wadd(x, T.wscal(noise, T.p)))
         direct = fresh.wpow(x, fresh.q ** (fresh.a + 1))
         assert T.teichmuller_w(x) == lifted == direct
+        # tau(n) = xi^n is the lift of the residue of xi^n
+        xin = T.res_of(fresh.wpow(fresh.xi(), n))
+        assert T.tau(n).core == T.teichmuller(xin).core
+        assert T.tau(n - T.q + 1).core == T.tau(n).core
         assert T.teichmuller(r) ** (T.q - 1) == T.one()
         # tau(r)^-1 = xi^(-dlog r), as principal_split takes it
         tinv = T.xi_pow(-T.dlog_res(r))
         assert T.wmul(direct, tinv) == T.wone()
     assert T.teichmuller_w(T.wscal(T.wone(), T.p)) == T.wzero()
     assert len(T._caches["teich"]) <= T.q - 1
+
+
+def _residue_roots_by_fp_loop(T, poly, count):
+    """residue_roots as once written: the powers of the residue of
+    xi^((q-1)/(p^d-1)) in F_p[x]/(h), poly evaluated at each there."""
+    d = len(poly) - 1
+    hbar = [c % T.p for c in poly]
+    tbar = [c % T.p for c in T.h]
+    base = _poly_pow_mod(list(T.res_of(T.xi())), (T.q - 1) // (T.p**d - 1),
+                         tbar, T.p)
+    roots = []
+    cur = list(base)
+    for _ in range(T.p**d - 1):
+        val = [0] * T.f
+        acc = [1] + [0] * (T.f - 1)
+        for c in hbar:
+            if c:
+                val = [(x + c * y) % T.p for x, y in zip(val, acc)]
+            acc = _poly_mul_mod(acc, cur, tbar, T.p)
+        if not any(val):
+            roots.append(T.hensel_root(poly, tuple(cur)))
+            if len(roots) == count:
+                break
+        cur = _poly_mul_mod(cur, base, tbar, T.p)
+    return roots
+
+
+@pytest.mark.parametrize("p, f, d", [
+    (3, 4, 2), (5, 4, 2), (5, 6, 2), (5, 6, 3), (7, 2, 2), (11, 2, 1),
+])
+def test_residue_roots_match_residue_field_loop(p, f, d):
+    T = make_tower(p, (Unramified(f),), 4)
+    poly = _primitive_poly(p, d)
+    for count in range(1, d + 2):
+        got = T.residue_roots(poly, count)
+        assert got == _residue_roots_by_fp_loop(T, poly, count)
+        assert len(got) == min(count, d)
+        assert all(T._weval_poly(poly, r) == T.wzero() for r in got)
 
 
 # Fields for the core tests, as (p, steps, k) with (e, f) = (1, 1), (1, 2),
@@ -265,6 +315,20 @@ def test_sub_matches_add_of_negation(data, shape):
     assert _state(a - b) == _state(a + (-b))
     if not isinstance(b, int):
         assert _state(b - a) == _state(b + (-a))
+
+
+@pytest.mark.parametrize("p, steps, k", CORE_FIELDS)
+def test_principal_split_names_the_teichmuller_exponent(p, steps, k):
+    T = make_tower(p, steps, k)
+    rng = random.Random(len(steps) * 100 + k)
+    for _ in range(20):
+        u = T.random_unit(rng)
+        n, u1 = u.principal_split()
+        assert n == T.dlog_res(u.residue())
+        assert T.tau(n) * u1 == u
+        assert u1.eq_mod(T.one(), 1)
+    with pytest.raises(ConfigError):
+        T.uniformizer().principal_split()
 
 
 def test_no_assert_statements_in_package():
