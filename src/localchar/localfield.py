@@ -443,8 +443,8 @@ class TowerField:
         if not any(r):
             raise DivisionByZero("dlog of zero residue")
         n = self.q - 1
-        hbar = [c % self.p for c in self.h]
         if "dlogbaby" not in self._caches:
+            hbar = self._caches["dloghbar"] = [c % self.p for c in self.h]
             m = n if self.q <= 4096 else math.isqrt(n) + 1
             xibar = list(self.res_of(self.xi()))
             baby, cur = {}, [1] + [0] * (self.f - 1)
@@ -454,13 +454,12 @@ class TowerField:
             self._caches["dlogbaby"] = baby
             self._caches["dloggiant"] = _poly_pow_mod(xibar, n - m % n, hbar, self.p)
         baby, giant = self._caches["dlogbaby"], self._caches["dloggiant"]
-        m = len(baby)
-        cur = list(r)
+        m, cur = len(baby), list(r)
         for i in range(n // m + 1):
             j = baby.get(tuple(cur))
             if j is not None:
                 return (i * m + j) % n
-            cur = _poly_mul_mod(cur, giant, hbar, self.p)
+            cur = _poly_mul_mod(cur, giant, self._caches["dloghbar"], self.p)
         raise DivisionByZero("dlog failed")
 
     # ------------------------------------------------------------------ R ops

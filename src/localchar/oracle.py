@@ -7,23 +7,21 @@ computed exactly.
 On prime-residue fields with convergent exp/log the sum is evaluated by a
 vectorized kernel.  A unit is t_j prod_i (1 + a_i pi^i), t_j = xi^j a
 Teichmuller lift, in mixed radix with low levels fastest; a block fixes the
-high digits.  The lifts lie in Z_p and psi is Z_p-linear, so the psi
-exponent of t_j u delta is t_j times that of u delta: per block one row of
-psi exponents (j = 0) and the multipliers t_j suffice.  A row is built
-level by level from the block's e weights psi(pi^i h delta), with no table
-of unit coordinates, and stored at the width psw needs.  The theta side is
-an outer sum of per-level digit tables psi(-gamma log(1 + a pi^i)) (log is
-additive over the digit factors; AddChar.log_row dots -gamma with the
-memoized trace forms of the field's logs) plus one offset per block.
-When the (psi, theta) key space is no larger than a block, each block gives
-one joint histogram of keys formed in the narrowest type that holds them,
-rolled by its offset, and each row j is the summed table's rows shifted by
-t_j a; otherwise each row is one bincount of the keys.  The rows form one
-(q-1) x p^s count table, which one CycNumber.from_counts reduces as it
-stands: it indexes the table's rows and columns separately, so no array of
-the full modulus (q-1) p^s is indexed.  All arithmetic is integer arithmetic
-modulo powers of p.  Only the psi side is cached, in the field's own caches
-under (conductor, delta), so a grid lives as long as its field.
+high digits.  The psi side is a _Grid: per block one row of psi exponents
+and the multipliers t_j.  The theta side is an outer sum of per-level digit
+tables psi(-gamma log(1 + a pi^i)) (log is additive over the digit factors;
+AddChar.log_row dots -gamma with the memoized trace forms of the field's
+logs) plus one offset per block.  When the (psi, theta) key space is no
+larger than a block, each block gives one joint histogram of keys formed in
+the narrowest type that holds them, rolled by its offset, and each row j is
+the summed table's rows shifted by t_j a; otherwise each row is one
+bincount of the keys.  The rows form one (q-1) x p^s count table, which one
+CycNumber.from_counts reduces as it stands.  All arithmetic is modulo
+powers of p; grid rows and digit sums work in the narrowest unsigned type
+that holds a sum of two residues, and x mod m is one fold min(x, x - m),
+which unsigned wrap-around makes exact for x < 2m.  Only the psi side is
+cached, in the field's own caches under (conductor, delta), so a grid lives
+as long as its field.
 """
 
 from __future__ import annotations
@@ -97,32 +95,36 @@ class _Grid:
     the psi exponent of t_j u delta is t_j times that of u delta, mod psw.
     Per block h the grid keeps one row of psi exponents (j = 0), built by
     _level_rows from the e weights psi(pi^i h delta), which are the rows of
-    the high levels.  Rows are stored at the width psw needs
-    (np.min_scalar_type(psw - 1)), so q^(c-1) times that width in bytes;
+    the high levels.  A build works at np.min_scalar_type(2 psw - 2), a sum
+    of two residues; rows are stored at np.min_scalar_type(psw - 1), so a
+    grid holds q^(c-1) times that width in bytes, and the field's
+    `oracle_grids` keeps one grid per (c, delta) key, never evicted.
     `mult` holds the t_j mod psw, checked against psi(t_j delta pi^i) for
     every j and i."""
 
     def __init__(self, F: TowerField, psi, c: int, delta):
         p, e, q = F.p, F.e, F.q
         tame = [F.tau(j) for j in range(q - 1)]
-        raw_w = {(j, i): psi.exponent((t * delta).shift(i))
-                 for j, t in enumerate(tame) for i in range(e)}
-        psw = max([p] + [m2 for _z, m2 in raw_w.values()])
-        wexp = np.zeros((q - 1, e), dtype=np.int64)
-        for (j, i), (z, m2) in raw_w.items():
-            wexp[j, i] = z * (psw // m2) % psw
+        raw_w = [[psi.exponent((t * delta).shift(i)) for i in range(e)]
+                 for t in tame]
+        psw = max([p] + [m2 for row in raw_w for _z, m2 in row])
+        wexp = np.array([[z * (psw // m2) % psw for z, m2 in row]
+                         for row in raw_w], dtype=np.int64)
         self.mult = np.array([t.core[0][0] % psw for t in tame])
         if (wexp != self.mult[:, None] * wexp[0] % psw).any():
             raise InternalContradiction(
                 "psi(t_j delta pi^i) is not t_j psi(delta pi^i) mod psw")
-        k = 0
-        while k < c - 1 and p ** (k + 1) <= _CHUNK:
-            k += 1
+        k = sum(1 for lev in range(1, c) if p ** lev <= _CHUNK)
         self.k, self.psw = k, psw
         wrap = p * F.U[0] % psw  # pi^e = p U
         weights = zip(*_level_rows(wexp[0], p, range(k + 1, c), wrap, psw, e))
         self.blocks = [_level_rows(w, p, range(1, k + 1), wrap, psw, 1)[0]
                        for w in weights]
+
+def _fold(x, m):
+    """x mod m in place for unsigned x < 2m: x - m wraps above x below m."""
+    return np.minimum(x, x - m, out=x)
+
 
 def _level_rows(w, p, levels, wrap, psw, keep):
     """psi exponents of u pi^s x delta for s < keep, u over prod (1 + d_lev
@@ -131,28 +133,29 @@ def _level_rows(w, p, levels, wrap, psw, keep):
     shift s to concat_d(row_s + d row_(s+lev)), a shift past e wrapping by
     (pU)^(shift // e); only the last level drops the shifts s >= keep."""
     e, width = len(w), np.min_scalar_type(psw - 1)
+    work = np.min_scalar_type(2 * psw - 2)  # holds a sum of two residues
     rows = [np.array([x], dtype=width) for x in w]
     for lev in levels:
         new = []
         for s in range(keep if lev == levels[-1] else e):
             q2, r2 = divmod(s + lev, e)
-            acc = rows[s].astype(np.int64)  # narrow rows overflow in sums
-            step = rows[r2].astype(np.int64) * pow(wrap, q2, psw) % psw
+            step = rows[r2].astype(np.int64) * pow(wrap, q2, psw)
+            step %= psw  # in place: one int64 product and mod per shift
+            acc, step = rows[s].astype(work), step.astype(work)
             out = np.empty((p, len(acc)), dtype=width)
             for d in range(p):
                 out[d] = acc
-                acc += step
-                acc %= psw
+                _fold(np.add(acc, step, out=acc), psw)
             new.append(out.ravel())
         rows = new
     return rows[:keep]
 
 
-def _digit_sums(t1, lo, hi):
-    """sum_lev t1[lev, d_lev] over levels lo..hi-1, indexed as the units."""
-    out = np.zeros(1, dtype=np.int64)
+def _digit_sums(t1, lo, hi, ps):
+    """sum_lev t1[lev, d_lev] mod ps over levels lo..hi-1, as the units."""
+    out = np.zeros(1, dtype=t1.dtype)
     for lev in range(lo, hi):
-        out = (t1[lev][:, None] + out).ravel()
+        out = _fold(t1[lev][:, None] + out, ps).ravel()
     return out
 
 
@@ -171,27 +174,25 @@ def _fast_sum(chi, psi, delta, c):
     psw, mult = grid.psw, grid.mult
     ps = max([psw] + [m2 for row in raw_t1.values() for _z, m2 in row])
     scale_w = ps // psw
-    t1 = np.zeros((max(c, 2), p), dtype=np.int64)
+    t1 = np.zeros((max(c, 2), p), dtype=np.min_scalar_type(2 * ps - 2))
     for i, row in raw_t1.items():
         t1[i, 1:] = [z * (ps // m2) % ps for z, m2 in row]
 
-    tlow = _digit_sums(t1, 1, grid.k + 1) % ps
+    tlow = _digit_sums(t1, 1, grid.k + 1, ps)
     # theta^-1(t_j) = zeta_{q-1}^r: row r counts zeta_ps exponents
     rows = [(-chi.t * j) % (q - 1) for j in range(q - 1)]
     hists = np.zeros((q - 1, ps), dtype=np.int64)
     dense, joint = psw * ps <= len(tlow), 0
-    if dense:  # keys pexp ps + tlow < psw ps fit the narrowest type
-        tlow = tlow.astype(np.min_scalar_type(psw * ps - 1))
-    for off, pexp in zip(_digit_sums(t1, grid.k + 1, c), grid.blocks):
-        if dense:  # one joint (psi, theta) histogram per block, rolled by off
-            keys = pexp.astype(tlow.dtype)  # in place: one narrow copy
+    for off, pexp in zip(_digit_sums(t1, grid.k + 1, c, ps), grid.blocks):
+        if dense:  # one joint histogram of keys pexp ps + tlow < psw ps
+            keys = pexp.astype(np.min_scalar_type(psw * ps - 1))
             keys *= ps
             keys += tlow
             table = np.bincount(keys, minlength=psw * ps)
             joint = joint + np.roll(table.reshape(psw, ps), off, axis=1)
             continue
         pexp = pexp.astype(np.int64)  # a narrow row overflows in products
-        texp = (tlow + off) % ps
+        texp = _fold(tlow + off, ps)
         for r, t in zip(rows, mult):
             hists[r] += np.bincount((t * pexp % psw * scale_w + texp) % ps,
                                     minlength=ps)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localchar.cyclotomic import CycNumber, ScaledCyc
 from localchar.errors import (CapacityError, ConductorMismatch, EvenConductor,
@@ -22,7 +22,7 @@ from localchar.epsilon import (
     gauss_sum,
     theta_row,
 )
-from localchar.oracle import _slow_sum, oracle_sum
+from localchar.oracle import _digit_sums, _level_rows, _slow_sum, oracle_sum
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,16 @@ def E():
 @pytest.fixture(scope="module")
 def F():
     return make_tower(7, (), 12)
+
+
+@pytest.fixture(scope="module")
+def Q3():
+    return make_tower(3, (), 12)
+
+
+@pytest.fixture(scope="module")
+def Q13():
+    return make_tower(13, (), 12)
 
 
 def test_gauss_sum_term_count_and_parity_guard(F):
@@ -364,6 +374,9 @@ def test_epsilon_transport_invariance():
     # _CHUNK = p^2 on E: 7 blocks of 49 units, level 3 is a high digit;
     # psw ps = 7 * 7 <= 49: one joint histogram per block
     pytest.param("E", 4, 49, True, id="E-c4-blocks"),
+    # psw = 3^5 and 13^2: residues fit uint8, their sums need uint16
+    pytest.param("Q3", 5, None, False, id="Q3-c5-psw243"),
+    pytest.param("Q13", 2, None, False, id="Q13-c2-psw169"),
 ])
 def test_oracle_term_count_and_slow_agreement(name, c, chunk, dense, request,
                                               monkeypatch, clear_oracle_cache):
@@ -385,7 +398,7 @@ def test_oracle_term_count_and_slow_agreement(name, c, chunk, dense, request,
     finally:
         clear_oracle_cache(field)
     assert bool(shifts) == dense  # the dense side shifts the joint table
-    slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, 7)
+    slow = ScaledCyc(_slow_sum(chi, psi, delta, c), -c, field.q)
     assert not fast.is_zero()
     assert fast == slow  # q^(c-1)(q-1) terms, order-independent by exactness
 
@@ -434,6 +447,88 @@ def test_oracle_grid_rows_match_the_coordinate_table(name, c, chunk, request,
     assert all(row.dtype == width for row in grid.blocks)
     ref = _reference_grid_rows(field, psi, c, delta, grid.psw)
     assert np.array_equal(np.concatenate(grid.blocks), ref)
+
+
+def _level_rows_int64(w, p, levels, wrap, psw, keep):
+    """Reference: _level_rows with every sum in int64 and reduced by %."""
+    e, width = len(w), np.min_scalar_type(psw - 1)
+    rows = [np.array([x], dtype=width) for x in w]
+    for lev in levels:
+        new = []
+        for s in range(keep if lev == levels[-1] else e):
+            q2, r2 = divmod(s + lev, e)
+            acc = rows[s].astype(np.int64)
+            step = rows[r2].astype(np.int64) * pow(wrap, q2, psw) % psw
+            out = np.empty((p, len(acc)), dtype=width)
+            for d in range(p):
+                out[d] = acc
+                acc += step
+                acc %= psw
+            new.append(out.ravel())
+        rows = new
+    return rows[:keep]
+
+
+def _digit_sums_int64(t1, lo, hi):
+    """Reference: the unreduced int64 digit sums."""
+    out = np.zeros(1, dtype=np.int64)
+    for lev in range(lo, hi):
+        out = (t1[lev][:, None] + out).ravel()
+    return out
+
+
+# levels per draw, so that a row has at most p^levels <= 2,401 entries
+_MAX_LEVELS = {3: 7, 5: 4, 7: 4, 11: 3, 13: 3}
+
+
+@st.composite
+def _oracle_kernel_inputs(draw):
+    """(p, psw, ps, e, weights, levels, wrap, keep, t1 table) with psw = p^a
+    up to 729 and ps = psw or p psw."""
+    p = draw(st.sampled_from(sorted(_MAX_LEVELS)))
+    psw = p ** draw(st.integers(1, {3: 6, 5: 4, 7: 3, 11: 2, 13: 2}[p]))
+    ps = psw * draw(st.sampled_from([1, p]))
+    e = draw(st.integers(1, 7))
+    w = draw(st.lists(st.integers(0, psw - 1), min_size=e, max_size=e))
+    lo = draw(st.integers(1, e + 2))
+    levels = range(lo, lo + draw(st.integers(0, _MAX_LEVELS[p])))
+    wrap = p * draw(st.integers(1, psw - 1).filter(lambda u: u % p)) % psw
+    t1 = draw(st.lists(st.lists(st.integers(0, ps - 1), min_size=p,
+                                max_size=p), min_size=levels.stop,
+                       max_size=levels.stop))
+    return p, psw, ps, w, levels, wrap, draw(st.integers(1, e)), t1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_kernel_inputs())
+# 169 and 243 store a row in uint8 but sum two residues in uint16
+@example((7, 49, 49, [48, 1, 30, 47, 5], range(1, 5), 7 * 3 % 49, 1,
+          [[48] * 7] * 5))
+@example((13, 169, 169, [168, 167], range(1, 4), 13 * 5 % 169, 2,
+          [[168] * 13] * 4))
+@example((3, 243, 729, [242, 241, 1], range(2, 9), 3 * 2 % 243, 3,
+          [[728, 727, 1]] * 9))
+@example((7, 343, 343, [342, 341, 340, 1], range(1, 5), 7 * 6 % 343, 1,
+          [[342] * 7] * 5))
+def test_oracle_kernel_matches_the_int64_reference(args):
+    """Grid rows and digit sums, kept in the narrowest unsigned type that
+    holds a sum of two residues and reduced by one fold, equal int64 sums
+    reduced by %; rows keep their stored width."""
+    p, psw, ps, w, levels, wrap, keep, t1 = args
+    keep = min(keep, len(w))
+    got = _level_rows(w, p, levels, wrap, psw, keep)
+    ref = _level_rows_int64(w, p, levels, wrap, psw, keep)
+    assert len(got) == len(ref) == keep
+    for row, ref_row in zip(got, ref):
+        assert row.dtype == np.min_scalar_type(psw - 1)
+        assert np.array_equal(row, ref_row)
+    work = np.min_scalar_type(2 * ps - 2)
+    for lo in (1, levels.start):
+        sums = _digit_sums(np.array(t1, dtype=work), lo, levels.stop, ps)
+        assert sums.dtype == work
+        ref_sums = _digit_sums_int64(np.array(t1, dtype=np.int64), lo,
+                                     levels.stop) % ps
+        assert np.array_equal(sums, ref_sums)
 
 
 def test_oracle_grid_build_memory_per_unit():
