@@ -477,21 +477,23 @@ def _digit_sums_int64(t1, lo, hi):
     return out
 
 
-# levels per draw, so that a row has at most p^levels <= 2,401 entries
-_MAX_LEVELS = {3: 7, 5: 4, 7: 4, 11: 3, 13: 3}
+# p: (largest a in psw = p^a, most levels), so psw <= 729 and a row has at
+# most p^levels <= 2,401 entries
+_KERNEL_SIZES = {3: (6, 7), 5: (4, 4), 7: (3, 4), 11: (2, 3), 13: (2, 3)}
 
 
 @st.composite
 def _oracle_kernel_inputs(draw):
-    """(p, psw, ps, e, weights, levels, wrap, keep, t1 table) with psw = p^a
-    up to 729 and ps = psw or p psw."""
-    p = draw(st.sampled_from(sorted(_MAX_LEVELS)))
-    psw = p ** draw(st.integers(1, {3: 6, 5: 4, 7: 3, 11: 2, 13: 2}[p]))
+    """(p, psw, ps, weights, levels, wrap, keep, t1 table) with psw = p^a up
+    to 729, ps = psw or p psw and keep at most the number of weights."""
+    p = draw(st.sampled_from(sorted(_KERNEL_SIZES)))
+    top, most_levels = _KERNEL_SIZES[p]
+    psw = p ** draw(st.integers(1, top))
     ps = psw * draw(st.sampled_from([1, p]))
     e = draw(st.integers(1, 7))
     w = draw(st.lists(st.integers(0, psw - 1), min_size=e, max_size=e))
     lo = draw(st.integers(1, e + 2))
-    levels = range(lo, lo + draw(st.integers(0, _MAX_LEVELS[p])))
+    levels = range(lo, lo + draw(st.integers(0, most_levels)))
     wrap = p * draw(st.integers(1, psw - 1).filter(lambda u: u % p)) % psw
     t1 = draw(st.lists(st.lists(st.integers(0, ps - 1), min_size=p,
                                 max_size=p), min_size=levels.stop,
@@ -515,7 +517,6 @@ def test_oracle_kernel_matches_the_int64_reference(args):
     holds a sum of two residues and reduced by one fold, equal int64 sums
     reduced by %; rows keep their stored width."""
     p, psw, ps, w, levels, wrap, keep, t1 = args
-    keep = min(keep, len(w))
     got = _level_rows(w, p, levels, wrap, psw, keep)
     ref = _level_rows_int64(w, p, levels, wrap, psw, keep)
     assert len(got) == len(ref) == keep
