@@ -74,13 +74,10 @@ def compositum_abstract(E: TowerField, L: TowerField, k: int,
     uL = _exact_unit_int(L)
     steps = ((Unramified(f_K),) if f_K > 1 else ())
     if e_K > 1:
-        aa = a * cE
-        bb = b * cL
         # exceeds any storage exponent the tower can pick (headroom <= k + 1)
         mod = p ** (-(-k // e_K) + k + 4)
-        uK = (pow(uE, aa, mod) if aa >= 0 else pow(pow(uE, -1, mod), -aa, mod))
-        uK = uK * (pow(uL, bb, mod) if bb >= 0 else pow(pow(uL, -1, mod), -bb, mod)) % mod
-        steps = steps + (TameRamified(e_K, int(uK)),)
+        uK = pow(uE, a * cE, mod) * pow(uL, b * cL, mod) % mod  # a or b < 0
+        steps = steps + (TameRamified(e_K, uK),)
     K = make_tower(p, steps, k, series_window=series_window)
     embsE = find_embeddings(E, K)
     embsL = find_embeddings(L, K)

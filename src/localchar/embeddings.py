@@ -192,21 +192,18 @@ def automorphisms(T: TowerField):
 def verify_embedding(emb: EmbeddingMap):
     """Check the defining relations of the source on the chosen images."""
     S, T = emb.src, emb.dst
-    if S.f > 1:
-        hval = T.zero()
-        xp = T.one()
-        for coef in S.h:
+
+    def at_x(coeffs):
+        val, xp = T.zero(), T.one()
+        for coef in coeffs:
             if coef:
-                hval = hval + xp._scal(coef)
+                val = val + xp._scal(coef)
             xp = xp * emb.x_img
-        if not hval.is_zero():
-            raise ConfigError("generator image is not a root")
-    uimg = T.zero()
-    xp = T.one()
-    for coef in S.U:
-        if coef:
-            uimg = uimg + xp._scal(coef)
-        xp = xp * emb.x_img
+        return val
+
+    if S.f > 1 and not at_x(S.h).is_zero():
+        raise ConfigError("generator image is not a root")
+    uimg = at_x(S.U)
     lhs = emb.pi_img**S.e
     rhs = uimg * T.from_int(T.p)
     if not (lhs - rhs).is_zero():

@@ -107,12 +107,23 @@ def _prime_gen(p: int) -> int:
     return (p - _primitive_poly(p, 1)[0]) % p
 
 
-def _vp(n: int, p: int) -> int:
+def _vp(n: int, p: int):
+    """(v, n / p^v) for a nonzero integer n, v = v_p(n)."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
+
+
+def _newton(step, y, n):
+    """Apply step to y ceil(log2 max(n, 2)) + 1 times.  A Newton step
+    squares the error: 1 - x y (2 - x y) = (1 - x y)^2, and for g'(r) a unit
+    g(r - g(r)/g'(r)) lies in g(r)^2 W.  So an error in P lies in P^(2^j)
+    after j steps, and 2^j >= n from j = ceil(log2 n) on; one step is spare."""
+    for _ in range((max(n, 2) - 1).bit_length() + 1):
+        y = step(y)
+    return y
 
 
 class TowerField:
@@ -149,14 +160,14 @@ class TowerField:
         if self.explog_ok:
             n_limit = -((-self.series_window * (p - 1)) // ((p - 1) - e)) + 1
             # v_p(n_limit!) + 1
-            self.headroom = sum(_vp(m, p) for m in range(1, n_limit + 1)) + 1
+            self.headroom = sum(_vp(m, p)[0] for m in range(1, n_limit + 1)) + 1
         else:
             self.headroom = 1
         self.a = -(-k // e) + self.headroom
         self.pa = p**self.a
         self.kint = e * self.a
         self._caches: dict = {}
-        self.h = tuple(c % self.pa for c in _primitive_poly(p, f))
+        self.h = _primitive_poly(p, f)  # digits in [0, p), so also h mod p
         self._hred = self._make_hred()
         self.U = self._compile_unit(steps)
         if self._wval(self.U) != 0:
@@ -266,14 +277,7 @@ class TowerField:
     def winv(self, x):
         if self._wval(x) != 0:
             raise DivisionByZero("W element is not a unit")
-        xm = [c % self.p for c in x]
-        hbar = [c % self.p for c in self.h]
-        inv0 = _poly_pow_mod(xm, self.q - 2, hbar, self.p)
-        y = tuple(inv0) + (0,) * (self.f - len(inv0))
-        two = self.wint(2)
-        for _ in range(max(1, math.ceil(math.log2(max(self.a, 2))) + 1)):
-            y = self.wmul(y, self.wsub(two, self.wmul(x, y)))
-        return y
+        return self.rinv(self.rfromw(x))[0]
 
     def teichmuller_w(self, x):
         """Root of unity (or 0) congruent to x: xi^dlog(x mod p)."""
@@ -310,10 +314,9 @@ class TowerField:
         """Newton lift of a simple residue root r0 of the integer polynomial
         poly (little-endian) to the exact root in W."""
         dpoly = tuple((i * c) % self.pa for i, c in enumerate(poly))[1:]
-        r = tuple(c % self.pa for c in r0)
-        for _ in range(self.a + 2):
-            r = self.wsub(r, self.wmul(self._weval_poly(poly, r),
-                                       self.winv(self._weval_poly(dpoly, r))))
+        r = _newton(lambda r: self.wsub(r, self.wmul(
+            self._weval_poly(poly, r), self.winv(self._weval_poly(dpoly, r)))),
+            tuple(c % self.pa for c in r0), self.a)
         if self._weval_poly(poly, r) != self.wzero():
             raise InternalContradiction("Hensel lift did not converge to a root")
         return r
@@ -413,12 +416,6 @@ class TowerField:
     def res_of(self, x):
         return tuple(c % self.p for c in x)
 
-    def wfromres(self, r):
-        return tuple(c % self.pa for c in r)
-
-    def res_to_int(self, r) -> int:
-        return sum((c % self.p) * self.p**i for i, c in enumerate(r))
-
     def int_to_res(self, n: int):
         out = []
         n %= self.q
@@ -444,22 +441,21 @@ class TowerField:
             raise DivisionByZero("dlog of zero residue")
         n = self.q - 1
         if "dlogbaby" not in self._caches:
-            hbar = self._caches["dloghbar"] = [c % self.p for c in self.h]
             m = n if self.q <= 4096 else math.isqrt(n) + 1
             xibar = list(self.res_of(self.xi()))
             baby, cur = {}, [1] + [0] * (self.f - 1)
             for j in range(m):
                 baby[tuple(cur)] = j
-                cur = _poly_mul_mod(cur, xibar, hbar, self.p)
+                cur = _poly_mul_mod(cur, xibar, self.h, self.p)
             self._caches["dlogbaby"] = baby
-            self._caches["dloggiant"] = _poly_pow_mod(xibar, n - m % n, hbar, self.p)
+            self._caches["dloggiant"] = _poly_pow_mod(xibar, n - m % n, self.h, self.p)
         baby, giant = self._caches["dlogbaby"], self._caches["dloggiant"]
         m, cur = len(baby), list(r)
         for i in range(n // m + 1):
             j = baby.get(tuple(cur))
             if j is not None:
                 return (i * m + j) % n
-            cur = _poly_mul_mod(cur, giant, self._caches["dloghbar"], self.p)
+            cur = _poly_mul_mod(cur, giant, self.h, self.p)
         raise DivisionByZero("dlog failed")
 
     # ------------------------------------------------------------------ R ops
@@ -556,13 +552,13 @@ class TowerField:
         return x
 
     def rinv(self, x):
+        """x^-1 by Newton from the lift of the residue inverse x0bar^(q-2)."""
         if self.rval(x) != 0:
             raise DivisionByZero("R element is not a unit")
-        y = self.rfromw(self.winv(x[0]))
+        seed = _poly_pow_mod(self.res_of(x[0]), self.q - 2, self.h, self.p)
         two = self.rint(2)
-        for _ in range(max(1, math.ceil(math.log2(max(self.kint, 2))) + 1)):
-            y = self.rmul(y, self.rsub(two, self.rmul(x, y)))
-        return y
+        return _newton(lambda y: self.rmul(y, self.rsub(two, self.rmul(x, y))),
+                       self.rfromw(tuple(seed)), self.kint)
 
     # --------------------------------------------------------------- elements
 
@@ -592,10 +588,7 @@ class TowerField:
     def from_int(self, n: int) -> "TowerElement":
         if n == 0:
             return self.zero()
-        v = 0
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
+        v, n = _vp(n, self.p)
         core = self.rwscal(self.rint(n), self.upow(-v))
         return TowerElement(self, v * self.e, core, self.kint, self.kint)
 
@@ -674,7 +667,7 @@ class TowerField:
                    self.p ** (n_limit * y.v - window) >= n_limit ** self.e):
             n_limit += 1
         last = max((n for n in range(1, n_limit)
-                    if n * y.v - self.e * _vp(n, self.p) < window), default=0)
+                    if n * y.v - self.e * _vp(n, self.p)[0] < window), default=0)
         acc = self.zero()
         power = self.one()
         for n in range(1, last + 1):
@@ -870,10 +863,7 @@ class TowerElement:
         if n == 0:
             raise DivisionByZero("division by integer zero")
         F = self.field
-        s = 0
-        while n % F.p == 0:
-            n //= F.p
-            s += 1
+        s, n = _vp(n, F.p)
         inv = pow(n % F.pa, -1, F.pa)
         out = self if inv == 1 else self._scal(inv)
         return out.div_p(s)
@@ -953,18 +943,13 @@ def _tower_cached(p: int, steps: tuple, k: int, sw) -> TowerField:
     return TowerField(p, steps, k, sw)
 
 
-def make_tower(p: int, steps, k: int, require_explog: bool = False,
+def make_tower(p: int, steps, k: int,
                series_window: int | None = None) -> TowerField:
     """Construct (and memoize) a tame tower over the p-adic prime field.
 
-    Raises WildRamification if p divides a step degree.  With
-    require_explog=True, towers whose ramification reaches p - 1 are rejected
-    (ExpLogRadius); otherwise they are built with exp/log disabled, which is
-    what compositum fields need.  series_window caps the exp/log series depth
+    Raises WildRamification if p divides a step degree.  Towers whose
+    ramification reaches p - 1 are built with exp/log disabled, which is what
+    compositum fields need.  series_window caps the exp/log series depth
     (and so the storage headroom) below the ring precision.
     """
-    field = _tower_cached(p, tuple(steps), k, series_window)
-    if require_explog and not field.explog_ok:
-        raise ExpLogRadius(
-            f"p - 1 = {p - 1} <= e = {field.e}: truncated exp/log diverge")
-    return field
+    return _tower_cached(p, tuple(steps), k, series_window)

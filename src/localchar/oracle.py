@@ -39,6 +39,8 @@ _SLOW_BUDGET = 500_000
 # units per block: bounds each block's key copy (narrow when dense, int64
 # when sparse) and bincount's intp cast of it
 _CHUNK = 1 << 20
+# bytes of the (q-1) x p^s int64 count table, checked before it is allocated
+_TABLE_BYTES = 2 << 30
 
 
 def oracle_sum(chi: MulChar, psi: AddChar, delta,
@@ -173,6 +175,9 @@ def _fast_sum(chi, psi, delta, c):
         i: psi.log_row(-chi.gamma, i, c, teich=False) for i in range(1, c)}
     psw, mult = grid.psw, grid.mult
     ps = max([psw] + [m2 for row in raw_t1.values() for _z, m2 in row])
+    if (q - 1) * ps * 8 > _TABLE_BYTES:
+        raise CapacityError(f"oracle count table needs {(q - 1) * ps * 8} "
+                            f"bytes, limit {_TABLE_BYTES}")
     scale_w = ps // psw
     t1 = np.zeros((max(c, 2), p), dtype=np.min_scalar_type(2 * ps - 2))
     for i, row in raw_t1.items():

@@ -9,16 +9,12 @@ from __future__ import annotations
 from .errors import PrecisionLoss
 
 
-def identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def solve_unit(a, b, p: int, mod: int):
-    """Solve A X = B for A square and invertible mod p. B is n x m."""
+def inverse(a, p: int, mod: int):
+    """A^-1 mod `mod` for A square and invertible mod p: Gauss-Jordan on
+    [A | I]."""
     n = len(a)
-    m = len(b[0])
-    aug = [[x % mod for x in arow] + [x % mod for x in brow]
-           for arow, brow in zip(a, b)]
+    aug = [[x % mod for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(a)]
     for j in range(n):
         piv = next((i for i in range(j, n) if aug[i][j] % p), None)
         if piv is None:
@@ -31,10 +27,6 @@ def solve_unit(a, b, p: int, mod: int):
                 c = aug[i][j]
                 aug[i] = [(x - c * y) % mod for x, y in zip(aug[i], aug[j])]
     return [row[n:] for row in aug]
-
-
-def inverse(a, p: int, mod: int):
-    return solve_unit(a, identity(len(a)), p, mod)
 
 
 def charpoly_berkowitz(a, zero, one):

@@ -9,6 +9,7 @@ import pytest
 import localchar
 from localchar import cli
 from localchar.cli import main
+from localchar.localfield import TowerField
 from localchar.reporting import canonical_json
 
 
@@ -82,6 +83,14 @@ def test_factorize_command(tmp_path):
 
 def test_selftest_command():
     assert run(["selftest", "--p", "7"]) == 0
+
+
+def test_selftest_catches_an_exp_that_does_not_invert_log(monkeypatch):
+    """The exp/log check compares exp(log w) with w, so an exp returning
+    1 + 2 lg fails it."""
+    monkeypatch.setattr(TowerField, "exp_principal",
+                        lambda self, lg, window=None: self.one() + lg + lg)
+    assert run(["selftest"]) == 1
 
 
 def test_config_file_and_byte_stable_reports(tmp_path):

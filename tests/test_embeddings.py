@@ -250,7 +250,7 @@ def _ramified_subfields_by_frobenius(T):
             ncl = (T.q - 1) // (qs - 1)
             for j in range(ncl):
                 dres = T.res_of(T.wmul(T.xi_pow(j * ep), T.U))
-                if T.res_of(T.frob_w(T.wfromres(dres), fp)) != dres:
+                if T.res_of(T.frob_w(dres, fp)) != dres:
                     continue
                 if fp == 1:
                     steps = (TameRamified(ep, dres[0]),)

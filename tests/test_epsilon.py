@@ -512,6 +512,9 @@ def _oracle_kernel_inputs(draw):
           [[728, 727, 1]] * 9))
 @example((7, 343, 343, [342, 341, 340, 1], range(1, 5), 7 * 6 % 343, 1,
           [[342] * 7] * 5))
+# levels from 8: a low pass from level 1 to levels.stop would take 13^10 sums
+@example((13, 169, 2197, [168, 167, 1, 2, 3, 4], range(8, 11), 13 * 5 % 169,
+          2, [[2196] * 13] * 11))
 def test_oracle_kernel_matches_the_int64_reference(args):
     """Grid rows and digit sums, kept in the narrowest unsigned type that
     holds a sum of two residues and reduced by one fold, equal int64 sums
@@ -524,11 +527,10 @@ def test_oracle_kernel_matches_the_int64_reference(args):
         assert row.dtype == np.min_scalar_type(psw - 1)
         assert np.array_equal(row, ref_row)
     work = np.min_scalar_type(2 * ps - 2)
-    for lo in (1, levels.start):
-        sums = _digit_sums(np.array(t1, dtype=work), lo, levels.stop, ps)
+    for lo, hi in ((1, 1 + len(levels)), (levels.start, levels.stop)):
+        sums = _digit_sums(np.array(t1, dtype=work), lo, hi, ps)
         assert sums.dtype == work
-        ref_sums = _digit_sums_int64(np.array(t1, dtype=np.int64), lo,
-                                     levels.stop) % ps
+        ref_sums = _digit_sums_int64(np.array(t1, dtype=np.int64), lo, hi) % ps
         assert np.array_equal(sums, ref_sums)
 
 
@@ -585,6 +587,23 @@ def test_oracle_budget(E):
     chi = random_char(E, 9, random.Random(8))
     with pytest.raises(CapacityError):
         oracle_sum(chi, psi, E.uniformizer() ** (-8), budget=1000)
+
+
+def test_oracle_count_table_bound_raises_before_allocating():
+    """A conductor-7 sum on Q_7 at delta = pi^-9 has 705,894 terms, inside
+    the term budget, but its (q-1) x 7^10 int64 count table is 12.6 GiB:
+    CapacityError comes before any large allocation."""
+    F = make_tower(7, (), 24)
+    psi, chi = make_psi(F), random_char(F, 7, random.Random(1))
+    delta = F.uniformizer() ** (-9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="count table"):
+            oracle_sum(chi, psi, delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_consistency_classes_and_shift(F):

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from pathlib import Path
 
@@ -46,8 +47,6 @@ def test_wild_ramification_rejected():
 
 
 def test_explog_radius_flag():
-    with pytest.raises(ExpLogRadius):
-        make_tower(7, [TameRamified(6, 1)], 8, require_explog=True)
     T = make_tower(7, [TameRamified(6, 1)], 8)
     assert not T.explog_ok
     with pytest.raises(ExpLogRadius):
@@ -114,13 +113,12 @@ def _check_teichmuller_lifts(p, steps, k, count):
     rng = random.Random(p)
     ns = range(1, T.q) if count is None else rng.sample(range(1, T.q), count)
     for n in ns:
-        r = T.int_to_res(n)
-        x = T.wfromres(r)
-        # fill the memo from a representative other than x itself
+        r = T.int_to_res(n)  # a W element too: its digits lie in [0, p)
+        # fill the memo from a representative other than r itself
         noise = tuple(3 * n + i for i in range(1, T.f + 1))
-        lifted = T.teichmuller_w(T.wadd(x, T.wscal(noise, T.p)))
-        direct = fresh.wpow(x, fresh.q ** (fresh.a + 1))
-        assert T.teichmuller_w(x) == lifted == direct
+        lifted = T.teichmuller_w(T.wadd(r, T.wscal(noise, T.p)))
+        direct = fresh.wpow(r, fresh.q ** (fresh.a + 1))
+        assert T.teichmuller_w(r) == lifted == direct
         # tau(n) = xi^n is the lift of the residue of xi^n
         xin = T.res_of(fresh.wpow(fresh.xi(), n))
         assert T.tau(n).core == T.teichmuller(xin).core
@@ -329,6 +327,68 @@ def test_principal_split_names_the_teichmuller_exponent(p, steps, k):
         assert u1.eq_mod(T.one(), 1)
     with pytest.raises(ConfigError):
         T.uniformizer().principal_split()
+
+
+def _ref_winv(F, x):
+    """winv as once written: its own W-Newton loop from the residue inverse."""
+    if F._wval(x) != 0:
+        raise DivisionByZero("W element is not a unit")
+    hbar = [c % F.p for c in F.h]
+    inv0 = _poly_pow_mod([c % F.p for c in x], F.q - 2, hbar, F.p)
+    y = tuple(inv0) + (0,) * (F.f - len(inv0))
+    for _ in range(max(1, math.ceil(math.log2(max(F.a, 2))) + 1)):
+        y = F.wmul(y, F.wsub(F.wint(2), F.wmul(x, y)))
+    return y
+
+
+def _ref_rinv(F, x):
+    """rinv as once written: seeded with the W inverse of the first slot."""
+    if F.rval(x) != 0:
+        raise DivisionByZero("R element is not a unit")
+    y = F.rfromw(_ref_winv(F, x[0]))
+    for _ in range(max(1, math.ceil(math.log2(max(F.kint, 2))) + 1)):
+        y = F.rmul(y, F.rsub(F.rint(2), F.rmul(x, y)))
+    return y
+
+
+def _ref_hensel_root(F, poly, r0):
+    """hensel_root as once written: a + 2 Newton steps."""
+    dpoly = tuple((i * c) % F.pa for i, c in enumerate(poly))[1:]
+    r = tuple(c % F.pa for c in r0)
+    for _ in range(F.a + 2):
+        r = F.wsub(r, F.wmul(F._weval_poly(poly, r),
+                             _ref_winv(F, F._weval_poly(dpoly, r))))
+    return r
+
+
+@pytest.mark.parametrize("p, steps, k", CORE_FIELDS)
+def test_newton_lifts_match_the_separate_loops(p, steps, k):
+    """winv, rinv and hensel_root share one Newton schedule; each gives the
+    unique inverse or simple root that the former separate loops gave."""
+    F = make_tower(p, steps, k)
+    rng = random.Random(F.e * 100 + F.f)
+    for _ in range(30):
+        unit = rng.randrange(F.pa // F.p) * F.p + rng.randrange(1, F.p)
+        x = tuple(tuple(unit if (i, j) == (0, 0) else rng.randrange(F.pa)
+                        for j in range(F.f)) for i in range(F.e))
+        y = F.rinv(x)
+        assert y == _ref_rinv(F, x)
+        assert F.rmul(x, y) == F.rone()
+        assert F.winv(x[0]) == _ref_winv(F, x[0])
+    # X^(q-1) - 1 lifts a residue to its Teichmuller root; h lifts x^p
+    roots = [((-1,) + (0,) * (F.q - 2) + (1,), F.int_to_res(n))
+             for n in rng.sample(range(1, F.q), 4)]
+    if F.f > 1:
+        roots.append((F.h, F.wpow((0, 1) + (0,) * (F.f - 2), F.p)))
+    for poly, r0 in roots:
+        assert F.hensel_root(poly, r0) == _ref_hensel_root(F, poly, r0)
+    for w in (F.wzero(), F.wscal(F.wone(), F.p), F.wint(F.p ** (F.a - 1))):
+        with pytest.raises(DivisionByZero):
+            F.winv(w)
+        with pytest.raises(DivisionByZero):
+            F.rinv(F.rfromw(w))
+    with pytest.raises(DivisionByZero):
+        F.rinv(F.rshift_up(F.rone(), 1))
 
 
 def test_no_assert_statements_in_package():
