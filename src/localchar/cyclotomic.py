@@ -329,6 +329,24 @@ class CycNumber:
         return f"Cyc[{self.modulus}]({body})"
 
 
+def _sqrt(q: int) -> CycNumber:
+    """The positive square root of an odd q in Z[zeta_4q]: per prime power
+    p^f || q, p^(f // 2), times sqrt(p) for odd f.  sqrt(p) = g_p for
+    p = 1 mod 4 and -i g_p for p = 3 mod 4, g_p = sum (a/p) zeta_p^a the
+    quadratic Gauss sum, whose sign Gauss determined (Ireland and Rosen,
+    ch. 6)."""
+    if q % 2 == 0:
+        raise ValueError(f"q = {q} is even")
+    out = CycNumber.one()
+    for p, f, _pf, _phi in _factorize(q):
+        out = out * p ** (f // 2)
+        if f % 2:
+            g = CycNumber.from_root_sum(p, (
+                (a, 1 if pow(a, p // 2, p) == 1 else -1) for a in range(1, p)))
+            out = out * (g if p % 4 == 1 else g * CycNumber.root(4, 3))
+    return out
+
+
 class ScaledCyc:
     """A cyclotomic integer times q^(qhalf/2), q the relevant residue size."""
 
@@ -376,14 +394,10 @@ class ScaledCyc:
             if d >= 0:
                 return self.num * q ** (d // 2) == other.num
             return self.num == other.num * q ** ((-d) // 2)
-        # mismatched parity: exact squared comparison, sign from embedding
-        if (self * self) != (other * other):
-            return False
-        va, ea = self.embed(160)
-        vb, eb = other.embed(160)
-        gap = abs(va - vb)
-        scale = max(abs(va), abs(vb), mpmath.mpf(1))
-        return bool(gap <= (ea + eb) + scale * mpmath.mpf(2) ** -80)
+        # mismatched parity: the lower side takes one exact factor sqrt(q)
+        if d > 0:
+            return self.num * _sqrt(q) * q ** (d // 2) == other.num
+        return self.num == other.num * _sqrt(q) * q ** ((-d) // 2)
 
     def __hash__(self):
         raise TypeError("ScaledCyc is not hashable")

@@ -169,7 +169,7 @@ def find_embeddings(S: TowerField, T: TowerField):
             continue
         # solve g^{e_S} = d, d = S's compiled unit through xr over U_T:
         # d = xi^dr times a one-unit, whose e_S-th root is s
-        d = T.wmul(T.subst_gen(S.U, xr), T.Uinv)
+        d = T.wmul(T._weval_poly(S.U, xr), T.Uinv)
         dr = T.dlog_res(d)
         s = w_nth_root_oneunit(T, T.wmul(d, T.xi_pow(-dr)), S.e)
         g = math.gcd(S.e, n)

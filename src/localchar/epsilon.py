@@ -83,7 +83,7 @@ def _psi_row(psi: AddChar, c, n: int):
     F = psi.field
     mform = psi.trace_form(c, n, slots=1)
     return [psi._form_exponent(c, mform, n, n + F.kint,
-                               F.teichmuller_w(F.int_to_res(a)))
+                               F.xi_pow(F.dlog_res(F.int_to_res(a))))
             for a in range(1, F.q)]
 
 
@@ -98,22 +98,19 @@ def _gauss_histogram(theta, psi_row):
     return mod, hist
 
 
-def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None, theta=None) -> ScaledCyc:
+def gauss_sum(chi: MulChar, psi: AddChar, c_rep=None) -> ScaledCyc:
     """q^{-1/2} sum over U^n/U^{n+1} of theta^{-1}(x) psi(c (x-1)).
 
     The coset representatives are 1 + tau(a) pi^n over the q residues a
     (a = 0 giving x = 1), so the sum has exactly q terms, counted per root
-    exponent and summed once.  theta is theta_row(chi, n) when the caller
-    already has it."""
+    exponent and summed once."""
     f = chi.conductor()
     if f < 3 or f % 2 == 0:
         raise EvenConductor(f"Gauss sum needs odd conductor >= 3, got {f}")
     n = (f - 1) // 2
     c = c_rep if c_rep is not None else chi.c_rep()
-    if theta is None:
-        theta = theta_row(chi, n)
-    return _gauss_value(*_gauss_histogram(theta, _psi_row(psi, c, n)),
-                        chi.field.q)
+    hist = _gauss_histogram(theta_row(chi, n), _psi_row(psi, c, n))
+    return _gauss_value(*hist, chi.field.q)
 
 
 def epsilon_factor(chi: MulChar, psi: AddChar) -> EpsilonValue:

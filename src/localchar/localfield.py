@@ -59,17 +59,22 @@ def _poly_mul_mod(a, b, hbar, p):
     return out[:f]
 
 
-def _poly_pow_mod(a, n, hbar, p):
-    f = len(hbar) - 1
-    res = [1] + [0] * (f - 1)
-    base = list(a)
+def _power(x, n, mul, one):
+    """x^n for n >= 0 by square-and-multiply, low bit first: each product is
+    mul(result, square), in this order, as it fixes the stored digits."""
+    res = one
     while n:
         if n & 1:
-            res = _poly_mul_mod(res, base, hbar, p)
+            res = mul(res, x)
         n >>= 1
         if n:
-            base = _poly_mul_mod(base, base, hbar, p)
+            x = mul(x, x)
     return res
+
+
+def _poly_pow_mod(a, n, hbar, p):
+    return _power(list(a), n, lambda x, y: _poly_mul_mod(x, y, hbar, p),
+                  [1] + [0] * (len(hbar) - 2))
 
 
 @lru_cache(maxsize=None)
@@ -242,15 +247,7 @@ class TowerField:
         return tuple(res)
 
     def wpow(self, x, n: int):
-        res = self.wone()
-        base = x
-        while n:
-            if n & 1:
-                res = self.wmul(res, base)
-            n >>= 1
-            if n:
-                base = self.wmul(base, base)
-        return res
+        return _power(x, n, self.wmul, self.wone())
 
     def upow(self, n: int):
         """U^n for any integer n, from the field's table of U^-a .. U^a
@@ -279,12 +276,6 @@ class TowerField:
             raise DivisionByZero("W element is not a unit")
         return self.rinv(self.rfromw(x))[0]
 
-    def teichmuller_w(self, x):
-        """Root of unity (or 0) congruent to x: xi^dlog(x mod p)."""
-        if not any(c % self.p for c in x):
-            return self.wzero()
-        return self.xi_pow(self.dlog_res(x))
-
     def xi_pow(self, n: int):
         """xi^n, the Teichmuller lift of xi's residue to the n: memoized by
         n mod (q - 1), so at most q - 1 entries."""
@@ -295,6 +286,8 @@ class TowerField:
         return memo[n]
 
     def _weval_poly(self, coeffs, x):
+        """The integer polynomial coeffs (little-endian) at x, by Horner; on a
+        W element's coordinates it substitutes x for the generator."""
         res = self.wzero()
         for c in reversed(coeffs):
             res = self.wadd(self.wmul(res, x), self.wint(c))
@@ -382,7 +375,7 @@ class TowerField:
             g = self.frobenius_gen()
             img = g
             for _ in range(power - 1):
-                img = self.subst_gen(img, g)
+                img = self._weval_poly(img, g)
             cols = []
             cur = self.wone()
             for _ in range(self.f):
@@ -390,16 +383,6 @@ class TowerField:
                 cur = self.wmul(cur, img)
             mats[power] = tuple(zip(*cols))
         return tuple(sum(map(mul, x, row)) % self.pa for row in mats[power])
-
-    def subst_gen(self, w, g):
-        """Evaluate the coordinate polynomial of w at g (apply x -> g)."""
-        out = self.wzero()
-        cur = self.wone()
-        for c in w:
-            if c:
-                out = self.wadd(out, self.wscal(cur, c))
-            cur = self.wmul(cur, g)
-        return out
 
     def trace_w(self, x) -> int:
         if self.f == 1:
@@ -552,13 +535,20 @@ class TowerField:
         return x
 
     def rinv(self, x):
-        """x^-1 by Newton from the lift of the residue inverse x0bar^(q-2)."""
+        """x^-1 by Newton from the lift of the residue inverse x0bar^(q-2).
+
+        The seed's error 1 - x y0 lies in P, so _newton to kint reaches
+        P^kint = 0.  When x lies in W (x[1:] all zero), every iterate stays
+        in W and the error lies in pW = P^e, so it lies in p^(2^j) W after j
+        steps, which is zero from 2^j >= a on: _newton to a suffices.  The
+        inverse is unique mod p^a, so both schedules give the same integers."""
         if self.rval(x) != 0:
             raise DivisionByZero("R element is not a unit")
         seed = _poly_pow_mod(self.res_of(x[0]), self.q - 2, self.h, self.p)
         two = self.rint(2)
         return _newton(lambda y: self.rmul(y, self.rsub(two, self.rmul(x, y))),
-                       self.rfromw(tuple(seed)), self.kint)
+                       self.rfromw(tuple(seed)),
+                       self.kint if any(map(any, x[1:])) else self.a)
 
     # --------------------------------------------------------------- elements
 
@@ -616,22 +606,21 @@ class TowerField:
                 out = out + self.monomial(res, v)
         return out
 
-    def random_unit(self, rng, depth=None) -> "TowerElement":
-        top = depth if depth is not None else self.k
+    def random_unit(self, rng) -> "TowerElement":
         digits = [(0, rng.randrange(1, self.q))]
-        digits += [(v, rng.randrange(self.q)) for v in range(1, top)]
+        digits += [(v, rng.randrange(self.q)) for v in range(1, self.k)]
         return self.from_digits(digits)
 
     # ---------------------------------------------------------------- exp/log
 
-    def exp_principal(self, x: "TowerElement", window=None) -> "TowerElement":
+    def exp_principal(self, x: "TowerElement") -> "TowerElement":
         if not self.explog_ok:
             raise ExpLogRadius(f"p - 1 = {self.p - 1} <= e = {self.e}")
         if x.is_zero():
             return self.one() if x.prec is INF else self.one().cap_window(x.prec)
         if x.v < 1:
             raise ExpLogRadius("exp needs valuation >= 1")
-        window = min(x.window(), self.kint, window if window else self.kint)
+        window = min(x.window(), self.kint)
         n_limit = -((-window * (self.p - 1)) // (x.v * (self.p - 1) - self.e))
         acc = self.one()
         term = self.one()
@@ -843,15 +832,7 @@ class TowerElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, mul, self.field.one())
 
     def shift(self, v: int) -> "TowerElement":
         """Multiply by pi^v (any sign)."""

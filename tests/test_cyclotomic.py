@@ -1,6 +1,7 @@
 import cmath
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,12 +137,33 @@ def test_scaledcyc_q_power_folding_equality():
 
 
 def test_scaledcyc_mismatched_parity_equality_via_squares():
+    # g_p = sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4, so with
+    # q = p^f, g_p p^(f // 2) q^(-1/2) is the root 1 or i for odd f, and
+    # p^(f / 2) q^(-1/2) is 1 for even f; their negatives are not
+    for p in (3, 5, 7, 11, 13):
+        g = quadratic_gauss_sum(p)
+        for f in (1, 2, 3):
+            q = p**f
+            num, root = CycNumber.integer(p ** (f // 2)), CycNumber.one()
+            if f % 2:
+                num, root = num * g, CycNumber.root(4, 1 if p % 4 == 3 else 0)
+            lhs = ScaledCyc(num, -1, q)
+            for shift in (0, 2):  # fold an integer power of q on both sides
+                rhs = ScaledCyc(root * q ** (shift // 2), -shift, q)
+                assert lhs == rhs and rhs == lhs
+                assert not (lhs == ScaledCyc(-root, -shift, q))
+                assert not (ScaledCyc(-root, -shift, q) == lhs)
+
+
+def test_scaledcyc_mismatched_parity_equality_needs_no_floats(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("equality reached mpmath")
+
+    monkeypatch.setattr(mpmath, "mpf", refuse)
+    monkeypatch.setattr(mpmath, "mpc", refuse)
     g = quadratic_gauss_sum(7)
-    # g = i*sqrt(7) exactly, so g * q^{-1/2} equals the pure root i
-    lhs = ScaledCyc(g, -1, 7)
-    rhs = ScaledCyc(CycNumber.root(4, 1), 0, 7)
-    assert lhs == rhs
-    assert not (lhs == ScaledCyc(CycNumber.root(4, 3), 0, 7))
+    assert ScaledCyc(g, -1, 7) == ScaledCyc(CycNumber.root(4, 1), 0, 7)
+    assert not ScaledCyc(g, 1, 7) == ScaledCyc(CycNumber.root(4, 3), 2, 7)
 
 
 def test_scaledcyc_inversion_requires_unit_modulus():

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import random
 from pathlib import Path
@@ -116,9 +117,9 @@ def _check_teichmuller_lifts(p, steps, k, count):
         r = T.int_to_res(n)  # a W element too: its digits lie in [0, p)
         # fill the memo from a representative other than r itself
         noise = tuple(3 * n + i for i in range(1, T.f + 1))
-        lifted = T.teichmuller_w(T.wadd(r, T.wscal(noise, T.p)))
+        lifted = T.xi_pow(T.dlog_res(T.wadd(r, T.wscal(noise, T.p))))
         direct = fresh.wpow(r, fresh.q ** (fresh.a + 1))
-        assert T.teichmuller_w(r) == lifted == direct
+        assert T.xi_pow(T.dlog_res(r)) == lifted == direct
         # tau(n) = xi^n is the lift of the residue of xi^n
         xin = T.res_of(fresh.wpow(fresh.xi(), n))
         assert T.tau(n).core == T.teichmuller(xin).core
@@ -127,7 +128,8 @@ def _check_teichmuller_lifts(p, steps, k, count):
         # tau(r)^-1 = xi^(-dlog r), as principal_split takes it
         tinv = T.xi_pow(-T.dlog_res(r))
         assert T.wmul(direct, tinv) == T.wone()
-    assert T.teichmuller_w(T.wscal(T.wone(), T.p)) == T.wzero()
+    with pytest.raises(DivisionByZero):
+        T.dlog_res(T.wscal(T.wone(), T.p))
     assert len(T._caches["teich"]) <= T.q - 1
 
 
@@ -389,6 +391,87 @@ def test_newton_lifts_match_the_separate_loops(p, steps, k):
             F.rinv(F.rfromw(w))
     with pytest.raises(DivisionByZero):
         F.rinv(F.rshift_up(F.rone(), 1))
+
+
+# The square-and-multiply loops and the coordinate substitution as once
+# written, one per layer.
+
+def _ref_poly_pow_mod(a, n, hbar, p):
+    res = [1] + [0] * (len(hbar) - 2)
+    base = list(a)
+    while n:
+        if n & 1:
+            res = _poly_mul_mod(res, base, hbar, p)
+        n >>= 1
+        if n:
+            base = _poly_mul_mod(base, base, hbar, p)
+    return res
+
+
+def _ref_wpow(F, x, n):
+    res, base = F.wone(), x
+    while n:
+        if n & 1:
+            res = F.wmul(res, base)
+        n >>= 1
+        if n:
+            base = F.wmul(base, base)
+    return res
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        return _ref_pow(x.inv(), -n)
+    out, base = x.field.one(), x
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def _ref_subst_gen(F, w, g):
+    out, cur = F.wzero(), F.wone()
+    for c in w:
+        if c:
+            out = F.wadd(out, F.wscal(cur, c))
+        cur = F.wmul(cur, g)
+    return out
+
+
+@pytest.mark.parametrize("p, steps, k", CORE_FIELDS)
+def test_one_power_and_one_w_evaluation_match_the_former_loops(
+        p, steps, k, monkeypatch):
+    """_power serves the residue, W and element layers with the former
+    loops' products in their order, so even the stored digits above the
+    certified window agree; _weval_poly is the former subst_gen."""
+    F = make_tower(p, steps, k)
+    rng = random.Random(F.e * 100 + F.f + 1)
+    hbar = [c % F.p for c in F.h]
+    for _ in range(20):
+        n = rng.choice([0, 1, 2, F.q - 2, F.p ** F.a, rng.randrange(200)])
+        w = tuple(rng.randrange(F.pa) for _ in range(F.f))
+        g = tuple(rng.randrange(F.pa) for _ in range(F.f))
+        a = [rng.randrange(F.p) for _ in range(F.f)]
+        assert (_poly_pow_mod(a, n, hbar, F.p)
+                == _ref_poly_pow_mod(a, n, hbar, F.p))
+        assert F.wpow(w, n) == _ref_wpow(F, w, n)
+        assert F._weval_poly(w, g) == _ref_subst_gen(F, w, g)
+        x = F.random_unit(rng).shift(rng.randrange(-2, 3))
+        x = x.cap_window(x.v + rng.randrange(1, F.kint + 1))
+        m = rng.randrange(-6, 12)
+        assert (json.dumps((x ** m).serialize())
+                == json.dumps(_ref_pow(x, m).serialize()))
+    # a unit of W takes the W schedule: ceil(log2 a) + 1 steps, two rmul each
+    rmul, calls = TowerField.rmul, []
+    monkeypatch.setattr(TowerField, "rmul",
+                        lambda self, x, y: calls.append(1) or rmul(self, x, y))
+    for G in (F, make_tower(7, (TameRamified(5, 1),), 12)):
+        calls.clear()
+        assert G.winv(G.U) == G.Uinv
+        assert len(calls) == 2 * (math.ceil(math.log2(max(G.a, 2))) + 1)
 
 
 def test_no_assert_statements_in_package():
