@@ -37,7 +37,7 @@ def build_ambient(E: TowerField, L: TowerField):
         raise UnsupportedShape("unsupported residue/ramification mix")
     p = E.p
     c = _exact_unit_int(E) * pow(_exact_unit_int(L), -1, p) % p
-    a = E.dlog_res(E.int_to_res(c))
+    a = E.dlog_res(c)
     g = math.gcd(E.e, L.e)
     seen = set()
     n = 0

@@ -28,7 +28,7 @@ from .errors import (
     PrecisionLoss,
 )
 from .embeddings import EmbeddingMap, Subfield, enumerate_subfields, self_subfield
-from .localfield import TowerElement, TowerField
+from .localfield import INF, TowerElement, TowerField
 
 
 class AddChar:
@@ -41,10 +41,10 @@ class AddChar:
         return f"AddChar({self.field!r})"
 
     def exponent(self, x: TowerElement):
-        """(k, p^m) with psi(x) = zeta_{p^m}^k.  Needs x certified mod P^1."""
-        pairs, window = self.field.trace_digits(x)
-        _needs_p1(window)
-        return self.digit_exponent(*(pairs[0] if pairs else (0, 0)))
+        """(k, p^m) with psi(x) = zeta_{p^m}^k.  Needs x certified mod P^1:
+        x times the exact 1, the one-slot form dotted with 1's core."""
+        return self._form_exponent(x, self.trace_form(x, 0, slots=1), 0, INF,
+                                   self.field.wone())
 
     def digit_exponent(self, m: int, c: int):
         """psi_F(c p^m) for a trace digit c mod p^a, as exponent gives it:
@@ -58,8 +58,9 @@ class AddChar:
         """(m, form) for a fixed x: for every y of valuation v, the one trace
         digit of x y that psi reads (tr(pi^i w) = 0 unless e | i) is
         sum(coords(y) * form) mod p^a at p^m, coords(y) the e f ints of
-        y.core; pi^e = U p and trace_digits' U^m are built in.  The form
-        covers y's first `slots` core slots (f ints each), all e by default."""
+        y.core; pi^e = U p and tr(pi^(e m) w) = e p^m tr_W(U^m w) are built
+        in.  The form covers y's first `slots` core slots (f ints each), all
+        e by default."""
         F, e, f = self.field, self.field.e, self.field.f
         slots = e if slots is None else slots
         if x.is_zero():  # a log at or past its window: the digit is 0
@@ -79,7 +80,8 @@ class AddChar:
         """exponent(x y): mform = trace_form(x, yv) dotted with the core ints
         ys of y (valuation yv, window ywindow), checked as exponent checks."""
         lo = x.prec if x.v is None else x.v  # v(x), or a zero's bound
-        _needs_p1(min(x.window() + yv, ywindow + lo))  # x y's window
+        if min(x.window() + yv, ywindow + lo) < 1:  # x y's window
+            raise PrecisionLoss("additive character needs the element mod P^1")
         return self.digit_exponent(mform[0], sum(map(mul, mform[1], ys)))
 
     def log_row(self, y: TowerElement, n: int, window, teich: bool = True):
@@ -99,11 +101,6 @@ class AddChar:
     def eval(self, x: TowerElement) -> CycNumber:
         z, mod = self.exponent(x)
         return CycNumber.root(mod, z)
-
-
-def _needs_p1(window):
-    if window < 1:
-        raise PrecisionLoss("additive character needs the element mod P^1")
 
 
 @lru_cache(maxsize=None)

@@ -93,6 +93,9 @@ _DEFAULTS = {"seed": 0, "level": "r1", "char_field": "F", "char_w": 0,
              "char_t": 0, "char_gamma": "", "samples": 0,
              "oracle_budget": 300_000_000, "mutate": False}
 
+# the least value of an integer option, checked for flags and file values
+_MINIMA = {"r": 1, "conductor_bound": 0, "samples": 0}
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
@@ -130,6 +133,9 @@ def _merge(args) -> dict:
             cfg[key] = val
         elif key not in cfg:
             cfg[key] = _DEFAULTS.get(key)
+    for key, low in _MINIMA.items():
+        if cfg[key] is not None and cfg[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
     return cfg
 
 

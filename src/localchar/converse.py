@@ -43,7 +43,7 @@ from .characters import (
 )
 from .embeddings import (Subfield, automorphisms, find_embeddings,
                           identity_embedding)
-from .epsilon import epsilon_factors, gauss_sum
+from .epsilon import epsilon_factors, gauss_sum, theta_row
 from .localfield import (TameRamified, TowerElement, TowerField, Unramified,
                          _prime_gen, make_tower)
 
@@ -71,6 +71,10 @@ class TwinConfig:
                 raise ConfigError("even N needs the split exponent ell")
             if not (2 <= self.ell <= self.N - 1) or math.gcd(self.ell, self.N) != 1:
                 raise ConfigError("ell must lie in [2, N-1] and be coprime to N")
+        if self.selector is not None and not 1 <= self.selector <= self.p - 1:
+            raise ConfigError("selector must lie in [1, p-1]")
+        if self.precision is not None and self.precision < 2:
+            raise ConfigError("precision must be at least 2")
         return self
 
     @property
@@ -167,24 +171,19 @@ def verify_twin_pair(pair: TwinPair) -> dict:
     """Mechanical checks of the construction postconditions."""
     E = pair.E
     phi1, phi2 = pair.phi1, pair.phi2
-    N = pair.cfg.N
     out = {}
-    out["conductor"] = phi1.conductor() == phi2.conductor() == 2 * N - 1
+    out["conductor"] = phi1.conductor() == phi2.conductor() == 2 * pair.cfg.N - 1
 
     def agree(x):
         return same_root(*char_exponents((phi1, phi2), x))
 
+    def layer_agrees(j):  # on 1 + tau(a) pi^j for a = 1..q-1
+        return all(map(same_root, theta_row(phi1, j), theta_row(phi2, j)))
+
     out["uniformizer_value"] = agree(E.uniformizer())
     out["tame_part"] = all(agree(E.tau(n)) for n in range(E.q - 1))
-    deep = True
-    one = E.one()
-    for j in range(2, E.k):
-        for a in range(1, E.q):
-            if not agree(one + E.monomial(a, j)):
-                deep = False
-    out["agree_on_level_two"] = deep
-    out["differ_on_level_one"] = any(
-        not agree(one + E.monomial(a, 1)) for a in range(1, E.q))
+    out["agree_on_level_two"] = all(map(layer_agrees, range(2, E.k)))
+    out["differ_on_level_one"] = not layer_agrees(1)
     out["admissible"] = is_admissible(phi1) and is_admissible(phi2)
     out["non_conjugate"] = not is_conjugate(phi1, phi2)
     out["difference_conductor"] = pair.difference().conductor() == 2
@@ -284,7 +283,7 @@ def _digit_tables(L: TowerField, sigmas, positions):
                 "automorphism image is not an exact Teichmuller lift")
         return k
     n = L.q - 1
-    logs = [L.dlog_res(L.int_to_res(d)) for d in range(1, L.q)]
+    logs = [L.dlog_res(d) for d in range(1, L.q)]
     digit = sorted(range(1, L.q), key=lambda d: logs[d - 1])
     acts = [(dlog(s.pi_img.shift(-1)), dlog(s.apply(L.tau(1)))) for s in sigmas]
     # (kz, kx) fixes sigma, and (0, 1) is the identity
@@ -364,15 +363,14 @@ def classify_case(N: int, e_L: int, m: int, r: int | None = None):
 
 
 def a_exponent(i: int, N: int, m: int, e1: int, e2p: int,
-               s: int | None = None, r: int | None = None,
-               mirror: bool = False) -> int:
+               r: int | None = None, mirror: bool = False) -> int:
     """Valuation exponent of the i-th symmetric term, with the congruence
     and lower-bound assertions."""
     if i < 1:
         raise RangeViolation("term index starts at 1")
-    if s is not None and r is not None:
-        if not (i <= s <= r):
-            raise RangeViolation("need 1 <= i <= s <= r")
+    if r is not None:
+        if i > r:
+            raise RangeViolation("need 1 <= i <= r")
         if not (2 * r < N - 1):
             raise RangeViolation("need 2r < N - 1 for the bound chain")
     el = e1 * e2p
@@ -381,20 +379,20 @@ def a_exponent(i: int, N: int, m: int, e1: int, e2p: int,
     if not mirror:
         if a % N != (-2 * i) % N:
             raise InternalContradiction("congruence A = -2i mod N failed")
-        if s is not None and r is not None and a < 2:
+        if r is not None and a < 2:
             raise InternalContradiction("A >= 2 failed inside the valid range")
         return a
     a3 = -a
     if a3 % N != (2 * i) % N:
         raise InternalContradiction("mirror congruence A = 2i mod N failed")
-    if s is not None and r is not None and a3 < 2:
+    if r is not None and a3 < 2:
         raise InternalContradiction("mirror A >= 2 failed inside the valid range")
     return a3
 
 
-def case_one_scan(Ns=(5, 6, 7), m_bound: int = 12) -> dict:
+def case_one_scan(Ns=(5, 6, 7)) -> dict:
     """Exhaustive impossibility scan: no equal valuations, N never divides
-    2 e_L, and the exponent ledger holds, for all shapes below the bound."""
+    2 e_L, and the exponent ledger holds, for all shapes with m <= 12."""
     checked = 0
     for N in Ns:
         rmax = (N - 2) // 2  # largest r with 2r < N - 1
@@ -403,14 +401,14 @@ def case_one_scan(Ns=(5, 6, 7), m_bound: int = 12) -> dict:
                 ep = r // fp
                 if (2 * ep) % N == 0:
                     raise InternalContradiction("N divides 2 e_L in range")
-                for m in range(1, m_bound + 1):
+                for m in range(1, 13):
                     label, vb, va = classify_case(N, ep, m, r=r)
                     if label == "equal":
                         raise InternalContradiction("equal valuations in scan")
                     e2p = math.gcd(ep, N)
                     e1 = ep // e2p
                     for i in range(1, r + 1):
-                        a_exponent(i, N, m, e1, e2p, s=r, r=r,
+                        a_exponent(i, N, m, e1, e2p, r=r,
                                    mirror=(label == "alpha"))
                     checked += 1
     return {"instances": checked, "pass": True}

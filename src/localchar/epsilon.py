@@ -82,8 +82,7 @@ def _psi_row(psi: AddChar, c, n: int):
     is the one nonzero slot of the core, so the form needs only that slot."""
     F = psi.field
     mform = psi.trace_form(c, n, slots=1)
-    return [psi._form_exponent(c, mform, n, n + F.kint,
-                               F.xi_pow(F.dlog_res(F.int_to_res(a))))
+    return [psi._form_exponent(c, mform, n, n + F.kint, F.xi_pow(F.dlog_res(a)))
             for a in range(1, F.q)]
 
 

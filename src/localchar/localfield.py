@@ -416,10 +416,11 @@ class TowerField:
         return self._caches["xi"]
 
     def dlog_res(self, r) -> int:
-        """Discrete log of a nonzero residue to base the residue of xi: baby
-        steps xi^j, j < m, then giant steps by xi^-m.  m = q - 1 up to
-        q = 4096, so one table lookup; isqrt(q - 1) + 1 above."""
-        r = tuple(c % self.p for c in r)
+        """Discrete log of a nonzero residue, or of its int_to_res code, to
+        base the residue of xi: baby steps xi^j, j < m, then giant steps by
+        xi^-m.  m = q - 1 up to q = 4096, so one table lookup; isqrt(q - 1)
+        + 1 above."""
+        r = self.int_to_res(r) if isinstance(r, int) else tuple(c % self.p for c in r)
         if not any(r):
             raise DivisionByZero("dlog of zero residue")
         n = self.q - 1
@@ -590,8 +591,6 @@ class TowerField:
         return TowerElement(self, 0, self.rfromw(self.xi_pow(n)), self.kint, self.kint)
 
     def teichmuller(self, res) -> "TowerElement":
-        if isinstance(res, int):
-            res = self.int_to_res(res)
         return self.tau(self.dlog_res(res))  # DivisionByZero if res is 0
 
     def monomial(self, res, v: int) -> "TowerElement":
@@ -686,29 +685,6 @@ class TowerField:
             memo[key] = tuple(self.log_principal(one + x, window=window)
                               for x in digits)
         return memo[key]
-
-    # ------------------------------------------------------------------ trace
-
-    def trace_digits(self, x: "TowerElement"):
-        """Trace to the prime field as ((m, c) pairs meaning sum of c * p^m,
-        certified p-adic window).  tr(pi^(e*m) * w) = e * p^m * tr_W(U^m * w)
-        and tr(pi^i * w) = 0 for e not dividing i (the e comes from the
-        totally ramified part, whose trace of 1 is e)."""
-        if x.is_zero():
-            if x.prec is INF:
-                return [], INF
-            return [], -(-x.prec // self.e)
-        window_abs = x.window()
-        out = []
-        for i in range(self.e):
-            pos = x.v + i
-            if pos % self.e:
-                continue
-            m = pos // self.e
-            c = (self.e * self.trace_w(self.wmul(x.core[i], self.upow(m)))) % self.pa
-            if c:
-                out.append((m, c))
-        return out, -(-window_abs // self.e)
 
 
 class TowerElement:

@@ -20,8 +20,8 @@ CycNumber.from_counts reduces as it stands.  All arithmetic is modulo
 powers of p; grid rows and digit sums work in the narrowest unsigned type
 that holds a sum of two residues, and x mod m is one fold min(x, x - m),
 which unsigned wrap-around makes exact for x < 2m.  Only the psi side is
-cached, in the field's own caches under (conductor, delta), so a grid lives
-as long as its field.
+cached, in the field's own caches under (conductor, delta), one grid per
+field: a new key evicts the last.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class _Grid:
     the high levels.  A build works at np.min_scalar_type(2 psw - 2), a sum
     of two residues; rows are stored at np.min_scalar_type(psw - 1), so a
     grid holds q^(c-1) times that width in bytes, and the field's
-    `oracle_grids` keeps one grid per (c, delta) key, never evicted.
+    `oracle_grids` keeps only the last (c, delta) key's grid.
     `mult` holds the t_j mod psw, checked against psi(t_j delta pi^i) for
     every j and i."""
 
@@ -167,7 +167,8 @@ def _fast_sum(chi, psi, delta, c):
     grids = F._caches.setdefault("oracle_grids", {})
     key = (c, delta.v, tuple(tuple(w) for w in delta.core))
     grid = grids.get(key)
-    if grid is None:
+    if grid is None:  # one grid per field bounds the memory grids hold
+        grids.clear()
         grid = grids[key] = _Grid(F, psi, c, delta)
 
     # theta side: psi(-gamma log(1 + a pi^i)) digit tables, exact

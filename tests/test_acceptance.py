@@ -128,7 +128,7 @@ def test_criterion_04_coset_products_rank_two(pair7):
 
 def test_criterion_05_case_one_impossibility():
     t0 = time.time()
-    rep = case_one_scan((5, 6, 7), m_bound=12)
+    rep = case_one_scan((5, 6, 7))
     assert rep["pass"]
     for N in (5, 6, 7):
         for r in range(1, (N - 2) // 2 + 1):
@@ -149,7 +149,7 @@ def test_criterion_06_congruence_ledger():
                 for m in range(1, 13):
                     label, _vb, _va = classify_case(N, e_L, m, r=r)
                     for i in range(1, r + 1):
-                        a = a_exponent(i, N, m, e1, e2p, s=r, r=r,
+                        a = a_exponent(i, N, m, e1, e2p, r=r,
                                        mirror=(label == "alpha"))
                         assert a >= 2
                         if label == "alpha":
@@ -172,7 +172,7 @@ def test_criterion_07_even_N_construction():
     confs = [pullback(phi, pair.E, h.emb).conductor() for h, phi in factors]
     assert confs == sorted(confs, reverse=True) and len(set(confs)) == 2
     # criterion-5/6 analogues for N = 6
-    rep = case_one_scan((6,), m_bound=12)
+    rep = case_one_scan((6,))
     assert rep["pass"]
     # rank-1 twists with conductor <= 2
     r1 = verify_rank_one_twists(pair, 2)

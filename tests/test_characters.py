@@ -11,8 +11,8 @@ from localchar.errors import (
     NotAdmissible,
     PrecisionLoss,
 )
-from localchar.localfield import (INF, TameRamified, TowerElement, _prime_gen,
-                                  make_tower)
+from localchar.localfield import (INF, TameRamified, TowerElement, Unramified,
+                                  _prime_gen, make_tower)
 from localchar.embeddings import Subfield, self_subfield
 from localchar.characters import (
     MulChar,
@@ -105,6 +105,56 @@ def test_psi_precision_guard(E):
     psi = make_psi(E)
     with pytest.raises(PrecisionLoss):
         psi.eval(E.uniformizer().cap_window(-6) * E.uniformizer() ** -10)
+
+
+def _exponent_by_trace_digits(F, x):
+    """psi(x) as exponent pairs from the trace digits: the former
+    TowerField.trace_digits, with its p-adic window checked against P^1."""
+    pairs = []
+    if x.is_zero():
+        window = INF if x.prec is INF else -(-x.prec // F.e)
+    else:
+        for i in range(F.e):
+            if (x.v + i) % F.e == 0:
+                m = (x.v + i) // F.e
+                c = F.e * F.trace_w(F.wmul(x.core[i], F.upow(m))) % F.pa
+                if c:
+                    pairs.append((m, c))
+        window = -(-x.window() // F.e)
+    if window < 1:
+        raise PrecisionLoss("additive character needs the element mod P^1")
+    return make_psi(F).digit_exponent(*(pairs[0] if pairs else (0, 0)))
+
+
+@pytest.mark.parametrize("shape", [
+    (11, (), 6),
+    (11, (Unramified(2),), 6),
+    (7, (Unramified(3),), 4),
+    (11, (TameRamified(7, 2),), 12),
+    (11, (Unramified(2), TameRamified(7, ("gen", 1))), 12),
+    (11, (TameRamified(14, 1),), 12),
+])
+def test_exponent_matches_the_trace_digits(shape, random_element):
+    """exponent is the one-slot trace form at 1: the same pairs, and the
+    same PrecisionLoss, as the trace digits it replaced."""
+    F = make_tower(*shape)
+    psi = make_psi(F)
+    rng = random.Random(F.q * F.e)
+    xs = [F.zero()] + [F.zero_bounded(b) for b in range(-3, 4)]
+    for _ in range(400):
+        x = random_element(F, rng, -2 * F.e, 3 * F.e)
+        xs.append(x.cap_window(rng.randrange(x.v - 2, x.v + F.kint + 1)))
+    raised = 0
+    for x in xs:
+        try:
+            ref = _exponent_by_trace_digits(F, x)
+        except PrecisionLoss:
+            raised += 1
+            with pytest.raises(PrecisionLoss):
+                psi.exponent(x)
+        else:
+            assert psi.exponent(x) == ref
+    assert 0 < raised < len(xs)
 
 
 # ------------------------------------------------------- multiplicative side
@@ -379,17 +429,9 @@ def restrict_to_base(chi, base_handle):
     t_F = tame_exponent(chi, E.teichmuller(E.int_to_res(_prime_gen(F.p))),
                         F.p - 1)
     g = chi.gamma_full()
-    if g is None:
+    gamma_F = None if g is None else base_handle.trace(g).cap_window(0)
+    if gamma_F is not None and gamma_F.is_zero():
         gamma_F = None
-    else:
-        pairs, window = E.trace_digits(g)
-        total = F.zero()
-        for m, c in pairs:
-            total = total + F.from_int(c).div_p(-m)
-        gamma_F = total.cap_window(min(0, window)) if window is not INF \
-            else total.cap_window(0)
-        if gamma_F.is_zero():
-            gamma_F = None
     return MulChar(F, w_F, t_F, gamma_F)
 
 

@@ -181,6 +181,31 @@ def test_config_file_mutate_is_a_boolean(tmp_path):
         assert run(["construct", "--config", str(cfgfile)]) == code, word
 
 
+def test_out_of_range_integer_flags_are_configuration_errors(tmp_path, capsys):
+    # each of these used to exit 0 or 1, or to run another value
+    for argv, message in [
+        ("verify --selector 7", "selector must lie in [1, p-1]"),
+        ("verify --selector 0", "selector must lie in [1, p-1]"),
+        ("verify --selector -1", "selector must lie in [1, p-1]"),
+        ("verify --level equ6 --r -1", "r must be at least 1, got -1"),
+        ("verify --level equ6 --r 0", "r must be at least 1, got 0"),
+        ("verify --conductor-bound -3",
+         "conductor_bound must be at least 0, got -3"),
+        ("epsilon --samples -2", "samples must be at least 0, got -2"),
+        ("verify --precision 0", "precision must be at least 2"),
+    ]:
+        command, *flags = argv.split()
+        capsys.readouterr()
+        assert run([command, "--p", "7", "--N", "5", *flags]) == 2, argv
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+    # a config file's value is checked as its flag is
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 7\nN = 5\nconductor_bound = -3\n")
+    assert run(["verify", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: conductor_bound must be at least 0, got -3\n")
+
+
 def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,
                                                           capsys):
     # malformed character specs are configuration errors, not failures

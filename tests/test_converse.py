@@ -12,8 +12,9 @@ from localchar.errors import (ConductorMismatch, ConductorTooSmall,
                               ConfigError, InternalContradiction,
                               RangeViolation, UnsupportedShape)
 from localchar.localfield import TameRamified, Unramified, make_tower
-from localchar.characters import (MulChar, _subfield_handle, is_admissible,
-                                  make_psi, pullback, random_char)
+from localchar.characters import (MulChar, _subfield_handle, char_exponents,
+                                  is_admissible, make_psi, pullback,
+                                  random_char, same_root)
 from localchar import converse, embeddings
 from localchar.ambient import build_ambient, compositum_abstract
 from localchar.converse import (
@@ -82,6 +83,43 @@ def test_twin_pair_even():
     checks = verify_twin_pair(pair)
     assert checks["pass"], checks
     assert pair.tower == [1, 3, 6]
+
+
+def _layer_checks_by_points(pair):
+    """(agree_on_level_two, differ_on_level_one) as verify_twin_pair read
+    them before: one char_exponents call per point 1 + tau(a) pi^j."""
+    E, one = pair.E, pair.E.one()
+
+    def agree(x):
+        return same_root(*char_exponents((pair.phi1, pair.phi2), x))
+
+    deep = True
+    for j in range(2, E.k):
+        for a in range(1, E.q):
+            if not agree(one + E.monomial(a, j)):
+                deep = False
+    differ = any(not agree(one + E.monomial(a, 1)) for a in range(1, E.q))
+    return deep, differ
+
+
+@pytest.mark.parametrize("cfg", [TwinConfig(p=7, N=5),
+                                 TwinConfig(p=11, N=7),
+                                 TwinConfig(p=13, N=6, ell=5)])
+def test_twin_pair_layers_match_the_pointwise_checks(cfg):
+    """theta_row per layer reads what a char_exponents call per point read,
+    on the pair, its level-two mutant and the pair phi2 = phi1."""
+    pair = build_twin_characters(cfg)
+    mutant = TwinPair(pair.cfg, pair.E, pair.phi1,
+                      mutate_on_level_two(pair.phi2), pair.beta,
+                      pair.selector, pair.tower)
+    same = TwinPair(pair.cfg, pair.E, pair.phi1, pair.phi1, pair.beta,
+                    pair.selector, pair.tower)
+    for case, expected in ((pair, (True, True)), (mutant, (False, True)),
+                           (same, (True, False))):
+        checks = verify_twin_pair(case)
+        got = checks["agree_on_level_two"], checks["differ_on_level_one"]
+        assert got == _layer_checks_by_points(case) == expected
+        assert checks["pass"] == (case is pair)
 
 
 def test_conjugacy_on_field_with_automorphisms():
@@ -177,18 +215,20 @@ def test_classify_case_examples():
 
 
 def test_case_one_scan_exhaustive():
-    rep = case_one_scan((5, 6, 7), m_bound=12)
+    rep = case_one_scan((5, 6, 7))
     assert rep["pass"] and rep["instances"] > 50
 
 
 def test_a_exponent_values_and_guards():
-    assert a_exponent(1, 5, 1, 1, 1, s=1, r=1) == 3
+    assert a_exponent(1, 5, 1, 1, 1, r=1) == 3
     with pytest.raises(RangeViolation):
-        a_exponent(1, 5, 1, 1, 1, s=2, r=2)  # 2r < N-1 fails
+        a_exponent(1, 5, 1, 1, 1, r=2)  # 2r < N-1 fails
+    with pytest.raises(RangeViolation):
+        a_exponent(2, 7, 1, 1, 1, r=1)  # i > r
     with pytest.raises(RangeViolation):
         a_exponent(0, 5, 1, 1, 1)
     # mirrored case
-    assert a_exponent(1, 7, 2, 1, 1, s=2, r=2, mirror=True) == 2
+    assert a_exponent(1, 7, 2, 1, 1, r=2, mirror=True) == 2
 
 
 def test_double_cosets_trivial_and_quadratic(pair5):

@@ -315,6 +315,22 @@ def test_oracle_grids_belong_to_their_field(clear_oracle_cache):
     assert "oracle_grids" not in T._caches
 
 
+def test_oracle_grids_keep_one_key_per_field():
+    rng = random.Random(43)
+    T = TowerField(7, (), 12)  # its own caches, not make_tower's field
+    psi = make_psi(T)
+    chi3, chi4 = random_char(T, 3, rng), random_char(T, 4, rng)
+    d2, d3 = T.uniformizer() ** (-2), T.uniformizer() ** (-3)
+    first = oracle_sum(chi3, psi, d2)
+    (key,) = T._caches["oracle_grids"]
+    oracle_sum(chi4, psi, d3)  # a second key evicts the first
+    (second,) = T._caches["oracle_grids"]
+    assert second != key and second[0] == 4
+    # the first key's grid is built again, and gives the same sum
+    assert oracle_sum(chi3, psi, d2) == first
+    assert tuple(T._caches["oracle_grids"]) == (key,)
+
+
 def test_gauss_sum_unit_modulus_exact_and_embedded(E, F):
     rng = random.Random(1)
     for field, psi in ((F, make_psi(F)), (E, make_psi(E))):

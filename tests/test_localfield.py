@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import localchar
+from localchar.characters import make_psi
 from localchar.errors import (
     ConfigError,
     DivisionByZero,
@@ -106,6 +107,21 @@ def test_teichmuller_memo_matches_direct_lift():
         (67, (Unramified(2),), 4, 60),
     ]:
         _check_teichmuller_lifts(p, steps, k, count)
+
+
+def test_dlog_res_takes_int_to_res_codes():
+    for p, steps, k in [(11, (), 6), (11, (Unramified(2),), 6),
+                        (7, (Unramified(3),), 4),
+                        # q = 4489 > 4096: the baby-step giant-step path
+                        (67, (Unramified(2),), 4)]:
+        T = make_tower(p, steps, k)
+        codes = range(1, T.q) if T.q < 500 else random.Random(p).sample(
+            range(1, T.q), 200)
+        for n in codes:
+            assert T.dlog_res(n) == T.dlog_res(T.int_to_res(n)), (T, n)
+        for n in (0, T.q):
+            with pytest.raises(DivisionByZero):
+                T.dlog_res(n)
 
 
 def _check_teichmuller_lifts(p, steps, k, count):
@@ -546,17 +562,16 @@ def test_division_by_integers_exact(E):
 
 
 def test_trace_digits_level(E, F):
-    # tr(pi^i) vanishes for 5 not dividing i, and tr(1) = 5
-    pairs, w = E.trace_digits(E.one())
-    assert pairs == [(0, 5)] and w >= 1
-    pairs, _ = E.trace_digits(E.uniformizer())
-    assert pairs == []
-    pairs, _ = E.trace_digits(E.uniformizer() ** -5)
-    assert len(pairs) == 1 and pairs[0][0] == -1
+    # psi(x) = zeta^tr(x): tr(pi^i) vanishes for 5 not dividing i, and
+    # tr(1) = 5, read at the digit p^0
+    psi = make_psi(E)
+    assert psi.exponent(E.one()) == (5, 7)
+    assert psi.exponent(E.uniformizer()) == (0, 7)
+    # tr(pi^-5) = tr(U^-1 / p) = 5 / p: one digit, at p^-1
+    assert psi.exponent(E.uniformizer() ** -5) == (5, 49)
     # tr(1) for residue degree 2: 2 Frobenius conjugates
     L = make_tower(11, [Unramified(2)], 8)
-    pairs, _ = L.trace_digits(L.one())
-    assert pairs == [(0, 2)]
+    assert make_psi(L).exponent(L.one()) == (2, 11)
 
 
 def test_serialization_roundtrip(E, random_element):
