@@ -146,25 +146,18 @@ def build_twin_characters(cfg: TwinConfig) -> TwinPair:
             raise InternalContradiction("inner pullback parameter mismatch")
         base_gamma = beta + E.uniformizer() ** (-cfg.ell)
         tower = [1, N // 2, N]
-    d1 = 0
-    phi1 = MulChar(E, None, 0, _with_level_one(E, base_gamma, d1))
+    phi1 = MulChar(E, None, 0, base_gamma)
     dsel = cfg.selector
     if dsel is None:
         for d in range(1, E.q):
-            cand = MulChar(E, None, 0, _with_level_one(E, base_gamma, d))
+            cand = MulChar(E, None, 0, base_gamma + E.monomial(d, -1))
             if not is_conjugate(phi1, cand):
                 dsel = d
                 break
         if dsel is None:
             raise InternalContradiction("no non-conjugate level-one twist found")
-    phi2 = MulChar(E, None, 0, _with_level_one(E, base_gamma, dsel))
+    phi2 = MulChar(E, None, 0, base_gamma + E.monomial(dsel, -1))
     return TwinPair(cfg, E, phi1, phi2, beta, dsel, tower)
-
-
-def _with_level_one(E: TowerField, gamma, d: int):
-    if d == 0:
-        return gamma
-    return gamma + E.monomial(d, -1)
 
 
 def verify_twin_pair(pair: TwinPair) -> dict:

@@ -220,19 +220,15 @@ def epsilon_oracle_consistency(chars, psi: AddChar, oracle_fn):
             "reference": {"closed_form": m0.serialize(), "oracle": o0.serialize()},
             "ratio": ratio_c,
         })
-    keys = sorted(classes)
-    for key in keys:
+    for key in sorted(classes):
         key2 = (key[0], key[1], key[2] + 2, key[3])
         if key2 in classes:
             m1, o1 = classes[key][0]
             m2, o2 = classes[key2][0]
             # ratio_{c+2} = ratio_c * q^{shift/2} for some even shift
-            shift = None
-            for cand in (2, 0, -2, 4, -4):
-                lhs = m1 * o2 * ScaledCyc(CycNumber.one(), cand, m1.q)
-                if lhs == m2 * o1:
-                    shift = cand
-                    break
+            shift = next((s for s in (2, 0, -2, 4, -4)
+                          if m1 * o2 * ScaledCyc(CycNumber.one(), s, m1.q)
+                          == m2 * o1), None)
             if shift is None:
                 raise InternalContradiction(
                     f"no q-power relates classes {key} and {key2}")

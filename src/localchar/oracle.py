@@ -4,24 +4,24 @@ oracle_sum(theta, psi, delta) = q^{-c/2} * sum over u in (O/P^c)^x of
 theta^{-1}(u delta) psi(u delta), the complete sum with q^{c-1}(q-1) terms,
 computed exactly.
 
-On prime-residue fields with convergent exp/log the sum is evaluated by a
-vectorized kernel.  A unit is t_j prod_i (1 + a_i pi^i), t_j = xi^j a
-Teichmuller lift, in mixed radix with low levels fastest; a block fixes the
-high digits.  The psi side is a _Grid: per block one row of psi exponents
-and the multipliers t_j.  The theta side is an outer sum of per-level digit
-tables psi(-gamma log(1 + a pi^i)) (log is additive over the digit factors;
-AddChar.log_row dots -gamma with the memoized trace forms of the field's
-logs) plus one offset per block.  When the (psi, theta) key space is no
-larger than a block, each block gives one joint histogram of keys formed in
-the narrowest type that holds them, rolled by its offset, and each row j is
-the summed table's rows shifted by t_j a; otherwise each row is one
-bincount of the keys.  The rows form one (q-1) x p^s count table, which one
-CycNumber.from_counts reduces as it stands.  All arithmetic is modulo
-powers of p; grid rows and digit sums work in the narrowest unsigned type
-that holds a sum of two residues, and x mod m is one fold min(x, x - m),
-which unsigned wrap-around makes exact for x < 2m.  Only the psi side is
-cached, in the field's own caches under (conductor, delta), one grid per
-field: a new key evicts the last.
+On prime-residue fields with convergent exp/log a vectorized kernel sums.
+A unit is t_j prod_i (1 + a_i pi^i), t_j = xi^j a Teichmuller lift, in
+mixed radix with low levels fastest; a block fixes the high digits.  The
+psi side is a _Grid: per block one row of psi exponents and the t_j.  The
+theta side is an outer sum of per-level digit tables psi(-gamma log(1 + a
+pi^i)) (log is additive over the digit factors; AddChar.log_row dots
+-gamma with the field's memoized log trace forms) plus one offset per block.
+When the (psi, theta) key space is no larger than a block, each block's
+joint histogram, rolled by its offset, is counted a slice of _SLICE units
+at a time, keys formed in the narrowest type that holds them: the slice,
+not the block, bounds the key copy and bincount's intp cast; row j is the
+summed table's rows shifted by t_j a.  Otherwise each row is one bincount
+of the keys.  The rows form one (q-1) x p^s count table, which one
+CycNumber.from_counts reduces.  All arithmetic is modulo powers of p; grid
+rows and digit sums work in the narrowest unsigned type that holds a sum
+of two residues, and x mod m is one fold min(x, x - m), exact by unsigned
+wrap-around for x < 2m.  Only the psi side is cached, in the field's own
+caches under (conductor, delta), one grid per field: a new key evicts it.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from .characters import AddChar, MulChar, _add_exponents, char_exponents
 from .localfield import TowerField
 
 _SLOW_BUDGET = 500_000
-# units per block: bounds each block's key copy (narrow when dense, int64
-# when sparse) and bincount's intp cast of it
+# units per block: bounds the sparse path's int64 key copy and bincount's
+# intp cast of it; the dense path counts keys a slice of _SLICE units at a
+# time, so there the slice, not the block, bounds both
 _CHUNK = 1 << 20
+_SLICE = 1 << 16
 # bytes of the (q-1) x p^s int64 count table, checked before it is allocated
 _TABLE_BYTES = 2 << 30
 
@@ -161,6 +163,23 @@ def _digit_sums(t1, lo, hi, ps):
     return out
 
 
+def _dense_joint(blocks, offs, tlow, psw, ps):
+    """psw x ps joint (psi, theta) histogram: keys pexp ps + tlow, counted a
+    slice of max(_SLICE, psw ps) units at a time (never fewer units than the
+    table has entries), each block's count rolled by its theta offset."""
+    n = psw * ps
+    step, width = max(_SLICE, n), np.min_scalar_type(n - 1)
+    joint = np.zeros((psw, ps), dtype=np.int64)
+    for off, pexp in zip(offs, blocks):
+        table = np.zeros(n, dtype=np.int64)
+        for lo in range(0, len(tlow), step):
+            keys = np.multiply(pexp[lo:lo + step], ps, dtype=width)
+            keys += tlow[lo:lo + step]
+            table += np.bincount(keys, minlength=n)
+        joint += np.roll(table.reshape(psw, ps), off, axis=1)
+    return joint
+
+
 def _fast_sum(chi, psi, delta, c):
     F = chi.field
     p, q = F.p, F.q
@@ -188,24 +207,19 @@ def _fast_sum(chi, psi, delta, c):
     # theta^-1(t_j) = zeta_{q-1}^r: row r counts zeta_ps exponents
     rows = [(-chi.t * j) % (q - 1) for j in range(q - 1)]
     hists = np.zeros((q - 1, ps), dtype=np.int64)
-    dense, joint = psw * ps <= len(tlow), 0
-    for off, pexp in zip(_digit_sums(t1, grid.k + 1, c, ps), grid.blocks):
-        if dense:  # one joint histogram of keys pexp ps + tlow < psw ps
-            keys = pexp.astype(np.min_scalar_type(psw * ps - 1))
-            keys *= ps
-            keys += tlow
-            table = np.bincount(keys, minlength=psw * ps)
-            joint = joint + np.roll(table.reshape(psw, ps), off, axis=1)
-            continue
-        pexp = pexp.astype(np.int64)  # a narrow row overflows in products
-        texp = _fold(tlow + off, ps)
-        for r, t in zip(rows, mult):
-            hists[r] += np.bincount((t * pexp % psw * scale_w + texp) % ps,
-                                    minlength=ps)
-    if dense:  # row j moves psi exponent a to t_j a: table row a shifts
+    offs = _digit_sums(t1, grid.k + 1, c, ps)
+    if psw * ps <= len(tlow):  # row j moves psi exponent a to t_j a
+        joint = _dense_joint(grid.blocks, offs, tlow, psw, ps)
         a = np.arange(psw)[:, None]
         for r, t in zip(rows, mult):
             cols = (np.arange(ps) - t * a % psw * scale_w) % ps
             hists[r] += np.take_along_axis(joint, cols, 1).sum(0)
+    else:  # one bincount per Teichmuller row and block
+        for off, pexp in zip(offs, grid.blocks):
+            pexp = pexp.astype(np.int64)  # a narrow row overflows in products
+            texp = _fold(tlow + off, ps)
+            for r, t in zip(rows, mult):
+                hists[r] += np.bincount(
+                    (t * pexp % psw * scale_w + texp) % ps, minlength=ps)
     z, m = char_exponents((chi,), delta)[0]
     return CycNumber.root(m, -z) * CycNumber.from_counts((q - 1) * ps, hists)

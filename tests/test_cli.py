@@ -114,6 +114,35 @@ def test_search_bound_zero_returns_none(tmp_path):
     assert rep["results"][0]["search"]["found"] is None
 
 
+def test_epsilon_scan_needs_a_conductor_bound_of_two(tmp_path, capsys):
+    # the scan runs conductors 2..bound: 0 used to run 2..5, and 1 passed
+    # with no class at all
+    for bound in ("0", "1"):
+        capsys.readouterr()
+        assert run(["epsilon", "--p", "7", "--samples", "1",
+                    "--conductor-bound", bound]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: conductor_bound must be at least 2, "
+            f"got {bound}\n")
+    out = tmp_path / "e.json"
+    for flags, conductors in ((["--conductor-bound", "2"], [2]),
+                              ([], [2, 3, 4, 5])):  # unset: the bound is 5
+        assert run(["epsilon", "--p", "7", "--samples", "1", *flags,
+                    "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())["results"][0]["consistency"]
+        assert [c["conductor"] for c in rep["classes"]] == conductors
+
+
+@pytest.mark.parametrize("command", ["epsilon", "factorize"])
+def test_precision_below_two_is_a_configuration_error(command, capsys):
+    # --precision 0 used to run at the default k = 12 and echo 0
+    for k in ("0", "1"):
+        capsys.readouterr()
+        assert run([command, "--p", "7", "--precision", k]) == 2, k
+        assert capsys.readouterr().err == (
+            "configuration error: precision k must be >= 2\n")
+
+
 def test_unsupported_shape_is_a_configuration_error(capsys):
     # ell = 5 at p = 11, N = 6 gives two double cosets: no compositum
     assert run(["search", "--p", "11", "--N", "6", "--ell", "5",

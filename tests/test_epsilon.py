@@ -568,6 +568,81 @@ def test_oracle_grid_build_memory_per_unit():
     assert peak <= 40 * T.q ** 5
 
 
+def _block_wide_joint(blocks, offs, tlow, psw, ps):
+    """The dense loop with one key copy and one bincount per whole block,
+    each block's table rolled by its theta offset."""
+    joint = 0
+    for off, pexp in zip(offs, blocks):
+        keys = pexp.astype(np.min_scalar_type(psw * ps - 1))
+        keys *= ps
+        keys += tlow
+        table = np.bincount(keys, minlength=psw * ps)
+        joint = joint + np.roll(table.reshape(psw, ps), off, axis=1)
+    return joint
+
+
+@pytest.mark.parametrize("c, chunk, slices", [
+    # one block of 16,807 units: four slices of 4,096 and one of 423
+    pytest.param(6, None, 5, id="E-c6"),
+    # 7 blocks of 49 units with nonzero theta offsets, one slice each
+    pytest.param(4, 49, 1, id="E-c4-blocks"),
+    # 7 blocks of 16,807 units, five slices each
+    pytest.param(7, 7 ** 5, 5, id="E-c7-blocks"),
+])
+def test_oracle_sliced_dense_kernel_matches_the_block_wide_loop(
+        E, c, chunk, slices, monkeypatch, clear_oracle_cache):
+    import localchar.oracle as om
+    monkeypatch.setattr(om, "_SLICE", 4096)
+    if chunk:
+        monkeypatch.setattr(om, "_CHUNK", chunk)
+    bincount, dense_joint, calls = np.bincount, om._dense_joint, []
+
+    def spy(blocks, offs, tlow, psw, ps):
+        sizes = []
+        with monkeypatch.context() as m:
+            m.setattr(np, "bincount", lambda keys, minlength: (
+                sizes.append(len(keys)) or bincount(keys, minlength=minlength)))
+            got = dense_joint(blocks, offs, tlow, psw, ps)
+        calls.append((got, _block_wide_joint(blocks, offs, tlow, psw, ps),
+                      sizes, len(blocks), len(tlow), psw * ps, offs))
+        return got
+
+    monkeypatch.setattr(om, "_dense_joint", spy)
+    chi = random_char(E, c, random.Random(7))
+    clear_oracle_cache(E)
+    try:
+        oracle_sum(chi, psi=make_psi(E), delta=E.uniformizer() ** (1 - c))
+    finally:
+        clear_oracle_cache(E)
+    (got, ref, sizes, blocks, units, table, offs), = calls
+    assert got.dtype == np.int64 and np.array_equal(got, ref)
+    assert blocks == (7 if chunk else 1) and units == (chunk or E.q ** (c - 1))
+    assert (offs != 0).any() == bool(chunk)
+    # slices of max(_SLICE, psw ps) units, never fewer than the count table
+    # has entries; only the last of a block is shorter
+    step = max(4096, table)
+    assert len(sizes) == blocks * slices
+    assert sizes == blocks * ([step] * (units // step) + [units % step] *
+                              (units % step > 0))
+
+
+def test_oracle_dense_kernel_memory_per_unit():
+    """Keys are counted a slice at a time: a warm E, c = 8 sum (q^7 units in
+    one block) traces at most 3 bytes a unit, where a block-wide narrow key
+    copy and bincount's intp cast of it traced 11."""
+    T = TowerField(7, (TameRamified(5, 1),), 12)
+    psi, delta = make_psi(T), T.uniformizer() ** (-7)
+    chi = random_char(T, 8, random.Random(8))
+    oracle_sum(chi, psi, delta)  # build the grid and fill the field's caches
+    tracemalloc.start()
+    try:
+        oracle_sum(chi, psi, delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * T.q ** 7
+
+
 def test_oracle_rejects_a_teichmuller_lift_outside_z_p(monkeypatch):
     """The grid keeps one psi row and multiplies it by t_j mod psw; a
     lift t_j + pi is not in Z_p, so psi is not t_j-linear on it."""
