@@ -122,7 +122,7 @@ def test_epsilon_scan_needs_a_conductor_bound_of_two(tmp_path, capsys):
         assert run(["epsilon", "--p", "7", "--samples", "1",
                     "--conductor-bound", bound]) == 2
         assert capsys.readouterr().err == (
-            f"configuration error: conductor_bound must be at least 2, "
+            "configuration error: conductor_bound must be at least 2, "
             f"got {bound}\n")
     out = tmp_path / "e.json"
     for flags, conductors in ((["--conductor-bound", "2"], [2]),
