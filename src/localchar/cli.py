@@ -14,6 +14,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 
 from .errors import (CapacityError, ConfigError, LocalCharError, PrecisionLoss,
                      UnsupportedShape)
@@ -154,9 +155,7 @@ def _build_pair(cfg) -> TwinPair:
     tc = _twin_config(cfg)
     pair = build_twin_characters(tc)
     if cfg.get("mutate"):
-        pair = TwinPair(pair.cfg, pair.E, pair.phi1,
-                        mutate_on_level_two(pair.phi2), pair.beta,
-                        pair.selector, pair.tower)
+        pair = replace(pair, phi2=mutate_on_level_two(pair.phi2))
     return pair
 
 
@@ -251,10 +250,13 @@ def cmd_construct(cfg):
 
 
 def cmd_verify(cfg):
-    pair = _build_pair(cfg)
     bound = cfg.get("conductor_bound")
     bound = 3 if bound is None else bound
     level = cfg.get("level") or "r1"
+    if level != "r1" and bound < 1:  # no twisting pair lies below bound 1
+        raise ConfigError(f"conductor_bound must be at least 1 for level "
+                          f"{level}, got {bound}")
+    pair = _build_pair(cfg)
     results = []
     verdict = True
     if level in ("r1", "all"):

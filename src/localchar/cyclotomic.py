@@ -19,8 +19,6 @@ import math
 from functools import lru_cache
 from operator import add, neg
 
-import mpmath
-
 from .errors import CapacityError, NotInvertible
 
 _MAX_MODULUS = 10**9  # lifting beyond this is almost certainly a bug
@@ -47,6 +45,16 @@ def _factorize(m: int):
     if n > 1:
         out.append((n, 1, n, n - 1))
     return tuple(out)
+
+
+def _vp(n: int, p: int):
+    """(v, n / p^v) for a nonzero integer n and p > 1, v the largest with
+    p^v | n (v_p(n) for a prime p)."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 @lru_cache(maxsize=None)
@@ -295,28 +303,6 @@ class CycNumber:
             pairs.append((k, c))
         return sorted(pairs)
 
-    def embed(self, precision_bits: int = 64):
-        """Complex value at the principal root, with a rigorous error bound.
-
-        Returns (mpmath.mpc value, float error bound).
-        """
-        if precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        with mpmath.workprec(precision_bits + 16):
-            total = mpmath.mpc(0)
-            size = 0
-            m = self.modulus
-            for k, c in self.to_pairs():
-                total += c * mpmath.e ** (2j * mpmath.pi * k / m)
-                size += abs(c)
-            # each term exact to ~2^-(prec+12) relative; crude global bound
-            err = float((size + 1) * mpmath.mpf(2) ** (-(precision_bits + 4)))
-            return mpmath.mpc(total), err
-
-    def approx(self) -> complex:
-        v, _ = self.embed(64)
-        return complex(v)
-
     def __repr__(self):
         pairs = self.to_pairs()
         if not pairs:
@@ -409,10 +395,7 @@ class ScaledCyc:
         c = nn.as_int()
         if c is None or c <= 0:
             raise NotInvertible("numerator modulus squared is not a q-power")
-        m = 0
-        while c >= self.q > 1 and c % self.q == 0:
-            c //= self.q
-            m += 1
+        m, c = _vp(c, self.q) if self.q > 1 else (0, c)
         if c != 1:
             raise NotInvertible("numerator modulus squared is not a q-power")
         return ScaledCyc(self.num.conj(), -self.qhalf - 2 * m, self.q)
@@ -420,15 +403,17 @@ class ScaledCyc:
     def __truediv__(self, other: "ScaledCyc") -> "ScaledCyc":
         return self * other.invert()
 
-    def embed(self, precision_bits: int = 64):
-        v, err = self.num.embed(precision_bits)
-        with mpmath.workprec(precision_bits + 16):
-            s = mpmath.mpf(self.q) ** (mpmath.mpf(self.qhalf) / 2)
-            return v * s, float(err * s + abs(v) * s * mpmath.mpf(2) ** (-precision_bits))
-
     def approx(self) -> complex:
-        v, _ = self.embed(64)
-        return complex(v)
+        """The complex value at the principal root zeta_M = e^(2 pi i / M),
+        at 80 bits; only reports render it, so mpmath is imported here."""
+        import mpmath
+        with mpmath.workprec(80):
+            total = mpmath.mpc(0)
+            m = self.num.modulus
+            for k, c in self.num.to_pairs():
+                total += c * mpmath.e ** (2j * mpmath.pi * k / m)
+            scale = mpmath.mpf(self.q) ** (mpmath.mpf(self.qhalf) / 2)
+            return complex(total * scale)
 
     def serialize(self) -> dict:
         v = self.approx()

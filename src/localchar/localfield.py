@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .cyclotomic import _factorize
+from .cyclotomic import _factorize, _vp
 from .errors import (
     ConfigError,
     DivisionByZero,
@@ -110,15 +110,6 @@ def _primitive_poly(p: int, f: int):
 def _prime_gen(p: int) -> int:
     """The least primitive root mod p, the root of _primitive_poly(p, 1)."""
     return (p - _primitive_poly(p, 1)[0]) % p
-
-
-def _vp(n: int, p: int):
-    """(v, n / p^v) for a nonzero integer n, v = v_p(n)."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
 
 
 def _newton(step, y, n):

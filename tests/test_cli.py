@@ -114,6 +114,27 @@ def test_search_bound_zero_returns_none(tmp_path):
     assert rep["results"][0]["search"]["found"] is None
 
 
+def test_coset_levels_need_a_conductor_bound_of_one(tmp_path, capsys):
+    # iter_twist_pairs yields nothing below bound 1: equ6 used to pass with
+    # no instance at bound 0
+    for level in ("equ6", "all"):
+        capsys.readouterr()
+        assert run(["verify", "--p", "7", "--N", "5", "--level", level,
+                    "--r", "2", "--conductor-bound", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: conductor_bound must be at least 1 for "
+            f"level {level}, got 0\n")
+    out = tmp_path / "v.json"
+    assert run(["verify", "--p", "7", "--N", "5", "--level", "r1",
+                "--conductor-bound", "0", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["results"][0]["rank_one"]
+    assert rep["pass"] and rep["twists"] > 0
+    assert run(["verify", "--p", "7", "--N", "5", "--level", "equ6",
+                "--r", "2", "--conductor-bound", "1", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["results"][0]["coset_products"]
+    assert rep["all_pass"] and rep["instances"] > 0
+
+
 def test_epsilon_scan_needs_a_conductor_bound_of_two(tmp_path, capsys):
     # the scan runs conductors 2..bound: 0 used to run 2..5, and 1 passed
     # with no class at all
@@ -257,12 +278,15 @@ def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,
     assert capsys.readouterr().err == "internal error: RuntimeError: unexpected\n"
 
 
-@pytest.mark.parametrize("module", ["localchar.cli", "localchar.converse"])
+@pytest.mark.parametrize("module", ["localchar.cli", "localchar.converse",
+                                    "localchar.epsilon"])
 def test_import_leaves_numpy_unloaded(module):
-    # only the oracle needs numpy; cmd_epsilon and cmd_selftest import it
+    # only the oracle needs numpy; cmd_epsilon and cmd_selftest import it.
+    # Only a rendered complex value needs mpmath; ScaledCyc.approx imports it
     src = str(Path(localchar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    code = (f"import sys, {module}; "
+            "print('numpy' in sys.modules, 'mpmath' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 
 import mpmath
@@ -70,9 +71,9 @@ def test_ring_axioms(a, b, c):
 @given(cyc_numbers())
 def test_conj_is_involutive_and_norm_nonnegative(a):
     assert a.conj().conj() == a
-    v, err = (a * a.conj()).embed(96)
-    assert abs(v.imag) <= 1e-12 + err
-    assert v.real >= -(1e-12 + err)
+    v = ScaledCyc(a * a.conj()).approx()
+    assert abs(v.imag) <= 1e-12
+    assert v.real >= -1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -94,8 +95,8 @@ def test_canonicity_thousand_randoms():
 
 
 def test_embed_root_values():
-    v, err = CycNumber.root(4, 1).embed(64)
-    assert abs(complex(v) - 1j) < 1e-15 + err
+    v = ScaledCyc(CycNumber.root(4, 1)).approx()
+    assert abs(v - 1j) < 1e-15
 
 
 def _legendre(a, p):
@@ -117,14 +118,14 @@ def test_quadratic_gauss_sum_squares_to_minus_seven():
 
 def test_embed_quadratic_gauss_sum_modulus():
     g = quadratic_gauss_sum(7)
-    v, err = ScaledCyc(g, 0, 7).embed(96)
-    assert abs(abs(v) - 7 ** 0.5) < 1e-9 + err
+    v = ScaledCyc(g, 0, 7).approx()
+    assert abs(abs(v) - 7 ** 0.5) < 1e-9
 
 
 def test_scaledcyc_plain_power_of_q():
     one = ScaledCyc(CycNumber.one(), 2, 7)
-    v, err = one.embed(64)
-    assert abs(v - 7.0) < 1e-12 + err
+    v = one.approx()
+    assert abs(v - 7.0) < 1e-12
 
 
 def test_scaledcyc_q_power_folding_equality():
@@ -164,6 +165,43 @@ def test_scaledcyc_mismatched_parity_equality_needs_no_floats(monkeypatch):
     g = quadratic_gauss_sum(7)
     assert ScaledCyc(g, -1, 7) == ScaledCyc(CycNumber.root(4, 1), 0, 7)
     assert not ScaledCyc(g, 1, 7) == ScaledCyc(CycNumber.root(4, 3), 2, 7)
+
+
+def _rendered_by_embedding(x):
+    """serialize()'s "complex" strings as CycNumber.embed(64) and
+    ScaledCyc.embed(64) computed them: the root sum, then its scaling by
+    q^(qhalf/2), each at 64 + 16 bits."""
+    with mpmath.workprec(80):
+        total = mpmath.mpc(0)
+        for k, c in x.num.to_pairs():
+            total += c * mpmath.e ** (2j * mpmath.pi * k / x.num.modulus)
+        v = mpmath.mpc(total)
+    with mpmath.workprec(80):
+        v = complex(v * mpmath.mpf(x.q) ** (mpmath.mpf(x.qhalf) / 2))
+    return [f"{v.real:.15g}", f"{v.imag:.15g}"]
+
+
+def test_serialize_renders_as_the_embedding_did():
+    rng = random.Random(25)
+    g7 = quadratic_gauss_sum(7)
+    values = [ScaledCyc(CycNumber.zero(12), 3, 7), ScaledCyc(CycNumber.zero()),
+              ScaledCyc.one(), ScaledCyc(g7, -1, 7), ScaledCyc(g7, 2, 49)]
+    values += [ScaledCyc(CycNumber.root(m, k), qhalf, q)
+               for m in (1, 4, 7, 9, 20) for k in (0, 1, m // 2)
+               for qhalf in (-3, 0, 1) for q in (1, 7, 121)]
+    for _ in range(400):
+        m = rng.choice([1, 3, 4, 8, 12, 15, 28, 49])
+        num = CycNumber.from_root_sum(m, [(rng.randrange(m), rng.randint(-5, 5))
+                                          for _ in range(rng.randint(0, 6))])
+        values.append(ScaledCyc(num, rng.randint(-6, 6),
+                                rng.choice([1, 7, 11, 49, 343])))
+    assert {x.qhalf % 2 for x in values} == {0, 1}
+    for x in values:
+        expected = {"modulus": x.num.modulus,
+                    "coeffs": [[k, c] for k, c in x.num.to_pairs()],
+                    "qhalf": x.qhalf, "q": x.q,
+                    "complex": _rendered_by_embedding(x)}
+        assert json.dumps(x.serialize()) == json.dumps(expected)
 
 
 def test_scaledcyc_inversion_requires_unit_modulus():
@@ -269,7 +307,8 @@ def test_cached_roots_match_the_uncached_expansion(data):
         uncached = dict(_root_key_terms.__wrapped__(m, k % m))
         root = CycNumber.root(m, k)
         assert root.terms == uncached
-        assert abs(root.approx() - cmath.exp(2j * cmath.pi * k / m)) < 1e-9
+        assert abs(ScaledCyc(root).approx()
+                   - cmath.exp(2j * cmath.pi * k / m)) < 1e-9
     total = CycNumber.zero(m)
     for k, c in items:
         total = total + CycNumber(m, dict(_root_key_terms.__wrapped__(
