@@ -52,7 +52,7 @@ def _parser():
     ap.add_argument("--seed", type=int)
     ap.add_argument("--out", help="write the JSON report here")
     ap.add_argument("--level", choices=["r1", "equ6", "all"])
-    ap.add_argument("--r", type=int, help="twisting degree for verify equ6")
+    ap.add_argument("--r", type=int, help="twisting degree for verify equ6 and search")
     ap.add_argument("--selector", type=int)
     ap.add_argument("--mutate", action="store_true", default=None,
                     help="perturb the second twin on 1 + P^2 (negative test)")
@@ -95,7 +95,7 @@ _DEFAULTS = {"seed": 0, "level": "r1", "char_field": "F", "char_w": 0,
              "oracle_budget": 300_000_000, "mutate": False}
 
 # the least value of an integer option, checked for flags and file values
-_MINIMA = {"r": 1, "conductor_bound": 0, "samples": 0}
+_MINIMA = {"r": 1, "conductor_bound": 0, "samples": 0, "oracle_budget": 1}
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
@@ -137,6 +137,8 @@ def _merge(args) -> dict:
     for key, low in _MINIMA.items():
         if cfg[key] is not None and cfg[key] < low:
             raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    if cfg["r"] is not None and cfg["N"] is not None and cfg["r"] >= cfg["N"]:
+        raise ConfigError(f"r must be less than N = {cfg['N']}, got {cfg['r']}")
     return cfg
 
 

@@ -242,6 +242,8 @@ def test_out_of_range_integer_flags_are_configuration_errors(tmp_path, capsys):
         ("verify --conductor-bound -3",
          "conductor_bound must be at least 0, got -3"),
         ("epsilon --samples -2", "samples must be at least 0, got -2"),
+        ("epsilon --samples 1 --oracle-budget -5",
+         "oracle_budget must be at least 1, got -5"),
         ("verify --precision 0", "precision must be at least 2"),
     ]:
         command, *flags = argv.split()
@@ -254,6 +256,38 @@ def test_out_of_range_integer_flags_are_configuration_errors(tmp_path, capsys):
     assert run(["verify", "--config", str(cfgfile)]) == 2
     assert capsys.readouterr().err == (
         "configuration error: conductor_bound must be at least 0, got -3\n")
+
+
+def _no_pair(cfg):
+    # r >= N is refused before the pair is built: search --r 9 at N = 5 used
+    # to go on to take a dlog of each of the 7^9 - 1 residues of unram(9)
+    pytest.fail("a twisting degree of N or more reached the pair build")
+
+
+def test_twisting_degree_of_n_or_more_is_a_configuration_error(monkeypatch,
+                                                               capsys):
+    # the theorem twists by GL_r with r < N
+    monkeypatch.setattr(cli, "_build_pair", _no_pair)
+    for argv in ("search --r 9 --conductor-bound 2",
+                 "search --r 5", "verify --level equ6 --r 5"):
+        command, *flags = argv.split()
+        capsys.readouterr()
+        r = flags[flags.index("--r") + 1]
+        assert run([command, "--p", "7", "--N", "5", "--precision", "12",
+                    *flags]) == 2, argv
+        assert capsys.readouterr().err == (
+            f"configuration error: r must be less than N = 5, got {r}\n")
+
+
+def test_config_file_twisting_degree_must_be_below_n(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(cli, "_build_pair", _no_pair)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 7\nN = 5\nprecision = 12\nr = 9\n")
+    capsys.readouterr()
+    assert run(["search", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: r must be less than N = 5, got 9\n")
 
 
 def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,

@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,14 +14,15 @@ from localchar.errors import (ConductorMismatch, ConductorTooSmall,
                               RangeViolation, UnsupportedShape)
 from localchar.localfield import TameRamified, Unramified, make_tower
 from localchar.characters import (MulChar, _subfield_handle, char_exponents,
-                                  is_admissible, make_psi, pullback,
-                                  random_char, same_root)
+                                  is_admissible, make_psi, pullback, pullbacks,
+                                  random_char, same_root, truncate_to)
 from localchar import converse, embeddings
 from localchar.ambient import build_ambient, compositum_abstract
 from localchar.converse import (
     TwinConfig,
     TwinPair,
     _context_for,
+    _twisted_conductor,
     _gamma_key,
     _inverse_symmetric,
     a_exponent,
@@ -40,7 +42,7 @@ from localchar.converse import (
 )
 from localchar.embeddings import Subfield, automorphisms, identity_embedding
 from localchar.localfield import TowerElement
-from localchar.epsilon import epsilon_factors
+from localchar.epsilon import epsilon_factors, gauss_sum
 from localchar.reporting import canonical_json
 
 
@@ -311,16 +313,82 @@ def test_coset_products_r2_samples_both_cases(pair7):
     assert "beta" in cases
 
 
+def _deep_checks(pair, tw):
+    """Per-instance invariants beyond verify_coset_products: conductor
+    formula, c-data agreement, the middle-layer agreement criterion and, for
+    odd conductors, exact Gauss-sum equality."""
+    N = pair.cfg.N
+    ctx = _context_for(pair.E, N, tw)
+    K = ctx["K"]
+    lamK = pullback(tw.lam, K, ctx["iL"])
+    th1, th2 = (phK.mul(lamK) for phK in
+                pullbacks((pair.phi1, pair.phi2), K, ctx["iE"]))
+    e = K.e // N
+    f_pred = _twisted_conductor(N, tw)
+    out = {"conductor_formula":
+           th1.conductor() == th2.conductor() == f_pred}
+    x = pair.beta_in(K, ctx["iE"])
+    if tw.alpha is not None:
+        x = x + ctx["iL"].apply(tw.alpha)
+    cx = truncate_to(x, 1 - (f_pred + 1) // 2)
+    out["c_data_agreement"] = bool(
+        (th1.c_rep() - cx).is_zero() and (th2.c_rep() - cx).is_zero())
+    n = (f_pred - 1) // 2
+    ok_layer = True
+    for j in range(n, min(n + e + 2, K.k)):
+        for a in range(1, min(K.q, 30)):
+            u = K.one() + K.monomial(a, j)
+            if not same_root(*char_exponents((pair.phi1, pair.phi2),
+                                             ctx["handleE"].norm(u))):
+                ok_layer = False
+    out["middle_layer_agreement"] = ok_layer
+    if f_pred % 2 == 1:
+        psiK = make_psi(K)
+        g1 = gauss_sum(th1, psiK, c_rep=cx)
+        g2 = gauss_sum(th2, psiK, c_rep=cx)
+        out["gauss_sums_equal"] = bool(g1.num == g2.num)
+    return out
+
+
 def test_coset_products_deep_invariants(pair7):
     pairs, _ = enumerate_twist_pairs(11, 2, 3, 16)
     picks = [next(tw for tw in pairs if tw.shape.startswith("ram") and tw.m == 1),
              next(tw for tw in pairs if tw.shape.startswith("unram") and tw.m == 2)]
     for tw in picks:
-        rep = verify_coset_products(pair7, tw, deep=True)
-        assert rep.verdict
-        assert rep.extra["conductor_formula"]
-        assert rep.extra["c_data_agreement"]
-        assert rep.extra["middle_layer_agreement"]
+        assert verify_coset_products(pair7, tw).verdict
+        checks = _deep_checks(pair7, tw)
+        keys = {"conductor_formula", "c_data_agreement",
+                "middle_layer_agreement"}
+        if _twisted_conductor(7, tw) % 2 == 1:
+            keys.add("gauss_sums_equal")
+        assert set(checks) == keys, tw.label()
+        assert all(checks.values()), (tw.label(), checks)
+
+
+def test_every_twisting_pair_is_certified(pair5, pair7):
+    # search_distinguisher's proof: n = (f - 1) // 2 >= e (N - 1), so
+    # ceil(n/e) >= N - 1 >= 2, with e = e_K/N and K.e = lcm(N, e_L)
+    for N in (5, 6, 7):
+        for r in range(1, N):
+            for e_L in (d for d in range(1, r + 1) if r % d == 0):
+                e = math.lcm(N, e_L) // N
+                for m in range(13):
+                    tw = SimpleNamespace(L=SimpleNamespace(e=e_L), m=m)
+                    n = (_twisted_conductor(N, tw) - 1) // 2
+                    assert n >= e * (N - 1), (N, r, e_L, m)
+    for pair, (p, r, bound, k) in ((pair5, (7, 2, 4, 12)),
+                                   (pair7, (11, 2, 3, 16))):
+        supported = {shape for L, shape in tame_extensions(p, r, k)
+                     if L is not None}
+        shapes = {}
+        for tw in iter_twist_pairs(p, r, bound, k):
+            shapes.setdefault(tw.shape, tw)
+            if shapes.keys() == supported:
+                break
+        assert shapes.keys() == supported
+        for tw in shapes.values():
+            K = _context_for(pair.E, pair.cfg.N, tw)["K"]
+            assert K.e == math.lcm(pair.cfg.N, tw.L.e), tw.label()
 
 
 def test_mutated_pair_fails_equ6(pair7):
