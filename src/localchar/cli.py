@@ -137,8 +137,8 @@ def _merge(args) -> dict:
     for key, low in _MINIMA.items():
         if cfg[key] is not None and cfg[key] < low:
             raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
-    if cfg["r"] is not None and cfg["N"] is not None and cfg["r"] >= cfg["N"]:
-        raise ConfigError(f"r must be less than N = {cfg['N']}, got {cfg['r']}")
+    if cfg["r"] is not None and cfg["N"] is not None and cfg["r"] > cfg["N"] // 2:
+        raise ConfigError(f"r must be at most [N/2] = {cfg['N'] // 2}, got {cfg['r']}")
     return cfg
 
 

@@ -586,14 +586,14 @@ def verify_rank_one_twists(pair: TwinPair, bound: int,
     Twists whose twins share the conductor and th1's c-representative are
     evaluated together: one epsilon_factors call on all their twins (which
     checks every twin's conductor and representative against the first).
-    Every quotient th2/th1 is phi2/phi1, so the quotient route is one value
-    per group: phi2/phi1 at the shared representative.  Verdicts and
+    Every quotient th1/th2 is phi1/phi2, so the quotient route is one value
+    per group: pair.difference() at the shared representative.  Verdicts and
     progress lines keep base_characters order."""
     E = pair.E
     psiE = make_psi(E)
     primeE = _subfield_handle(E, 1)
     chars = base_characters(primeE.S, bound)
-    eta = pair.phi2.mul(pair.phi1.inv())
+    eta = pair.difference()
     all_ramified = True
     t0 = time.time()
     groups: dict = {}
@@ -649,7 +649,7 @@ def search_distinguisher(pair: TwinPair, r: int, bound: int) -> dict:
     -e(2N - 2) gives n >= e(N - 1), so ceil(n/e) >= N - 1 >= 4 (N >= 5)."""
     E = pair.E
     cfg = pair.cfg
-    eta = pair.phi1.mul(pair.phi2.inv())
+    eta = pair.difference()
     t0 = time.time()
     skipped: list = []
     scanned = 0

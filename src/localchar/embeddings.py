@@ -48,16 +48,13 @@ def w_nth_root_oneunit(field: TowerField, w, n: int):
 
 
 def _generator_images(S: TowerField, T: TowerField):
-    """All exact roots of S.h in W_T, in a deterministic order."""
+    """All exact roots of S.h in W_T, in residue_roots' order: for S.f = T.f
+    the generator's conjugates under Frobenius^0, 1, .., f - 1."""
     if S.f == 1:
         return [T.wone()]
     if T.f % S.f:
         return []
-    if S.f == T.f and S.h == T.h:
-        gen = (0, 1) + (0,) * (T.f - 2)
-        return [T.frob_w(gen, b) for b in range(T.f)]
-    qs = S.p**S.f
-    if qs > 50000:
+    if S.f < T.f and S.p**S.f > 50000:
         raise CapacityError("generator image search too large")
     return T.residue_roots(S.h, S.f)
 

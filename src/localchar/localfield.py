@@ -165,6 +165,12 @@ class TowerField:
         self._caches: dict = {}
         self.h = _primitive_poly(p, f)  # digits in [0, p), so also h mod p
         self._hred = self._make_hred()
+        # Tr(x^k) = the k-th power sum of h's roots, by Newton's identities
+        sums = [f]
+        for k in range(1, f):
+            sums.append((-k * self.h[f - k] - sum(
+                self.h[f - j] * sums[k - j] for j in range(1, k))) % self.pa)
+        self._power_sums = tuple(sums)
         self.U = self._compile_unit(steps)
         if self._wval(self.U) != 0:
             raise ConfigError("compiled uniformizer unit is not a unit")
@@ -284,16 +290,6 @@ class TowerField:
             res = self.wadd(self.wmul(res, x), self.wint(c))
         return res
 
-    def frobenius_gen(self):
-        """Root of h congruent to x^p: image of the generator under Frobenius."""
-        if "frobgen" not in self._caches:
-            if self.f == 1:
-                self._caches["frobgen"] = self.wone()
-            else:
-                self._caches["frobgen"] = self.hensel_root(
-                    self.h, self.wpow((0, 1) + (0,) * (self.f - 2), self.p))
-        return self._caches["frobgen"]
-
     def hensel_root(self, poly, r0):
         """Newton lift of a simple residue root r0 of the integer polynomial
         poly (little-endian) to the exact root in W."""
@@ -355,35 +351,10 @@ class TowerField:
             e_so_far *= s.degree
         return u
 
-    def frob_w(self, x, power: int = 1):
-        if self.f == 1:
-            return x
-        power %= self.f
-        if power == 0:
-            return x
-        mats = self._caches.setdefault("frobmats", {})
-        if power not in mats:
-            g = self.frobenius_gen()
-            img = g
-            for _ in range(power - 1):
-                img = self._weval_poly(img, g)
-            cols = []
-            cur = self.wone()
-            for _ in range(self.f):
-                cols.append(cur)
-                cur = self.wmul(cur, img)
-            mats[power] = tuple(zip(*cols))
-        return tuple(sum(map(mul, x, row)) % self.pa for row in mats[power])
-
     def trace_w(self, x) -> int:
         if self.f == 1:
             return x[0] % self.pa
-        s = x
-        for b in range(1, self.f):
-            s = self.wadd(s, self.frob_w(x, b))
-        if any(s[1:]):
-            raise InternalContradiction("absolute trace must be a scalar")
-        return s[0]
+        return sum(map(mul, x, self._power_sums)) % self.pa
 
     # ------------------------------------------------------------- residue ops
 

@@ -259,35 +259,42 @@ def test_out_of_range_integer_flags_are_configuration_errors(tmp_path, capsys):
 
 
 def _no_pair(cfg):
-    # r >= N is refused before the pair is built: search --r 9 at N = 5 used
-    # to go on to take a dlog of each of the 7^9 - 1 residues of unram(9)
-    pytest.fail("a twisting degree of N or more reached the pair build")
+    # r > [N/2] is refused before the pair is built: search --r 9 at N = 5
+    # used to go on to take a dlog of each of the 7^9 - 1 residues of
+    # unram(9), and verify --r 4 at N = 7 ran out of precision on route A
+    pytest.fail("a twisting degree above [N/2] reached the pair build")
 
 
-def test_twisting_degree_of_n_or_more_is_a_configuration_error(monkeypatch,
+def test_twisting_degree_above_half_n_is_a_configuration_error(monkeypatch,
                                                                capsys):
-    # the theorem twists by GL_r with r < N
+    # the theorem twists by GL_r with r <= [N/2]
     monkeypatch.setattr(cli, "_build_pair", _no_pair)
-    for argv in ("search --r 9 --conductor-bound 2",
-                 "search --r 5", "verify --level equ6 --r 5"):
-        command, *flags = argv.split()
+    for argv in ("search --p 7 --N 5 --r 9 --conductor-bound 2",
+                 "search --p 7 --N 5 --r 5", "search --p 7 --N 5 --r 3",
+                 "verify --p 7 --N 5 --level equ6 --r 5",
+                 "verify --p 11 --N 7 --level equ6 --r 4 --conductor-bound 2",
+                 "search --p 11 --N 7 --r 5"):
+        args = argv.split()
+        n, r = (int(args[args.index(flag) + 1]) for flag in ("--N", "--r"))
         capsys.readouterr()
-        r = flags[flags.index("--r") + 1]
-        assert run([command, "--p", "7", "--N", "5", "--precision", "12",
-                    *flags]) == 2, argv
+        assert run([*args, "--precision", "12"]) == 2, argv
         assert capsys.readouterr().err == (
-            f"configuration error: r must be less than N = 5, got {r}\n")
+            f"configuration error: r must be at most [N/2] = {n // 2}, "
+            f"got {r}\n")
 
 
-def test_config_file_twisting_degree_must_be_below_n(tmp_path, monkeypatch,
-                                                     capsys):
+def test_config_file_twisting_degree_must_be_at_most_half_n(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
     monkeypatch.setattr(cli, "_build_pair", _no_pair)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("p = 7\nN = 5\nprecision = 12\nr = 9\n")
-    capsys.readouterr()
-    assert run(["search", "--config", str(cfgfile)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: r must be less than N = 5, got 9\n")
+    for n, r in ((5, 9), (5, 3), (7, 4)):
+        cfgfile.write_text(f"p = 11\nN = {n}\nprecision = 12\nr = {r}\n")
+        capsys.readouterr()
+        assert run(["search", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: r must be at most [N/2] = {n // 2}, "
+            f"got {r}\n")
 
 
 def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,

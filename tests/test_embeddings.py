@@ -1,8 +1,12 @@
 import random
+from operator import mul
 
 import pytest
 
+from localchar import embeddings as embeddings_module
+from localchar.ambient import compositum_abstract
 from localchar.embeddings import (
+    _generator_images,
     automorphisms,
     enumerate_subfields,
     find_embeddings,
@@ -250,7 +254,7 @@ def _ramified_subfields_by_frobenius(T):
             ncl = (T.q - 1) // (qs - 1)
             for j in range(ncl):
                 dres = T.res_of(T.wmul(T.xi_pow(j * ep), T.U))
-                if T.res_of(T.frob_w(dres, fp)) != dres:
+                if T.res_of(T.wpow(dres, p**fp)) != dres:
                     continue
                 if fp == 1:
                     steps = (TameRamified(ep, dres[0]),)
@@ -281,3 +285,77 @@ def test_subfield_scan_matches_frobenius_membership(p, steps, k):
            for s in enumerate_subfields(T) if 1 < s.S.e and s.S is not T]
     assert got == _ramified_subfields_by_frobenius(T)
     assert got
+
+
+def _frob_w(T, x, power):
+    """x under Frobenius^power, as TowerField.frob_w once computed it: the
+    generator's image g is x^p Hensel-lifted to a root of h, composed power
+    times, and x is applied to it through the matrix of its powers."""
+    power %= T.f
+    if power == 0:
+        return x
+    g = T.hensel_root(T.h, T.wpow((0, 1) + (0,) * (T.f - 2), T.p))
+    img = g
+    for _ in range(power - 1):
+        img = T._weval_poly(img, g)
+    cols, cur = [], T.wone()
+    for _ in range(T.f):
+        cols.append(cur)
+        cur = T.wmul(cur, img)
+    return tuple(sum(map(mul, x, row)) % T.pa for row in zip(*cols))
+
+
+def _generator_images_by_frobenius(S, T):
+    """_generator_images as once written: for S.f = T.f > 1 the generator's
+    Frobenius conjugates, otherwise the library's residue-root scan."""
+    if 1 < S.f == T.f:
+        gen = (0, 1) + (0,) * (T.f - 2)
+        return [_frob_w(T, gen, b) for b in range(T.f)]
+    return _generator_images(S, T)
+
+
+def _trace_by_frobenius(T, x):
+    s = x
+    for b in range(1, T.f):
+        s = T.wadd(s, _frob_w(T, x, b))
+    assert not any(s[1:]), "the Frobenius sum is not a scalar"
+    return s[0]
+
+
+def _maps(maps):
+    return [(m.x_img.serialize(), m.pi_img.serialize()) for m in maps]
+
+
+# make_tower refuses Unramified(3) at p = 3 (a step degree divisible by p)
+_GALOIS_FIELDS = [(p, (Unramified(f),), 4) for p in (3, 5, 7, 11, 13)
+                  for f in (2, 3, 4, 5) if f % p and (f < 5 or p == 3)] + [
+    (11, (Unramified(2), TameRamified(7, 1)), 8),
+    (7, (Unramified(2), TameRamified(3, 1)), 6),
+]
+
+
+@pytest.mark.parametrize("p, steps, k", _GALOIS_FIELDS)
+def test_conjugates_and_traces_match_the_frobenius_route(p, steps, k,
+                                                         monkeypatch):
+    T = make_tower(p, steps, k)
+    got = automorphisms(T)
+    assert len(got) >= T.f  # the ramified step's roots of unity may be missing
+    rng = random.Random(p * 100 + T.f * 10 + T.e)
+    for _ in range(20):
+        x = tuple(rng.randrange(T.pa) for _ in range(T.f))
+        assert T.trace_w(x) == _trace_by_frobenius(T, x)
+    monkeypatch.setattr(embeddings_module, "_generator_images",
+                        _generator_images_by_frobenius)
+    assert _maps(got) == _maps(automorphisms(T))
+
+
+def test_compositum_embeddings_match_the_frobenius_route(monkeypatch):
+    # coset_products' unram(2) at p = 11 and its compositum with E
+    E = make_tower(11, (TameRamified(7, 1),), 28)
+    L = make_tower(11, (Unramified(2),), 16)
+    K = compositum_abstract(E, L, 66)[0]
+    got = find_embeddings(L, K)
+    assert len(got) == 2
+    monkeypatch.setattr(embeddings_module, "_generator_images",
+                        _generator_images_by_frobenius)
+    assert _maps(got) == _maps(find_embeddings(L, K))
