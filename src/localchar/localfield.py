@@ -138,12 +138,12 @@ class TowerField:
             deg = s.degree
             if deg < 1:
                 raise ConfigError("step degree must be >= 1")
-            if deg % p == 0:
-                raise WildRamification(f"p = {p} divides step degree {deg}")
             if isinstance(s, Unramified):
                 f *= deg
-            else:
+            elif deg % p:
                 e *= deg
+            else:
+                raise WildRamification(f"p = {p} divides step degree {deg}")
         self.p = p
         self.steps = tuple(steps)
         self.k = k
@@ -164,7 +164,6 @@ class TowerField:
         self.kint = e * self.a
         self._caches: dict = {}
         self.h = _primitive_poly(p, f)  # digits in [0, p), so also h mod p
-        self._hred = self._make_hred()
         # Tr(x^k) = the k-th power sum of h's roots, by Newton's identities
         sums = [f]
         for k in range(1, f):
@@ -183,25 +182,13 @@ class TowerField:
             pws.append(self.wmul(pws[-1], self.Upw))
         self._upows = tuple(downs[:0:-1] + ups)  # U^-a .. U^a
         self._upwpows = tuple(pws)  # (pU)^0 .. (pU)^a, zero from a on
+        if f == 1:
+            self._bind_int_kernels()
 
     def __repr__(self):
         return f"Tower(p={self.p}, f={self.f}, e={self.e}, k={self.k})"
 
     # ------------------------------------------------------------------ W ops
-
-    def _make_hred(self):
-        f = self.f
-        if f == 1:
-            return ()
-        rows = []
-        cur = tuple((-self.h[i]) % self.pa for i in range(f))  # x^f mod h
-        rows.append(cur)
-        for _ in range(f - 2):
-            shifted = (0,) + cur[: f - 1]
-            top = cur[f - 1]
-            cur = tuple((shifted[i] - top * self.h[i]) % self.pa for i in range(f))
-            rows.append(cur)
-        return tuple(rows)
 
     def wzero(self):
         return (0,) * self.f
@@ -214,34 +201,56 @@ class TowerField:
 
     def wadd(self, x, y):
         pa = self.pa
-        return tuple((a + b) % pa for a, b in zip(x, y))
+        return tuple([(a + b) % pa for a, b in zip(x, y)])
 
     def wsub(self, x, y):
         pa = self.pa
-        return tuple((a - b) % pa for a, b in zip(x, y))
+        return tuple([(a - b) % pa for a, b in zip(x, y)])
 
     def wscal(self, x, c: int):
         pa = self.pa
-        return tuple((a * c) % pa for a in x)
+        return tuple([(a * c) % pa for a in x])
 
     def wmul(self, x, y):
-        f = self.f
-        pa = self.pa
-        if f == 1:
-            return ((x[0] * y[0]) % pa,)
+        """The product mod h, its top coefficients cleared by monic h."""
+        f, pa, h = self.f, self.pa, self.h
         out = [0] * (2 * f - 1)
         for i, ai in enumerate(x):
             if ai:
                 for j, bj in enumerate(y):
                     out[i + j] += ai * bj
-        res = [c % pa for c in out[:f]]
-        for d in range(f, 2 * f - 1):
+        for d in range(2 * f - 2, f - 1, -1):
             c = out[d] % pa
             if c:
-                row = self._hred[d - f]
                 for i in range(f):
-                    res[i] = (res[i] + c * row[i]) % pa
-        return tuple(res)
+                    out[d - f + i] -= c * h[i]
+        return tuple([c % pa for c in out[:f]])
+
+    def _bind_int_kernels(self):
+        """For f = 1 a W element is one int: W/R ops on x[0], bound on the
+        instance, with the generic ops' residues.  rmul adds each slot's
+        products as ints, those past pi^e times the int pU, and reduces once."""
+        pa, e, pu = self.pa, self.e, self.Upw[0]
+
+        def rmul(x, y):
+            acc = [0] * e
+            for i, (c,) in enumerate(x):
+                if c:
+                    for d, (b,) in enumerate(y, i):
+                        if b:
+                            if d < e:
+                                acc[d] += c * b
+                            else:
+                                acc[d - e] += c * b * pu
+            return tuple([(c % pa,) for c in acc])
+
+        self.rmul = rmul if e > 1 else lambda x, y: (((x[0][0] * y[0][0]) % pa,),)
+        self.trace_w = lambda x: x[0] % pa
+        self.wmul = lambda x, y: ((x[0] * y[0]) % pa,)
+        self.radd = lambda x, y: tuple([((c + d) % pa,) for (c,), (d,) in zip(x, y)])
+        self.rsub = lambda x, y: tuple([((c - d) % pa,) for (c,), (d,) in zip(x, y)])
+        self.rwscal = lambda x, w: tuple([((c * w[0]) % pa,) if c else (c,)
+                                          for (c,) in x])
 
     def wpow(self, x, n: int):
         return _power(x, n, self.wmul, self.wone())
@@ -255,18 +264,14 @@ class TowerField:
         return self.wpow(self.U, n) if n > 0 else self.wpow(self.Uinv, -n)
 
     def _wval(self, x) -> int:
-        best = self.a
-        for c in x:
-            if c:
-                v = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    v += 1
-                if v < best:
-                    best = v
-                    if best == 0:
-                        return 0
-        return best
+        """min(a, the least v_p of x's coordinates), read off their gcd."""
+        c, v, p = math.gcd(*x), 0, self.p
+        if not c:
+            return self.a
+        while c % p == 0:
+            c //= p
+            v += 1
+        return v if v < self.a else self.a
 
     def winv(self, x):
         if self._wval(x) != 0:
@@ -352,8 +357,6 @@ class TowerField:
         return u
 
     def trace_w(self, x) -> int:
-        if self.f == 1:
-            return x[0] % self.pa
         return sum(map(mul, x, self._power_sums)) % self.pa
 
     # ------------------------------------------------------------- residue ops
@@ -417,27 +420,27 @@ class TowerField:
 
     def radd(self, x, y):
         pa = self.pa
-        return tuple(tuple((c + d) % pa for c, d in zip(a, b)) for a, b in zip(x, y))
+        return tuple([tuple([(c + d) % pa for c, d in zip(a, b)])
+                      for a, b in zip(x, y)])
 
     def rsub(self, x, y):
         pa = self.pa
-        return tuple(tuple((c - d) % pa for c, d in zip(a, b)) for a, b in zip(x, y))
+        return tuple([tuple([(c - d) % pa for c, d in zip(a, b)])
+                      for a, b in zip(x, y)])
 
     def rneg(self, x):
         pa = self.pa
-        return tuple(tuple(-c % pa for c in a) for a in x)
+        return tuple([tuple([-c % pa for c in a]) for a in x])
 
     def rscal(self, x, c: int):
         pa = self.pa
-        return tuple(tuple(d * c % pa for d in a) for a in x)
+        return tuple([tuple([d * c % pa for d in a]) for a in x])
 
     def rwscal(self, x, w):
-        return tuple(self.wmul(a, w) if any(a) else a for a in x)
+        return tuple([self.wmul(a, w) if any(a) else a for a in x])
 
     def rmul(self, x, y):
         e = self.e
-        if e == 1:
-            return (self.wmul(x[0], y[0]),)
         zero = self.wzero()
         acc = [zero] * e
         for i, xi in enumerate(x):
@@ -490,11 +493,11 @@ class TowerField:
         qq, r = divmod(s, e)
         if qq:
             pq = self.p**qq
-            x = self.rwscal(tuple(tuple(c // pq for c in w) for w in x), self.upow(-qq))
+            x = self.rwscal([tuple([c // pq for c in w]) for w in x], self.upow(-qq))
         if r:
             p = self.p
-            x = x[r:] + self.rwscal(tuple(tuple(c // p for c in w) for w in x[:r]),
-                                    self.Uinv)
+            x = x[r:] + self.rwscal(
+                tuple([tuple([c // p for c in w]) for w in x[:r]]), self.Uinv)
         return x
 
     def rinv(self, x):
@@ -519,21 +522,19 @@ class TowerField:
         return TowerElement(self, None, None, INF, INF)
 
     def zero_bounded(self, bound):
-        if bound is INF:
-            return self.zero()
         return TowerElement(self, None, None, bound, bound)
 
     def make(self, v: int, core, prec, store) -> "TowerElement":
         """Normalize (v, core known mod pi^min(prec, store)) into an element."""
-        eff = min(prec, store, self.kint)
-        if eff <= 0:
-            return self.zero_bounded(v + eff)
+        eff, kint = store if store < prec else prec, self.kint
+        eff = kint if kint < eff else eff
         s = self.rval(core, limit=eff)
         if s is None:
             return self.zero_bounded(v + eff)
         if s:
             core = self.rshift_out(core, s)
-        return TowerElement(self, v + s, core, prec - s, min(store - s, self.kint))
+        store -= s
+        return TowerElement(self, v + s, core, prec - s, kint if kint < store else store)
 
     def one(self):
         return TowerElement(self, 0, self.rone(), self.kint, self.kint)
@@ -662,7 +663,7 @@ class TowerElement:
         self.field = field
         self.v = v
         self.core = core
-        self.prec = min(prec, store) if v is not None else prec
+        self.prec = store if v is not None and store < prec else prec
         self.store = store
 
     # ---- state helpers
@@ -708,24 +709,25 @@ class TowerElement:
     def _combine(self, other, sub: bool):
         """self - other if sub, else self + other: the cores aligned at the
         lower valuation, then one rsub or radd."""
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not TowerElement or other.field is not self.field:
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
         F = self.field
-        if self.is_zero() and other.is_zero():
+        if self.v is None and other.v is None:
             return F.zero_bounded(min(self.prec, other.prec))
-        if self.is_zero():
+        if self.v is None:
             return (-other if sub else other).cap_window(self.prec)
-        if other.is_zero():
+        if other.v is None:
             return self.cap_window(other.prec)
-        window = min(self.window(), other.window())
-        v0 = min(self.v, other.v)
-        d1 = self.v - v0
-        d2 = other.v - v0
-        a = F.rshift_up(self.core, d1)
-        b = F.rshift_up(other.core, d2)
-        store = min(min(self.store + d1, F.kint), min(other.store + d2, F.kint))
-        return F.make(v0, F.rsub(a, b) if sub else F.radd(a, b), window - v0, store)
+        v1, v2 = self.v, other.v
+        v0 = v2 if v2 < v1 else v1
+        d1, d2 = v1 - v0, v2 - v0
+        a, b = F.rshift_up(self.core, d1), F.rshift_up(other.core, d2)
+        w1, w2 = self.prec + d1, other.prec + d2  # the windows less v0
+        store = min(self.store + d1, other.store + d2, F.kint)
+        core = F.rsub(a, b) if sub else F.radd(a, b)
+        return F.make(v0, core, w2 if w2 < w1 else w1, store)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -745,19 +747,20 @@ class TowerElement:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not TowerElement or other.field is not self.field:
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
         F = self.field
-        if self.is_exact_zero() or other.is_exact_zero():
-            return F.zero()
-        if self.is_zero() or other.is_zero():
+        if self.v is None or other.v is None:
+            if self.is_exact_zero() or other.is_exact_zero():
+                return F.zero()
             b1 = self.prec if self.is_zero() else self.v
             b2 = other.prec if other.is_zero() else other.v
             return F.zero_bounded(b1 + b2)
+        p1, p2, s1, s2 = self.prec, other.prec, self.store, other.store
         return TowerElement(F, self.v + other.v, F.rmul(self.core, other.core),
-                            min(self.prec, other.prec),
-                            min(self.store, other.store))
+                            p2 if p2 < p1 else p1, s2 if s2 < s1 else s1)
 
     __rmul__ = __mul__
 
@@ -823,7 +826,6 @@ class TowerElement:
 
     def eq_mod(self, other, m: int) -> bool:
         """Equality modulo pi^m; raises PrecisionLoss if undecidable."""
-        other = self._promote(other)
         d = self - other
         if d.is_zero():
             if d.prec >= m:
@@ -832,10 +834,8 @@ class TowerElement:
         return d.v >= m
 
     def __eq__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
+        d = self._combine(other, True)
+        return d if d is NotImplemented else d.is_zero()
 
     def __hash__(self):
         raise TypeError("TowerElement is not hashable")
@@ -866,9 +866,9 @@ def make_tower(p: int, steps, k: int,
                series_window: int | None = None) -> TowerField:
     """Construct (and memoize) a tame tower over the p-adic prime field.
 
-    Raises WildRamification if p divides a step degree.  Towers whose
-    ramification reaches p - 1 are built with exp/log disabled, which is what
-    compositum fields need.  series_window caps the exp/log series depth
-    (and so the storage headroom) below the ring precision.
+    Raises WildRamification if p divides a tamely ramified step's degree.
+    Towers whose ramification reaches p - 1 are built with exp/log disabled,
+    which is what compositum fields need.  series_window caps the exp/log
+    series depth (and so the storage headroom) below the ring precision.
     """
     return _tower_cached(p, tuple(steps), k, series_window)

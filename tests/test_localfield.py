@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -46,6 +47,9 @@ def test_tower_construction_basics(E):
 def test_wild_ramification_rejected():
     with pytest.raises(WildRamification):
         make_tower(5, [TameRamified(5, 1)], 8)
+    # an unramified step is never wild, whatever its degree
+    T = make_tower(5, [Unramified(5)], 4)
+    assert (T.e, T.f) == (1, 5)
 
 
 def test_explog_radius_flag():
@@ -333,6 +337,187 @@ def test_sub_matches_add_of_negation(data, shape):
         assert _state(b - a) == _state(b + (-a))
 
 
+# The W/R ops as written before a field with f = 1 bound integer kernels and
+# wmul reduced by h from the top: the reference for the kernels on f = 1
+# fields and for the generic ops on the others.
+
+def _old_wadd(F, x, y):
+    return tuple((a + b) % F.pa for a, b in zip(x, y))
+
+
+def _old_hred(F):
+    """x^f, ..., x^(2f-2) mod h."""
+    f, rows = F.f, []
+    cur = tuple((-F.h[i]) % F.pa for i in range(f))
+    rows.append(cur)
+    for _ in range(f - 2):
+        shifted = (0,) + cur[: f - 1]
+        cur = tuple((shifted[i] - cur[f - 1] * F.h[i]) % F.pa for i in range(f))
+        rows.append(cur)
+    return rows
+
+
+def _old_wmul(F, x, y):
+    f, pa = F.f, F.pa
+    if f == 1:
+        return ((x[0] * y[0]) % pa,)
+    out = [0] * (2 * f - 1)
+    for i, ai in enumerate(x):
+        if ai:
+            for j, bj in enumerate(y):
+                out[i + j] += ai * bj
+    res = [c % pa for c in out[:f]]
+    for d in range(f, 2 * f - 1):
+        c = out[d] % pa
+        if c:
+            row = _old_hred(F)[d - f]
+            for i in range(f):
+                res[i] = (res[i] + c * row[i]) % pa
+    return tuple(res)
+
+
+def _old_wval(F, x):
+    best = F.a
+    for c in x:
+        if c:
+            v = 0
+            while c % F.p == 0:
+                c //= F.p
+                v += 1
+            if v < best:
+                best = v
+                if best == 0:
+                    return 0
+    return best
+
+
+def _old_radd(F, x, y):
+    return tuple(tuple((c + d) % F.pa for c, d in zip(a, b)) for a, b in zip(x, y))
+
+
+def _old_rsub(F, x, y):
+    return tuple(tuple((c - d) % F.pa for c, d in zip(a, b)) for a, b in zip(x, y))
+
+
+def _old_rwscal(F, x, w):
+    return tuple(_old_wmul(F, a, w) if any(a) else a for a in x)
+
+
+def _old_rmul(F, x, y):
+    e = F.e
+    if e == 1:
+        return (_old_wmul(F, x[0], y[0]),)
+    zero = F.wzero()
+    acc = [zero] * e
+    for i, xi in enumerate(x):
+        if xi == zero:
+            continue
+        for j, yj in enumerate(y):
+            if yj == zero:
+                continue
+            w = _old_wmul(F, xi, yj)
+            d = i + j
+            if d >= e:
+                w = _old_wmul(F, w, F.Upw)
+                d -= e
+            acc[d] = _old_wadd(F, acc[d], w)
+    return tuple(acc)
+
+
+def _old_trace_w(F, x):
+    if F.f == 1:
+        return x[0] % F.pa
+    return sum(a * s for a, s in zip(x, F._power_sums)) % F.pa
+
+
+_OLD_OPS = {"wadd": _old_wadd, "wmul": _old_wmul, "_wval": _old_wval,
+            "radd": _old_radd, "rsub": _old_rsub, "rwscal": _old_rwscal,
+            "rmul": _old_rmul, "trace_w": _old_trace_w}
+
+
+def _random_core(F, rng, kind):
+    """dense, one nonzero slot, zero slots, p-divisible slots, or only the
+    upper slots nonzero, so that products wrap past pi^e."""
+    def slot(pj=1):
+        return tuple(rng.randrange(F.pa) * pj % F.pa for _ in range(F.f))
+    e, zero = F.e, F.wzero()
+    if kind == "one slot":
+        i = rng.randrange(e)
+        return tuple(slot() if j == i else zero for j in range(e))
+    if kind == "zero slots":
+        return tuple(slot() if rng.randrange(2) else zero for _ in range(e))
+    if kind == "p-divisible":
+        return tuple(slot(F.p ** rng.randrange(F.a + 1)) for _ in range(e))
+    if kind == "upper":
+        return tuple(slot() if 2 * j >= e else zero for j in range(e))
+    return tuple(slot() for _ in range(e))
+
+
+_KINDS = ("dense", "one slot", "zero slots", "p-divisible", "upper")
+
+
+@pytest.mark.parametrize("p, steps, k", CORE_FIELDS + [(7, (TameRamified(5, 1),), 12)])
+def test_w_r_ops_match_the_former_generic_code(p, steps, k):
+    F = make_tower(p, steps, k)
+    assert callable(F.__dict__.get("rmul")) == (F.f == 1)
+    old = TowerField(p, steps, k)  # not shared with make_tower
+    for name, op in _OLD_OPS.items():
+        setattr(old, name, lambda *args, op=op: op(old, *args))
+    rng = random.Random(F.e * 100 + F.f)
+    for n in range(60):
+        x = _random_core(F, rng, _KINDS[n % 5])
+        y = _random_core(F, rng, _KINDS[n // 5 % 5])
+        w = x[n % F.e]
+        assert F.wadd(x[0], w) == _old_wadd(F, x[0], w)
+        assert F.wmul(x[0], w) == _old_wmul(F, x[0], w)
+        assert F._wval(w) == _old_wval(F, w)
+        assert F.trace_w(w) == _old_trace_w(F, w)
+        assert F.radd(x, y) == _old_radd(F, x, y)
+        assert F.rsub(x, y) == _old_rsub(F, x, y)
+        assert F.rwscal(x, w) == _old_rwscal(F, x, w)
+        assert F.rmul(x, y) == _old_rmul(F, x, y)
+        v, prec, store = rng.randrange(-3, 4), rng.randrange(1, F.kint + 1), F.kint
+        a, b = F.make(v, x, prec, store), F.make(v + n % 3, y, F.kint, store)
+        a0, b0 = old.make(v, x, prec, store), old.make(v + n % 3, y, F.kint, store)
+        for got, want in [(a * b, a0 * b0), (a + b, a0 + b0), (a - b, a0 - b0),
+                          (a * 7, a0 * 7), (a ** 3, a0 ** 3)]:
+            assert got.serialize() == want.serialize()
+
+
+@pytest.mark.parametrize("p, steps, k", [CORE_FIELDS[0], CORE_FIELDS[3],
+                                         CORE_FIELDS[4]])
+def test_operand_checks_behind_the_same_field_fast_path(p, steps, k):
+    """+, - and * skip the operand checks for an element of the same
+    field; every other operand still takes them."""
+    F = make_tower(p, steps, k)
+    G = make_tower(p, steps, k + 1)
+    rng = random.Random(k)
+    x = F.random_unit(rng).shift(1)
+    y = G.random_unit(rng)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ConfigError, match="elements of different fields"):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(x, 2.5)
+        with pytest.raises(TypeError):
+            op(2.5, x)
+        assert op(x, 7).serialize() == op(x, F.from_int(7)).serialize()
+        assert op(3, x).serialize() == op(F.from_int(3), x).serialize()
+    with pytest.raises(ConfigError, match="elements of different fields"):
+        x == y
+    assert x != 2.5
+    Z, B = F.zero(), F.zero_bounded(3)
+    assert (x * Z).serialize() == (Z * B).serialize() == {"zero_mod": None}
+    assert (x * 0).serialize() == {"zero_mod": None}
+    assert (x * B).serialize() == (B * x).serialize() == {"zero_mod": 4}
+    assert (B * B).serialize() == {"zero_mod": 6}
+    assert (B + Z).serialize() == (Z - B).serialize() == {"zero_mod": 3}
+    assert (x + Z).serialize() == (Z + x).serialize() == x.serialize()
+    assert (Z - x).serialize() == (-x).serialize()
+    assert (x - B).serialize() == x.cap_window(3).serialize()
+    assert (B - x).serialize() == (-x).cap_window(3).serialize()
+
+
 @pytest.mark.parametrize("p, steps, k", CORE_FIELDS)
 def test_principal_split_names_the_teichmuller_exponent(p, steps, k):
     T = make_tower(p, steps, k)
@@ -480,11 +665,13 @@ def test_one_power_and_one_w_evaluation_match_the_former_loops(
         m = rng.randrange(-6, 12)
         assert (json.dumps((x ** m).serialize())
                 == json.dumps(_ref_pow(x, m).serialize()))
-    # a unit of W takes the W schedule: ceil(log2 a) + 1 steps, two rmul each
-    rmul, calls = TowerField.rmul, []
-    monkeypatch.setattr(TowerField, "rmul",
-                        lambda self, x, y: calls.append(1) or rmul(self, x, y))
-    for G in (F, make_tower(7, (TameRamified(5, 1),), 12)):
+    # a unit of W takes the W schedule: ceil(log2 a) + 1 steps, two rmul each;
+    # counted on fresh instances, as an f = 1 field binds its own rmul
+    calls = []
+    for G in (TowerField(p, steps, k), TowerField(7, (TameRamified(5, 1),), 12)):
+        rmul = G.rmul
+        monkeypatch.setattr(G, "rmul",
+                            lambda x, y, rmul=rmul: calls.append(1) or rmul(x, y))
         calls.clear()
         assert G.winv(G.U) == G.Uinv
         assert len(calls) == 2 * (math.ceil(math.log2(max(G.a, 2))) + 1)
