@@ -549,10 +549,9 @@ def _symmetric_argument(E: TowerField, ctx, es, b):
     """1 + sum_i b^i e_i embedded in E: b = beta^-1 with e_i(alpha), or
     b = beta with e_i(alpha^-1) in the mirrored case."""
     embF = ctx["embF"]
-    acc = E.one()
-    power = E.one()
-    for ei in es[1:]:
-        power = power * b
+    acc = power = E.one()
+    for i, ei in enumerate(es[1:]):
+        power = power * b if i else b
         if ei.is_zero():
             continue
         acc = acc + power * embF.apply(ei)

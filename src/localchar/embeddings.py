@@ -8,13 +8,17 @@ s by Newton's method (p divides no relevant degree, so both are exact).
 
 A Subfield bundles S with one embedding into T and provides decomposition
 over the basis {x_T^j pi_T^i}, multiplication matrices, and norm / trace /
-characteristic polynomial computed through them.
+characteristic polynomial computed through them.  Each of these maps is
+Z/p^a-linear on the sparse base-0 coordinates (the ints of pi^v core), so
+images, decompositions and matrices come from integer column tables: one
+sum over the nonzero coordinates (_column_sum), normalized once by make.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from functools import reduce
+from operator import add
 
 from .errors import (
     CapacityError,
@@ -59,10 +63,25 @@ def _generator_images(S: TowerField, T: TowerField):
     return T.residue_roots(S.h, S.f)
 
 
+def _coords(T: TowerField, x: TowerElement):
+    """x's base-0 coordinates: the ints of pi^v core, slot by slot."""
+    return [c for w in T.rshift_up(x.core, x.v) for c in w]
+
+
+def _column_sum(cols, coords, mod: int, f: int):
+    """sum_k coords[k] cols[k] mod `mod` over the nonzero coords, split into
+    tuples of f ints."""
+    acc = [0] * len(cols[0])
+    for c, col in zip(coords, cols):
+        if c:
+            acc = [a + c * b for a, b in zip(acc, col)]
+    return list(zip(*[iter([a % mod for a in acc])] * f))
+
+
 class EmbeddingMap:
     """Ring embedding src -> dst fixing the prime field."""
 
-    __slots__ = ("src", "dst", "x_img", "pi_img", "_table", "_pi_pows",
+    __slots__ = ("src", "dst", "x_img", "pi_img", "_cols", "_pi_pows",
                  "_gen_norms")
 
     def __init__(self, src: TowerField, dst: TowerField,
@@ -71,37 +90,34 @@ class EmbeddingMap:
         self.dst = dst
         self.x_img = x_img
         self.pi_img = pi_img
-        self._table = None
+        self._cols = None
         self._pi_pows = {}
         self._gen_norms = None
 
-    def _basis_table(self):
-        if self._table is None:
+    def _columns(self):
+        """(columns, window): the coordinates of the images of pi^i x^j in
+        core order, src.degree columns of dst.degree ints that live as long as
+        the map (its _twist_context entry or Subfield), and the images' least
+        window (dst.kint, unless an image is short)."""
+        if self._cols is None:
             S, T = self.src, self.dst
-            xpows = [T.one()]
-            for _ in range(S.f - 1):
-                xpows.append(xpows[-1] * self.x_img)
-            tab = []
-            cur = T.one()
-            for _i in range(S.e):
-                tab.append([cur * xp for xp in xpows])
-                cur = cur * self.pi_img
-            self._table = tab
-        return self._table
+            imgs = [self.pi_img**i * self.x_img**j
+                    for i in range(S.e) for j in range(S.f)]
+            self._cols = ([_coords(T, y) for y in imgs],
+                          min(y.window() for y in imgs))
+        return self._cols
 
     def apply(self, x: TowerElement) -> TowerElement:
+        """x's image: one column sum at x's core, made once, times pi_img^v."""
         if x.field is not self.src:
             raise ConfigError("element not in the embedding source")
         T = self.dst
         rho = T.e // self.src.e
         if x.is_zero():
             return T.zero_bounded(x.prec * rho if x.prec is not INF else INF)
-        tab = self._basis_table()
-        acc = T.zero()
-        for i, w in enumerate(x.core):
-            for j, c in enumerate(w):
-                if c:
-                    acc = acc + tab[i][j]._scal(c)
+        cols, win = self._columns()
+        core = _column_sum(cols, [c for w in x.core for c in w], T.pa, T.f)
+        acc = T.make(0, tuple(core), win, win)
         if x.v:
             acc = acc * self._pi_pow(x.v)
         return acc.cap_window(rho * x.window())
@@ -209,7 +225,12 @@ def verify_embedding(emb: EmbeddingMap):
 
 
 class Subfield:
-    """A subfield S of T given by one embedding, with decomposition data."""
+    """A subfield S of T given by one embedding, with decomposition data.
+
+    _setup builds two integer column tables, kept as long as the handle (a
+    subfield_lattice or _twist_context entry): minv's T.degree columns of
+    T.degree ints, and for mult_matrix the stacked columns of minv M_b, M_b
+    multiplication by basis element b: [T:S] T.degree columns of T.degree ints."""
 
     def __init__(self, S: TowerField, T: TowerField, emb: EmbeddingMap):
         if emb.src is not S or emb.dst is not T:
@@ -219,38 +240,32 @@ class Subfield:
         self.emb = emb
         self.index = T.degree // S.degree
         self._minv = None
-        self._basis = None
-        self._belems = None
 
     def __repr__(self):
         return f"Subfield({self.S!r} in {self.T!r})"
 
     # ---------------------------------------------------------- decomposition
 
-    def _coords(self, x: TowerElement):
-        core = self.T.rshift_up(x.core, x.v)
-        return [c for w in core for c in w]
-
     def _setup(self):
         if self._minv is not None:
             return
         S, T = self.S, self.T
-        eb = T.e // S.e
-        fb = T.f // S.f
-        basis = [(ib, jb) for ib in range(eb) for jb in range(fb)]
+        self._basis = [(ib, jb) for ib in range(T.e // S.e)
+                       for jb in range(T.f // S.f)]
         x_t = identity_embedding(T).x_img
-        pi_t = T.uniformizer()
-        belems = [pi_t**ib * x_t**jb for ib, jb in basis]
-        x_s = identity_embedding(S).x_img
-        pi_s = S.uniformizer()
-        semb = [self.emb.apply(pi_s**i2 * x_s**j2)
-                for i2 in range(S.e) for j2 in range(S.f)]
-        cols = [self._coords(be * se) for be in belems for se in semb]
-        mat = [[cols[cidx][ridx] for cidx in range(len(cols))]
-               for ridx in range(T.degree)]
-        self._minv = mat_inverse(mat, T.p, T.pa)
-        self._basis = basis
-        self._belems = belems
+        tb = [T.uniformizer()**i * x_t**j
+              for i in range(T.e) for j in range(T.f)]
+        # mults[b][r]: the coordinates of b times T's r-th basis element
+        mults = [[_coords(T, tb[ib * T.f + jb] * t) for t in tb]
+                 for ib, jb in self._basis]
+        cols = [_column_sum(mb, c, T.pa, T.degree)[0]
+                for mb in mults for c in self.emb._columns()[0]]
+        self._minv = list(zip(*mat_inverse(list(zip(*cols)), T.p, T.pa)))
+        self._mult = [[c for mb in mults
+                       for c in _column_sum(self._minv, mb[r], T.pa, T.degree)[0]]
+                      for r in range(T.degree)]
+        self._mod = T.p ** min(T.a, S.a)
+        self._sstore = S.e * min(T.a, S.a)
 
     def decompose(self, x: TowerElement):
         """Coefficients of x over the T/S basis, as elements of S.
@@ -266,24 +281,10 @@ class Subfield:
             return [S.zero_bounded(bound) for _ in self._basis]
         if x.v < 0:
             raise ConfigError("decompose needs an integral element")
-        coords = self._coords(x)
-        y = [sum(map(mul, row, coords)) % T.pa for row in self._minv]
-        sprec = S.e * (int(min(x.window(), T.kint)) // T.e)
-        sstore = S.e * min(T.a, S.a)
-        out = []
-        degs = S.degree
-        for b in range(len(self._basis)):
-            block = y[b * degs:(b + 1) * degs]
-            core = []
-            idx = 0
-            for _i in range(S.e):
-                row = []
-                for _j in range(S.f):
-                    row.append(block[idx] % S.pa)
-                    idx += 1
-                core.append(tuple(row))
-            out.append(S.make(0, tuple(core), sprec, sstore))
-        return out
+        rows = _column_sum(self._minv, _coords(T, x), self._mod, S.f)
+        sprec = S.e * (min(x.window(), T.kint) // T.e)
+        return [S.make(0, tuple(rows[i:i + S.e]), sprec, self._sstore)
+                for i in range(0, len(rows), S.e)]
 
     def in_image(self, x: TowerElement):
         """(membership, preimage in S or None), decided at x's precision."""
@@ -308,15 +309,22 @@ class Subfield:
     # ------------------------------------------------------- norm and friends
 
     def mult_matrix(self, x: TowerElement):
-        """Matrix of multiplication by x over S in the fixed basis."""
+        """Matrix of multiplication by x over S in the fixed basis: column b
+        decomposes x b, one sum of the stacked minv M_b columns."""
         if x.is_zero():
             raise ConfigError("mult_matrix of zero")
         if x.v < 0:
             raise PrecisionLoss("mult_matrix needs an integral element")
         self._setup()
-        cols = [self.decompose(x * be) for be in self._belems]
-        n = len(self._belems)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        S, T = self.S, self.T
+        rows = _column_sum(self._mult, _coords(T, x), self._mod, S.f)
+        n, se, w = self.index, S.e, x.window()
+        cols = []
+        for b, (ib, _jb) in enumerate(self._basis):
+            sprec = se * (min(w + ib, T.kint) // T.e)
+            cols.append([S.make(0, tuple(rows[k:k + se]), sprec, self._sstore)
+                         for k in range(b * n * se, (b + 1) * n * se, se)])
+        return list(zip(*cols))
 
     def _scaled(self, x: TowerElement):
         if x.v >= 0:
@@ -327,8 +335,7 @@ class Subfield:
     def _scaled_charpoly(self, x: TowerElement):
         """(charpoly of x p^m over S, m), x p^m integral."""
         xi, m = self._scaled(x)
-        mat = self.mult_matrix(xi)
-        return charpoly_berkowitz(mat, self.S.zero(), self.S.one()), m
+        return charpoly_berkowitz(self.mult_matrix(xi), self.S.one()), m
 
     def charpoly(self, x: TowerElement):
         """Coefficients [1, c_{n-1}, ..., c_0] of det(lambda - x) over S."""
@@ -352,8 +359,8 @@ class Subfield:
         chi, m = self._scaled_charpoly(x)
         n = len(chi) - 1
         t = -b.div_p(-m)
-        val = chi[0]
-        for c in chi[1:]:
+        val = t + chi[1]
+        for c in chi[2:]:
             val = val * t + c
         det = chi[n]
         if n % 2:
@@ -366,11 +373,7 @@ class Subfield:
                 return self.S.zero()
             return self.S.zero_bounded(self.S.e * (int(x.prec) // self.T.e))
         xi, m = self._scaled(x)
-        mat = self.mult_matrix(xi)
-        tr = self.S.zero()
-        for i in range(len(mat)):
-            tr = tr + mat[i][i]
-        return tr.div_p(m)
+        return reduce(add, [r[i] for i, r in enumerate(self.mult_matrix(xi))]).div_p(m)
 
 
 def self_subfield(T: TowerField) -> Subfield:

@@ -619,10 +619,9 @@ class TowerField:
             n_limit += 1
         last = max((n for n in range(1, n_limit)
                     if n * y.v - self.e * _vp(n, self.p)[0] < window), default=0)
-        acc = self.zero()
-        power = self.one()
+        acc = power = self.zero()
         for n in range(1, last + 1):
-            power = power * y
+            power = power * y if n > 1 else y
             t = power.div_int(n)
             if n % 2 == 0:
                 t = -t

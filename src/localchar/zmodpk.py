@@ -6,6 +6,9 @@ here is deterministic and exact; no floating point.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
+
 from .errors import PrecisionLoss
 
 
@@ -29,11 +32,17 @@ def inverse(a, p: int, mod: int):
     return [row[n:] for row in aug]
 
 
-def charpoly_berkowitz(a, zero, one):
+def _dot(u, v):
+    """sum_i u_i v_i, summed from the first product."""
+    return reduce(add, map(mul, u, v))
+
+
+def charpoly_berkowitz(a, one):
     """Characteristic polynomial det(lambda*I - A) over any commutative ring.
 
     Entries need +, -, *. Returns coefficients [1, c_{n-1}, ..., c_0] so the
-    polynomial is sum coeff[i] * lambda^(n-i). Division-free.
+    polynomial is sum coeff[i] * lambda^(n-i). Division-free, and it neither
+    multiplies by one nor adds to zero: a 2 x 2 matrix takes 2 products.
     """
     n = len(a)
     if n == 0:
@@ -42,24 +51,14 @@ def charpoly_berkowitz(a, zero, one):
     for k in range(n - 2, -1, -1):
         m = n - k - 1
         row = a[k][k + 1:]
-        col = [a[i][k] for i in range(k + 1, n)]
         sub = [r[k + 1:] for r in a[k + 1:]]
         t = [one, -a[k][k]]
-        w = col
+        w = [a[i][k] for i in range(k + 1, n)]
         for j in range(m):
-            s = zero
-            for ri, wi in zip(row, w):
-                s = s + ri * wi
-            t.append(-s)
+            t.append(-_dot(row, w))
             if j < m - 1:
-                w = [sum((sub[i][l] * w[l] for l in range(m)), zero)
-                     for i in range(m)]
-        new = []
-        for i in range(m + 2):
-            s = zero
-            for j in range(min(i, m + 1) + 1):
-                if 0 <= i - j < len(t) and j < len(vec):
-                    s = s + t[i - j] * vec[j]
-            new.append(s)
-        vec = new
+                w = [_dot(r, w) for r in sub]
+        # (t * vec)_i = t_i + t_(i-1) vec_1 + .. + t_1 vec_(i-1) + vec_i
+        vec = [one] + [reduce(add, [t[i]] + [t[i - j] * vec[j] for j in range(1, i)]
+                              + vec[i:i + 1]) for i in range(1, m + 2)]
     return vec

@@ -1,9 +1,12 @@
 import random
+from itertools import islice
 from operator import mul
 
 import pytest
 
+from localchar import converse, zmodpk
 from localchar import embeddings as embeddings_module
+from localchar.characters import _subfield_handle
 from localchar.ambient import compositum_abstract
 from localchar.embeddings import (
     _generator_images,
@@ -14,7 +17,8 @@ from localchar.embeddings import (
     verify_embedding,
     w_nth_root_oneunit,
 )
-from localchar.localfield import TameRamified, Unramified, make_tower
+from localchar.localfield import (TameRamified, TowerElement, Unramified,
+                                  make_tower)
 
 
 def embeddings(S, T):
@@ -214,19 +218,10 @@ def test_apply_matches_uncached_pi_powers(E, T6):
     maps = [s.emb for s in enumerate_subfields(T6)] + automorphisms(E)
     for emb in maps:
         S = emb.src
-        tab = emb._basis_table()
         seen = []
         for v in range(-12, 13):
             x = S.random_unit(rng).shift(v)
-            # apply as it reads without the per-valuation cache
-            acc = emb.dst.zero()
-            for i, w in enumerate(x.core):
-                for j, c in enumerate(w):
-                    if c:
-                        acc = acc + tab[i][j]._scal(c)
-            if v:
-                acc = acc * emb.pi_img**v
-            want = acc.cap_window(emb.dst.e // S.e * x.window())
+            want = _former_apply(emb, x)  # powers pi_img^v without the cache
             assert _state(emb.apply(x)) == _state(emb.apply(x)) == _state(want)
             assert _state(emb._pi_pow(v)) == _state(emb.pi_img**v)
             seen.append((x, want))
@@ -362,3 +357,179 @@ def test_compositum_embeddings_match_the_frobenius_route(monkeypatch):
     monkeypatch.setattr(embeddings_module, "_generator_images",
                         _generator_images_by_frobenius)
     assert _maps(got) == _maps(find_embeddings(L, K))
+
+
+# ------------------------------------------- the former element-loop norm layer
+
+
+def _former_apply(emb, x):
+    """EmbeddingMap.apply as it read with element loops: one element per
+    basis image, scaled, made and added in core order."""
+    S, T = emb.src, emb.dst
+    rho = T.e // S.e
+    if x.is_zero():
+        return T.zero_bounded(x.prec * rho if x.prec != float("inf") else x.prec)
+    acc = T.zero()
+    for i, w in enumerate(x.core):
+        for j, c in enumerate(w):
+            if c:
+                acc = acc + (emb.pi_img**i * emb.x_img**j)._scal(c)
+    if x.v:
+        acc = acc * emb.pi_img**x.v
+    return acc.cap_window(rho * x.window())
+
+
+def _former_setup(sub):
+    """(minv rows, basis, basis elements), built from element products."""
+    S, T = sub.S, sub.T
+    basis = [(ib, jb) for ib in range(T.e // S.e) for jb in range(T.f // S.f)]
+    x_t, pi_t = identity_embedding(T).x_img, T.uniformizer()
+    belems = [pi_t**ib * x_t**jb for ib, jb in basis]
+    x_s, pi_s = identity_embedding(S).x_img, S.uniformizer()
+    semb = [_former_apply(sub.emb, pi_s**i * x_s**j)
+            for i in range(S.e) for j in range(S.f)]
+    cols = [_former_coords(T, be * se) for be in belems for se in semb]
+    mat = [[col[r] for col in cols] for r in range(T.degree)]
+    return zmodpk.inverse(mat, T.p, T.pa), basis, belems
+
+
+def _former_coords(T, x):
+    return [c for w in T.rshift_up(x.core, x.v) for c in w]
+
+
+def _former_decompose(sub, x, setup):
+    minv, basis, _ = setup
+    S, T = sub.S, sub.T
+    if x.is_zero():
+        if x.prec == float("inf"):
+            return [S.zero() for _ in basis]
+        return [S.zero_bounded(S.e * (int(x.prec) // T.e)) for _ in basis]
+    coords = _former_coords(T, x)
+    y = [sum(map(mul, row, coords)) % T.pa for row in minv]
+    sprec = S.e * (int(min(x.window(), T.kint)) // T.e)
+    out = []
+    for b in range(len(basis)):
+        block = y[b * S.degree:(b + 1) * S.degree]
+        core = tuple(tuple(block[i * S.f + j] % S.pa for j in range(S.f))
+                     for i in range(S.e))
+        out.append(S.make(0, core, sprec, S.e * min(T.a, S.a)))
+    return out
+
+
+def _former_mult_matrix(sub, x, setup):
+    cols = [_former_decompose(sub, x * be, setup) for be in setup[2]]
+    return [[col[i] for col in cols] for i in range(len(cols))]
+
+
+def _former_berkowitz(a, zero, one):
+    n = len(a)
+    vec = [one, -a[n - 1][n - 1]]
+    for k in range(n - 2, -1, -1):
+        m = n - k - 1
+        row = a[k][k + 1:]
+        sub = [r[k + 1:] for r in a[k + 1:]]
+        t = [one, -a[k][k]]
+        w = [a[i][k] for i in range(k + 1, n)]
+        for j in range(m):
+            s = zero
+            for ri, wi in zip(row, w):
+                s = s + ri * wi
+            t.append(-s)
+            if j < m - 1:
+                w = [sum((r[l] * w[l] for l in range(m)), zero) for r in sub]
+        new = []
+        for i in range(m + 2):
+            s = zero
+            for j in range(min(i, m + 1) + 1):
+                if i - j < len(t) and j < len(vec):
+                    s = s + t[i - j] * vec[j]
+            new.append(s)
+        vec = new
+    return vec
+
+
+def _former_charpoly(sub, x, setup):
+    """(charpoly of x p^m, m) as the former mult_matrix and Berkowitz gave
+    it, with the former Horner's product by one for norms_of_shift."""
+    xi, m = sub._scaled(x)
+    return _former_berkowitz(_former_mult_matrix(sub, xi, setup),
+                             sub.S.zero(), sub.S.one()), m
+
+
+def _table_element(F, rng, nonzero=False):
+    """A sparse element with p-divisible digits and zero slots, at a random
+    valuation in -6..3 and precision."""
+    core = tuple(tuple(rng.choice((0, 0, 0, 1, F.p, F.p**2)) * rng.randrange(F.pa)
+                       % F.pa for _ in range(F.f)) for _ in range(F.e))
+    x = F.make(rng.randrange(-6, 4), core, rng.randrange(1, F.kint + 1),
+               rng.randrange(F.kint // 2, F.kint + 1))
+    return _table_element(F, rng, True) if nonzero and x.is_zero() else x
+
+
+def _norm_layer_contexts():
+    """The five compositum contexts of coset_products' 8 (shape, m) classes
+    (unram(2) at k = 66, 74, 102, ram(2, u=g^0), ram(2, u=g^1) at 128) and
+    rank-1's prime subfield of Q_7(7^(1/5))."""
+    pair = converse.build_twin_characters(converse.TwinConfig(p=11, N=7, precision=28))
+    seen = {}
+    for tw in islice(converse.iter_twist_pairs(11, 2, 4, 16), 600):
+        ctx = converse._context_for(pair.E, 7, tw)
+        seen.setdefault(id(ctx), ctx)
+    rank1 = converse.build_twin_characters(converse.TwinConfig(p=7, N=5, precision=12))
+    return list(seen.values()), _subfield_handle(rank1.E, 1)
+
+
+def test_column_tables_match_the_former_element_loops():
+    ctxs, rank1 = _norm_layer_contexts()
+    assert len(ctxs) == 5
+    rng = random.Random(30)
+    # serialize() and the stored-digit count, so every stored int and bound
+    ser = lambda xs: [(x.serialize(), x.store) for x in xs]  # noqa: E731
+    handles = [h for c in ctxs for h in (c["handleE"], c["handleF"])] + [rank1]
+    maps = [c[k] for c in ctxs for k in ("iE", "iL", "embF")] + [rank1.emb]
+    for emb in maps:
+        xs = [_table_element(emb.src, rng) for _ in range(24)]
+        xs += [emb.src.zero(), emb.src.zero_bounded(5)]
+        assert ser(map(emb.apply, xs)) == ser(_former_apply(emb, x) for x in xs)
+    for sub in handles:
+        S, T = sub.S, sub.T
+        setup = _former_setup(sub)
+        for _ in range(10):
+            x = _table_element(T, rng, True)
+            y = sub._scaled(x)[0]
+            assert ser(sub.decompose(y)) == ser(_former_decompose(sub, y, setup))
+            assert ser(c for r in sub.mult_matrix(y) for c in r) == ser(
+                c for r in _former_mult_matrix(sub, y, setup) for c in r)
+            chi, m = _former_charpoly(sub, x, setup)
+            n = len(chi) - 1
+            det = (chi[n] if n % 2 == 0 else -chi[n]).div_p(m * n)
+            assert ser([sub.norm(x)]) == ser([det])
+            assert ser(sub.charpoly(x)) == ser(c.div_p(m * i) for i, c in enumerate(chi))
+            b = _table_element(S, rng, True)
+            t, val = -b.div_p(-m), chi[0]
+            for c in chi[1:]:
+                val = val * t + c
+            if n % 2:
+                val = -val
+            assert ser(sub.norms_of_shift(x, b)) == ser(
+                (val.div_p(m * n), det))
+
+
+def test_table_mult_matrix_makes_no_ring_product_in_T(monkeypatch):
+    # once a handle has its tables, a matrix is one column sum and one make
+    # per entry; rmul is patched on the instance, as an f = 1 field binds its own
+    sub = _norm_layer_contexts()[0][0]["handleE"]
+    T = sub.T
+    x = sub._scaled(_table_element(T, random.Random(31), True))[0]
+    sub.mult_matrix(x)
+    calls = []
+    rmul = T.rmul
+    monkeypatch.setattr(T, "rmul", lambda a, b: calls.append(1) or rmul(a, b))
+    mat = sub.mult_matrix(x)
+    assert calls == [] and len(mat) == sub.index == 2
+    # a 2 x 2 Berkowitz multiplies neither by one nor into zero: 2 products
+    mul_ = TowerElement.__mul__
+    monkeypatch.setattr(TowerElement, "__mul__",
+                        lambda a, b: calls.append(1) or mul_(a, b))
+    vec = zmodpk.charpoly_berkowitz(mat, sub.S.one())
+    assert len(calls) == 2 and len(vec) == 3
