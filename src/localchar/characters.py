@@ -21,12 +21,8 @@ from functools import lru_cache
 from operator import mul
 
 from .cyclotomic import CycNumber
-from .errors import (
-    ConductorTooSmall,
-    ConfigError,
-    NotAdmissible,
-    PrecisionLoss,
-)
+from .errors import (ConductorTooSmall, ConfigError, NotAdmissible,
+                     PrecisionLoss, UnsupportedShape)
 from .embeddings import EmbeddingMap, Subfield, enumerate_subfields, self_subfield
 from .localfield import INF, TowerElement, TowerField
 
@@ -427,53 +423,44 @@ def handle_contains(big: Subfield, small: Subfield) -> bool:
 # -------------------------------------------------------------- admissibility
 
 
-def _tame_norm_kernel_trivial(chi: MulChar, sub: Subfield) -> bool:
-    """Is chi trivial on the Teichmuller part of ker N_{E/S}?
-
-    The norm sends tau(xi^j) to tau(xi^(j rel)) with
-    rel = e(E/S) (q_E - 1)/(q_S - 1), so the kernel is generated by
-    xi^((q_E - 1)/gcd(rel, q_E - 1))."""
-    E = chi.field
-    n = E.q - 1
-    rel = (E.e // sub.S.e) * ((E.q - 1) // (sub.S.q - 1))
-    g = n // math.gcd(rel, n)
-    return (chi.t * g) % n == 0
-
-
-def _principal_factors_through(chi: MulChar, sub: Subfield) -> bool:
-    """Does chi restricted to 1 + P come via the norm from sub?
-
-    Equivalent (by duality of the trace pairing) to gamma lying in
-    S + O_E."""
-    g = chi.gamma_full()
-    if g is None:
-        return True
-    y, m = sub._scaled(g)
-    coeffs = sub.decompose(y)
-    proj = sub.emb.apply(coeffs[0]).div_p(m)
-    diff = (g - proj).cap_window(0)
-    return diff.is_zero()
-
-
-def _full_factors_through(chi: MulChar, sub: Subfield) -> bool:
-    return (_tame_norm_kernel_trivial(chi, sub)
-            and _principal_factors_through(chi, sub))
-
-
 def is_admissible(chi: MulChar) -> bool:
-    """Admissibility over the prime field: the character does not factor
-    through the norm from a proper subfield, and wherever its principal-unit
-    restriction does factor, the corresponding extension is unramified."""
-    E = chi.field
-    subs = subfield_lattice(E)
-    for sub in subs:
-        if sub.S.degree == E.degree:
-            continue
-        if _full_factors_through(chi, sub):
-            return False
-        if E.e // sub.S.e > 1 and _principal_factors_through(chi, sub):
-            return False
-    return True
+    """Howe admissibility over the prime field F: chi does not factor
+    through N_{L/S} for a proper subfield S, and where chi|(1+P) does, L/S
+    is unramified.  gamma = gamma_full() is peeled from the top into digits
+    (i, k), gamma = sum tau(xi^k) pi^i mod O_L, for admissible_on_digits.
+
+    Proof.  chi|(1+P) factors through N iff gamma is in S + O_L, as
+    N(exp y) = exp(tr y), psi_L = psi_S o tr and O_L pairs trivially with P.
+    ker N lies in mu_{q-1} x (1+P), and N sends xi^j to xi^(j rel), rel =
+    e(L/S) (q-1)/(q_S-1): chi factors iff also gcd(rel, q-1) divides t.  An
+    expansion in S (Teichmuller digits, S's uniformizer) is the unique one
+    in L.  unram(f): pi = p, the subfields are unram(f'), f' | f, whose
+    units are the xi^k with s = (q-1)/(p^f'-1) | k, and rel = s.  ram(e, u)
+    with f = 1: a degree-d subfield S has a uniformizer z pi^c v, c = e/d,
+    z in mu_{p-1} (in F), v in 1 + P_L; v^d is in S, as pi^e = u p is, and v
+    is its unique d-th root in 1 + P_L, so S = F(pi^c).  Its digits sit at
+    multiples of c, and e(L/S) = c > 1 leaves t no part."""
+    L = chi.field
+    x = chi.gamma_full()
+    digits = []
+    while x is not None and not x.is_zero() and x.v < 0:
+        k = L.dlog_res(x.residue())
+        digits.append((x.v, k))
+        x = x - L.tau(k).shift(x.v)
+    return admissible_on_digits(L, chi.t, digits)
+
+
+def admissible_on_digits(L: TowerField, t: int, digits) -> bool:
+    """is_admissible for the character of L with tame exponent t and
+    principal parameter sum tau(xi^k) pi^i over digits (i, k), i < 0 (its
+    docstring has the proof).  UnsupportedShape for a mixed tower."""
+    if L.e > 1 and L.f > 1:
+        raise UnsupportedShape("admissibility on digits needs f = 1 or e = 1")
+    if L.e > 1:
+        return math.gcd(L.e, *(i for i, _k in digits)) == 1
+    n = L.q - 1
+    g = math.gcd(n, t, *(k for _i, k in digits))
+    return all(g % (n // (L.p**d - 1)) for d in range(1, L.f) if L.f % d == 0)
 
 
 # ----------------------------------------------------------- Howe factoring

@@ -167,11 +167,14 @@ def _char_from_spec(cfg, field):
         digits = []
         for part in cfg["char_gamma"].split(","):
             try:
-                v, res = part.split(":")
-                digits.append((int(v), int(res)))
+                v, res = map(int, part.split(":"))
             except ValueError:
                 raise ConfigError("char_gamma must be a comma list of v:res "
                                   f"integer pairs, got {part!r}") from None
+            if not 0 <= res < field.q:
+                raise ConfigError(f"char_gamma residues must lie in [0, "
+                                  f"{field.q}), got {part!r}")
+            digits.append((v, res))
         gamma = field.from_digits(digits)
     w = (cfg.get("char_w") or 0, field.q - 1)
     return MulChar(field, w, cfg.get("char_t") or 0, gamma)

@@ -28,18 +28,10 @@ from operator import getitem
 from .cyclotomic import CycNumber
 from .errors import ConfigError, InternalContradiction, RangeViolation
 from .ambient import build_ambient, compositum_abstract
-from .characters import (
-    MulChar,
-    char_exponents,
-    is_admissible,
-    make_psi,
-    pullback,
-    pullbacks,
-    same_root,
-    tame_exponent,
-    _add_exponents,
-    _subfield_handle,
-)
+from .characters import (MulChar, admissible_on_digits, char_exponents,
+                         is_admissible, make_psi, pullback, pullbacks,
+                         same_root, tame_exponent, truncate_to,
+                         _add_exponents, _subfield_handle)
 from .embeddings import (Subfield, automorphisms, find_embeddings,
                           identity_embedding)
 from .epsilon import epsilon_factors, theta_row
@@ -231,12 +223,11 @@ def _gamma_key(lam: MulChar):
     F = lam.field
     out = []
     core = g.core
-    for i in range(F.e):
-        for lev in range(F.a):
+    for i in range(F.e):  # the levels with g.v + i + lev e < 0
+        for lev in range(min(F.a, -((g.v + i) // F.e))):
             w = tuple((c // F.p**lev) % F.p for c in core[i])
-            pos = g.v + i + lev * F.e
-            if any(w) and pos < 0:
-                out.append((pos, w))
+            if any(w):
+                out.append((g.v + i + lev * F.e, w))
     return tuple(sorted(out))
 
 
@@ -295,34 +286,42 @@ def iter_twist_pairs(p: int, r: int, bound: int, k: int,
     monomial at i (_digit_tables), so a candidate to that of the image tuple;
     the negative-position digits fix gamma mod O_L, as _gamma_key does;
     lambda o sigma has parameter sigma^-1(gamma), and sigma -> sigma^-1
-    permutes Aut(L/F); conductor and admissibility are sigma-invariant."""
+    permutes Aut(L/F); conductor and admissibility are sigma-invariant.
+    Admissibility is read on the same digits (admissible_on_digits, residue
+    code d as exponent logs[d]; a tame t has none).  combo[0] != 0 fixes
+    v(gamma) = -m, so the conductor is m + 1.  Only kept pairs build gamma
+    (in from_digits' order), lambda and alpha = c_rep = gamma truncated at
+    positions.stop = 1 - (m + 2) // 2."""
     exts = []
     for L, shape in sorted(tame_extensions(p, r, k), key=lambda t: t[1]):
         if L is None:
             if skipped is not None:
                 skipped.append(shape)
             continue
-        exts.append((L, shape, _digit_tables(
-            L, automorphisms(L), range(1 - bound, 0)) if dedupe else []))
+        exts.append((L, shape, (None, *map(L.dlog_res, range(1, L.q))),
+                     _digit_tables(L, automorphisms(L), range(1 - bound, 0))
+                     if dedupe else []))
     if bound >= 1:
-        for L, shape, _tables in exts:
+        for L, shape, _logs, _tables in exts:
             n = L.q - 1
             for t in range(1, n):
-                lam = MulChar(L, None, t, None)
                 if (not dedupe or t == min(t * p**b % n for b in range(L.f))) \
-                        and is_admissible(lam):
-                    yield TwistPair(L, lam, 0, None, shape)
+                        and admissible_on_digits(L, t, ()):
+                    yield TwistPair(L, MulChar(L, None, t, None), 0, None, shape)
     for m in range(1, bound):
-        for L, shape, tables in exts:
+        for L, shape, logs, tables in exts:
             positions = range(-m, 1 - (m + 2) // 2)
             rows = [[tab[i] for i in positions] for tab in tables]
             for combo in product(range(L.q), repeat=len(positions)):
                 if not combo[0] or any(tuple(map(getitem, row, combo)) < combo
                                        for row in rows):
                     continue
-                lam = MulChar(L, None, 0, L.from_digits(zip(positions, combo)))
-                if lam.conductor() == m + 1 and is_admissible(lam):
-                    yield TwistPair(L, lam, m, lam.c_rep(), shape)
+                digits = [(i, logs[d]) for i, d in zip(positions, combo) if d]
+                if admissible_on_digits(L, 0, digits):
+                    lam = MulChar(L, None, 0, sum(
+                        (L.tau(k).shift(i) for i, k in digits), L.zero()))
+                    yield TwistPair(L, lam, m,
+                                    truncate_to(lam.gamma, positions.stop), shape)
 
 
 # ------------------------------------------------------------- case analysis

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from localchar.errors import (
     ConfigError,
     NotAdmissible,
     PrecisionLoss,
+    UnsupportedShape,
 )
 from localchar.localfield import (INF, TameRamified, TowerElement, Unramified,
                                   _prime_gen, make_tower)
@@ -17,6 +20,7 @@ from localchar.embeddings import Subfield, self_subfield
 from localchar.characters import (
     MulChar,
     _add_exponents,
+    admissible_on_digits,
     char_exponents,
     eval_many,
     howe_factorize,
@@ -335,6 +339,121 @@ def test_is_admissible_examples(E, prime_subfield):
     for _ in range(10):
         eta = random_char(sub.S, rng.randrange(0, 4), rng)
         assert not is_admissible(pullback(eta, E, sub.emb))
+
+
+# The former admissibility route, kept as the reference: for every proper
+# subfield, decompose gamma over it (_scaled, decompose, apply, div_p) and
+# test the tame part of the norm kernel.
+
+
+def _former_tame_norm_kernel_trivial(chi, sub):
+    E = chi.field
+    n = E.q - 1
+    rel = (E.e // sub.S.e) * ((E.q - 1) // (sub.S.q - 1))
+    g = n // math.gcd(rel, n)
+    return (chi.t * g) % n == 0
+
+
+def _former_principal_factors_through(chi, sub):
+    g = chi.gamma_full()
+    if g is None:
+        return True
+    y, m = sub._scaled(g)
+    coeffs = sub.decompose(y)
+    proj = sub.emb.apply(coeffs[0]).div_p(m)
+    return (g - proj).cap_window(0).is_zero()
+
+
+def _former_is_admissible(chi):
+    E = chi.field
+    for sub in subfield_lattice(E):
+        if sub.S.degree == E.degree:
+            continue
+        if (_former_tame_norm_kernel_trivial(chi, sub)
+                and _former_principal_factors_through(chi, sub)):
+            return False
+        if E.e // sub.S.e > 1 and _former_principal_factors_through(chi, sub):
+            return False
+    return True
+
+
+def _gamma_of(L, digits):
+    return sum((L.tau(k).shift(i) for i, k in digits), L.zero())
+
+
+@pytest.mark.parametrize("p, r, bound, k, count", [
+    (11, 2, 4, 16, 15157), (7, 2, 4, 12, 2613), (7, 3, 3, 12, 1076)])
+def test_admissibility_on_digits_matches_the_subfield_route_on_every_candidate(
+        p, r, bound, k, count):
+    # every candidate of iter_twist_pairs(dedupe=False), kept or not
+    from localchar.converse import iter_twist_pairs, tame_extensions
+    kept, seen = [], set()
+    for L, shape in tame_extensions(p, r, k):
+        if L is None:
+            continue
+        cands = [(t, ()) for t in range(1, L.q - 1)]
+        for m in range(1, bound):
+            positions = range(-m, 1 - (m + 2) // 2)
+            for combo in product(range(1, L.q),
+                                 *[range(L.q)] * (len(positions) - 1)):
+                cands.append((0, [(i, L.dlog_res(d))
+                                  for i, d in zip(positions, combo) if d]))
+        for t, digits in cands:
+            lam = MulChar(L, None, t, _gamma_of(L, digits))
+            want = _former_is_admissible(lam)
+            assert is_admissible(lam) is want, (shape, t, digits)
+            assert admissible_on_digits(L, t, digits) is want, (shape, t, digits)
+            seen.add(want)
+            if want:
+                kept.append((shape, lam.conductor(), lam.t,
+                             None if lam.gamma is None else lam.gamma.serialize()))
+        count -= len(cands)
+    assert count == 0 and seen == {True, False}
+    assert sorted(kept, key=repr) == sorted(
+        ((tw.shape, tw.lam.conductor(), tw.lam.t, None if tw.lam.gamma is None
+          else tw.lam.gamma.serialize())
+         for tw in iter_twist_pairs(p, r, bound, k, dedupe=False)), key=repr)
+
+
+@pytest.mark.parametrize("p, steps", [
+    (7, (TameRamified(5, 1),)), (11, (TameRamified(6, 1),)),
+    (11, (TameRamified(7, 1),)), (13, (TameRamified(4, 2),)),
+    (7, (Unramified(2),)), (5, (Unramified(4),))])
+def test_admissibility_on_digits_matches_the_subfield_route_on_random_fields(
+        p, steps):
+    # half the draws confine gamma's digits (and, on unram(f), t) to a
+    # proper subfield: positions at multiples of c | e, or exponents at
+    # multiples of s = (q-1)/(p^f'-1), so both verdicts occur
+    L = make_tower(p, steps, 12)
+    n = L.q - 1
+    rng = random.Random(p * 100 + L.degree)
+    seen = set()
+    for _ in range(150):
+        c = rng.choice([d for d in range(1, L.degree + 1) if L.degree % d == 0])
+        s = n // (p ** (L.f // c) - 1) if L.e == 1 else 1
+        step = c if L.e > 1 else 1
+        depth = rng.randrange(0, 8)
+        digits = [(i, s * rng.randrange(n)) for i in range(-depth, 0)
+                  if i % step == 0 and rng.random() < 0.6]
+        t = rng.randrange(n)
+        if rng.random() < 0.5:
+            t -= t % s
+        chi = MulChar(L, (rng.randrange(n), n), t, _gamma_of(L, digits))
+        want = _former_is_admissible(chi)
+        assert is_admissible(chi) is want, (c, t, digits)
+        assert admissible_on_digits(L, chi.t, digits) is want, (c, t, digits)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_admissibility_of_a_mixed_tower_is_an_unsupported_shape():
+    T = make_tower(7, (Unramified(2), TameRamified(2, 1)), 12)
+    for chi in (MulChar(T, None, 1, None),
+                MulChar(T, None, 0, T.monomial(1, -3) + T.monomial(2, -1))):
+        with pytest.raises(UnsupportedShape, match="f = 1 or e = 1"):
+            is_admissible(chi)
+    with pytest.raises(UnsupportedShape):
+        admissible_on_digits(T, 1, ())
 
 
 def test_admissibility_invariant_under_conjugation():

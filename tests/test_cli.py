@@ -319,6 +319,25 @@ def test_malformed_specs_and_unexpected_errors_exit_codes(tmp_path, monkeypatch,
     assert capsys.readouterr().err == "internal error: RuntimeError: unexpected\n"
 
 
+def test_char_gamma_residues_outside_the_residue_field_are_configuration_errors(
+        capsys):
+    # a residue code names an element of F_q only in [0, q); -1:9 used to
+    # run the -1:2 character while the report echoed -1:9
+    for argv, spec, q in (
+            (["epsilon", "--p", "7", "--char-t", "1"], "-1:9", 7),
+            (["epsilon", "--p", "7", "--char-t", "1"], "-1:-5", 7),
+            (["epsilon", "--p", "7"], "-2:7", 7),
+            (["factorize", "--p", "11", "--N", "6", "--char-field", "E"],
+             "-5:11", 11)):
+        capsys.readouterr()
+        assert run(argv + [f"--char-gamma=-2:1,{spec}"]) == 2, spec
+        assert capsys.readouterr().err == (
+            f"configuration error: char_gamma residues must lie in [0, {q}), "
+            f"got '{spec}'\n")
+    assert run(["epsilon", "--p", "7", "--char-t", "1",
+                "--char-gamma=-2:6,-1:0"]) == 0
+
+
 @pytest.mark.parametrize("module", ["localchar.cli", "localchar.converse",
                                     "localchar.epsilon"])
 def test_import_leaves_numpy_unloaded(module):

@@ -153,6 +153,29 @@ def test_enumerated_pairs_admissible(pair7):
     assert all(tw.m >= 1 for tw in pairs if tw.shape.startswith("ram"))
 
 
+def test_catalog_decides_on_digits_and_builds_only_kept_pairs(monkeypatch):
+    # no admissibility route, decomposition, from_digits or conductor runs,
+    # and one MulChar is built per yielded pair
+    from localchar import characters
+    from localchar.localfield import TowerField
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog decides on digits")
+
+    for owner, name in ((converse, "is_admissible"),
+                        (characters, "is_admissible"),
+                        (Subfield, "decompose"), (TowerField, "from_digits"),
+                        (MulChar, "conductor")):
+        monkeypatch.setattr(owner, name, refuse)
+    built = []
+    init = MulChar.__init__
+    monkeypatch.setattr(MulChar, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(
+                            self, *a, **kw))
+    pairs, skipped = enumerate_twist_pairs(11, 2, 4, 16)
+    assert len(pairs) == len(built) == 7490 and not skipped
+
+
 def test_catalog_key_matches_transport_char_key():
     pairs, _ = enumerate_twist_pairs(11, 2, 3, 16, dedupe=False)
     auts = {tw.L: automorphisms(tw.L) for tw in pairs}
